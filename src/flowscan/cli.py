@@ -14,12 +14,14 @@ machine-parseable line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import statistics
 import sys
 import time
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,9 +32,9 @@ from .config import (
     load_config,
     parse_thresholds,
 )
-from .core import ConfigError, SliceConfig, format_ip
-from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips
-from .engine import EngineConfig, Mode, RunStats, run_batch, run_streaming
+from .core import ConfigError, FlowRecord, SliceConfig, format_ip
+from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
+from .engine import EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
 from .evaluation import (
     EvalCase,
     EvalRow,
@@ -184,26 +186,23 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
 
 
 def _config_snapshot(cfg: AppConfig) -> dict:
-    return {
-        "slice_seconds": cfg.slice_seconds,
-        "trace_start_us": cfg.trace_start_us,
-        "threshold": cfg.threshold,
-        "thresholds": list(cfg.thresholds),
-        "workers": cfg.workers,
-        "mode": cfg.mode.value,
-        "partitioning": cfg.partitioning.value,
-        "watermark_lag_seconds": cfg.watermark_lag_seconds,
-        "rules": {
-            "netscan_min_hosts": cfg.rules.netscan_min_hosts,
-            "portscan_min_ports": cfg.rules.portscan_min_ports,
-            "combined_min_hosts": cfg.rules.combined_min_hosts,
-            "subnet_prefix": cfg.rules.subnet_prefix,
-            "known_ports": format_port_set(cfg.rules.known_ports),
-        },
-        "whitelist": sorted(cfg.whitelist),
-        "exclude": sorted(cfg.exclude),
-        "strict": cfg.strict,
-    }
+    return _snapshot("config", cfg)
+
+
+def _snapshot(name: str, value):
+    """JSON form of a config value, nested dataclasses included."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _snapshot(f.name, getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if name == "known_ports":
+        return format_port_set(value)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _sha256(path: Path) -> str:
@@ -248,6 +247,20 @@ def _write_manifest(
     return path
 
 
+def _read_flows(path: Path, strict: bool) -> tuple[list[FlowRecord], dict]:
+    """All flows of one file, and its row counts for the manifest."""
+    reader = read_flow_file(path, strict=strict)
+    flows = list(reader)
+    # read_flow_file may be wrapped to hand back the rows alone.
+    skipped = getattr(reader, "errors", 0)
+    return flows, {"rows_read": len(flows), "rows_skipped": skipped}
+
+
+def _skipped_note(ingest: dict) -> str:
+    skipped = sum(counts["rows_skipped"] for counts in ingest.values())
+    return f", {skipped} malformed rows skipped" if skipped else ""
+
+
 def _slice_config(cfg: AppConfig, flows: Sequence) -> SliceConfig:
     start = cfg.trace_start_us
     if start is None:
@@ -289,7 +302,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     started = time.time()
     flow_path = Path(args.flows)
     out_path = Path(args.out)
-    flows = list(read_flow_file(flow_path, strict=cfg.strict))
+    flows, read_counts = _read_flows(flow_path, cfg.strict)
+    ingest = {str(flow_path): read_counts}
     slices = _slice_config(cfg, flows)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
@@ -326,21 +340,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
         [flow_path],
         [out_path],
         started,
-        extra={"stats": _stats_dict(stats)},
+        extra={"stats": dataclasses.asdict(stats), "ingest": ingest},
     )
-    print(f"{len(verdicts)} verdicts from {stats.records_in} flows -> {out_path}")
+    print(
+        f"{len(verdicts)} verdicts from {stats.records_in} flows"
+        f"{_skipped_note(ingest)} -> {out_path}"
+    )
     return EXIT_OK
-
-
-def _stats_dict(stats: RunStats) -> dict:
-    return {
-        "wall_time_s": stats.wall_time_s,
-        "trace_duration_s": stats.trace_duration_s,
-        "time_ratio": stats.time_ratio,
-        "records_in": stats.records_in,
-        "verdicts_out": stats.verdicts_out,
-        "late_dropped": stats.late_dropped,
-    }
 
 
 def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
@@ -361,40 +367,56 @@ def _trace_id(flow_path: Path) -> str:
     return stem
 
 
+# Report sources: each ground truth file alone, then both together.
+_SOURCES = (
+    ("anomalous", (SourceFile.ANOMALOUS,)),
+    ("notice", (SourceFile.NOTICE,)),
+    ("total", (SourceFile.ANOMALOUS, SourceFile.NOTICE)),
+)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     case = EvalCase(args.case)
     started = time.time()
     out_path = Path(args.out)
     traces = [_parse_trace_arg(raw) for raw in args.trace]
+    engine_cfg = EngineConfig(workers=cfg.workers, partitioning=cfg.partitioning)
 
     rows: list[EvalRow] = []
     inputs: list[Path] = []
+    ingest: dict[str, dict] = {}
     for flow_path, anomalous_path, notice_path in traces:
         inputs.append(flow_path)
         inputs.append(anomalous_path)
         if notice_path is not None:
             inputs.append(notice_path)
-        flows = list(read_flow_file(flow_path, strict=cfg.strict))
+        flows, ingest[str(flow_path)] = _read_flows(flow_path, cfg.strict)
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
         slices = _slice_config(cfg, flows)
-        sources = [("anomalous", (SourceFile.ANOMALOUS,))]
-        if notice_path is not None:
-            sources.append(("notice", (SourceFile.NOTICE,)))
-            sources.append(("total", (SourceFile.ANOMALOUS, SourceFile.NOTICE)))
+        source_gts = [
+            (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))
+            for name, wanted in (_SOURCES if notice_path else _SOURCES[:1])
+        ]
+        # The count table does not depend on the threshold: count once and
+        # cut it at every threshold.
+        counts = count_slices(flows, slices, engine_cfg)
+        detected_at = []
         for threshold in cfg.thresholds:
             detector_cfg = DetectorConfig(slices=slices, threshold=threshold)
-            engine_cfg = EngineConfig(
-                workers=cfg.workers, partitioning=cfg.partitioning
-            )
-            verdicts, _stats = run_batch(flows, detector_cfg, engine_cfg)
-            pairs = anomalous_ips(verdicts)
-            detected = pairs if args.directional else {ip for ip, _ in pairs}
-            for source_name, wanted in sources:
-                sub_gt = GroundTruthSet(
-                    [e for e in gt.entries if e.source_file in wanted]
-                )
+            pairs = anomalous_ips(detect((), detector_cfg, counts=counts))
+            detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
+        # The rules depend on neither threshold nor source: classify every
+        # IP that case 3 could reintegrate at any threshold, once.
+        classifications = None
+        if case is EvalCase.FILTERED_PLUS_RULES:
+            candidates = set().union(*detected_at)
+            if args.directional:
+                candidates = {ip for ip, d in candidates if d is Direction.SENDER}
+            classifications = classify_all(candidates, flows, cfg.rules, slices)
+        for threshold, detected in zip(cfg.thresholds, detected_at):
+            for source_name, sub_gt in source_gts:
                 result = evaluate_case(
                     case,
                     detected,
@@ -406,6 +428,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     whitelist=cfg.whitelist,
                     exclude=cfg.exclude,
                     directional=args.directional,
+                    classifications=classifications,
                 )
                 rows.append(
                     EvalRow(
@@ -421,9 +444,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         write_report(fh, rows, manifest_name=manifest_name)
     _write_manifest(
-        out_path, "evaluate", _config_snapshot(cfg), inputs, [out_path], started
+        out_path,
+        "evaluate",
+        _config_snapshot(cfg),
+        inputs,
+        [out_path],
+        started,
+        extra={"ingest": ingest},
     )
-    print(f"{len(rows)} report rows -> {out_path}")
+    print(f"{len(rows)} report rows{_skipped_note(ingest)} -> {out_path}")
     return EXIT_OK
 
 
@@ -468,32 +497,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest={manifest_name}\n")
         fh.write(BENCH_HEADER + "\n")
-        for workers, rep, stats in runs:
-            fh.write(
-                ",".join(
-                    (
-                        str(workers),
-                        str(rep),
-                        repr(stats.wall_time_s),
-                        repr(stats.trace_duration_s),
-                        repr(stats.time_ratio),
-                        str(stats.records_in),
-                        str(stats.verdicts_out),
-                    )
-                )
-                + "\n"
-            )
+        for workers, rep, s in runs:
+            row = (workers, rep, s.wall_time_s, s.trace_duration_s, s.time_ratio)
+            fh.write(",".join(map(repr, row + (s.records_in, s.verdicts_out))) + "\n")
         fh.write("# summary\n")
         fh.write(BENCH_SUMMARY_HEADER + "\n")
         for workers in sweep:
             ratios = [s.time_ratio for w, _, s in runs if w == workers]
-            low, q1, median, q3, high = _quartiles(ratios)
-            fh.write(
-                ",".join(
-                    (str(workers), repr(low), repr(q1), repr(median), repr(q3), repr(high))
-                )
-                + "\n"
-            )
+            fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
     _write_manifest(
         out_path, "bench", _config_snapshot(cfg), [flow_path], [out_path], started
     )

@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .core import ConfigError
+from .detector import DEFAULT_THRESHOLD
 from .engine import DEFAULT_WATERMARK_LAG_S, Mode, Partitioning
 from .evaluation import DEFAULT_SCAN_EXCLUDE, DEFAULT_SCAN_WHITELIST
 from .rules import RuleConfig
 
 ENV_CONFIG = "FLOWSCAN_CONFIG"
 
-DEFAULT_THRESHOLD = 100.0
 DEFAULT_THRESHOLD_SWEEP = (50.0, 100.0, 200.0)
 DEFAULT_SLICE_SECONDS = 30.0
 
@@ -47,15 +48,19 @@ class AppConfig:
             raise ConfigError(
                 f"detector.slice_seconds must be > 0, got {self.slice_seconds}"
             )
-        if self.threshold <= 0:
-            raise ConfigError(f"detector.threshold must be > 0, got {self.threshold}")
+        if not _valid_threshold(self.threshold):
+            raise ConfigError(
+                f"detector.threshold must be finite and > 0, got {self.threshold}"
+            )
         if not self.thresholds:
             raise ConfigError("evaluation.thresholds must not be empty")
-        for value in self.thresholds:
-            if value <= 0:
+        for i, value in enumerate(self.thresholds):
+            if not _valid_threshold(value):
                 raise ConfigError(
-                    f"evaluation.thresholds entries must be > 0, got {value}"
+                    f"evaluation.thresholds entries must be finite and > 0, got {value}"
                 )
+            if value in self.thresholds[:i]:
+                raise ConfigError(f"evaluation.thresholds repeats {value}")
         if self.workers < 1:
             raise ConfigError(f"engine.workers must be >= 1, got {self.workers}")
         if self.watermark_lag_seconds < 0:
@@ -66,6 +71,10 @@ class AppConfig:
 
     def replace(self, **changes) -> "AppConfig":
         return dataclasses.replace(self, **changes)
+
+
+def _valid_threshold(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 def parse_port_set(text: str) -> frozenset[int]:
@@ -117,18 +126,47 @@ def _parse_terms(text: str) -> frozenset[str]:
     return frozenset(t.strip().lower() for t in text.split(",") if t.strip())
 
 
-_KNOWN_KEYS = {
-    "detector": {"slice_seconds", "threshold", "trace_start_us"},
-    "engine": {"workers", "partitioning", "mode", "watermark_lag_seconds"},
-    "rules": {
-        "netscan_min_hosts",
-        "portscan_min_ports",
-        "combined_min_hosts",
-        "subnet_prefix",
-        "known_ports",
+def _enum(enum_cls):
+    def parse(text: str):
+        try:
+            return enum_cls(text.strip().lower())
+        except ValueError:
+            choices = ", ".join(e.value for e in enum_cls)
+            raise ValueError(f"must be one of {choices}, got {text!r}") from None
+
+    return parse
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# section -> key -> parser of the value text. Each key names an AppConfig
+# field, or under [rules] a RuleConfig field.
+_PARSERS = {
+    "detector": {"slice_seconds": float, "threshold": float, "trace_start_us": int},
+    "engine": {
+        "workers": int,
+        "partitioning": _enum(Partitioning),
+        "mode": _enum(Mode),
+        "watermark_lag_seconds": float,
     },
-    "evaluation": {"thresholds", "whitelist", "exclude"},
-    "io": {"strict"},
+    "rules": {
+        "netscan_min_hosts": int,
+        "portscan_min_ports": int,
+        "combined_min_hosts": int,
+        "subnet_prefix": int,
+        "known_ports": parse_port_set,
+    },
+    "evaluation": {
+        "thresholds": parse_thresholds,
+        "whitelist": _parse_terms,
+        "exclude": _parse_terms,
+    },
+    "io": {"strict": _boolean},
 }
 
 
@@ -160,87 +198,22 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
 
 
 def _config_from_parser(parser: configparser.ConfigParser) -> AppConfig:
+    changes: dict = {}
+    rules: dict = {}
     for section in parser.sections():
-        known = _KNOWN_KEYS.get(section)
-        if known is None:
+        parsers = _PARSERS.get(section)
+        if parsers is None:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in known:
+        for key, text in parser[section].items():
+            parse = parsers.get(key)
+            if parse is None:
                 raise ConfigError(f"unknown config key {section}.{key}")
-
-    cfg = AppConfig()
-    if parser.has_section("detector"):
-        sec = parser["detector"]
-        changes: dict = {}
-        if "slice_seconds" in sec:
-            changes["slice_seconds"] = _field(sec.getfloat, "detector.slice_seconds")
-        if "threshold" in sec:
-            changes["threshold"] = _field(sec.getfloat, "detector.threshold")
-        if "trace_start_us" in sec:
-            changes["trace_start_us"] = _field(sec.getint, "detector.trace_start_us")
-        cfg = cfg.replace(**changes)
-    if parser.has_section("engine"):
-        sec = parser["engine"]
-        changes = {}
-        if "workers" in sec:
-            changes["workers"] = _field(sec.getint, "engine.workers")
-        if "partitioning" in sec:
-            changes["partitioning"] = _enum_field(
-                Partitioning, sec["partitioning"], "engine.partitioning"
-            )
-        if "mode" in sec:
-            changes["mode"] = _enum_field(Mode, sec["mode"], "engine.mode")
-        if "watermark_lag_seconds" in sec:
-            changes["watermark_lag_seconds"] = _field(
-                sec.getfloat, "engine.watermark_lag_seconds"
-            )
-        cfg = cfg.replace(**changes)
-    if parser.has_section("rules"):
-        sec = parser["rules"]
-        kwargs: dict = {}
-        for name in ("netscan_min_hosts", "portscan_min_ports", "combined_min_hosts",
-                     "subnet_prefix"):
-            if name in sec:
-                kwargs[name] = _field(sec.getint, f"rules.{name}", name)
-        if "known_ports" in sec:
             try:
-                kwargs["known_ports"] = parse_port_set(sec["known_ports"])
+                value = parse(text)
             except ValueError as exc:
-                raise ConfigError(f"rules.known_ports: {exc}") from exc
-        try:
-            cfg = cfg.replace(rules=RuleConfig(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"rules: {exc}") from exc
-    if parser.has_section("evaluation"):
-        sec = parser["evaluation"]
-        changes = {}
-        if "thresholds" in sec:
-            try:
-                changes["thresholds"] = parse_thresholds(sec["thresholds"])
-            except ValueError as exc:
-                raise ConfigError(f"evaluation.thresholds: {exc}") from exc
-        if "whitelist" in sec:
-            changes["whitelist"] = _parse_terms(sec["whitelist"])
-        if "exclude" in sec:
-            changes["exclude"] = _parse_terms(sec["exclude"])
-        cfg = cfg.replace(**changes)
-    if parser.has_section("io") and "strict" in parser["io"]:
-        cfg = cfg.replace(strict=_field(parser["io"].getboolean, "io.strict"))
-    return cfg
-
-
-def _field(getter, label: str, key: Optional[str] = None):
-    if key is None:
-        key = label.split(".", 1)[1]
+                raise ConfigError(f"{section}.{key}: {exc}") from exc
+            (rules if section == "rules" else changes)[key] = value
     try:
-        return getter(key)
+        return AppConfig(rules=RuleConfig(**rules), **changes)
     except ValueError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
-
-
-def _enum_field(enum_cls, raw: str, label: str):
-    try:
-        return enum_cls(raw.strip().lower())
-    except ValueError:
-        choices = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"{label} must be one of {choices}, got {raw!r}") from None
+        raise ConfigError(f"rules: {exc}") from exc

@@ -9,6 +9,7 @@ over the smaller one clamped to at least 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -47,32 +48,27 @@ class DetectorConfig:
     threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
 def count_by_source(
     flows: Iterable[FlowRecord], cfg: SliceConfig
 ) -> dict[SliceKey, int]:
     """Flows generated per (source IP, slice)."""
-    counts: dict[SliceKey, int] = {}
-    start = cfg.trace_start_us
-    duration = cfg.duration_us
-    for flow in flows:
-        offset = flow.first_seen_us - start
-        if offset < 0:
-            raise ValueError(
-                f"flow first_seen {flow.first_seen_us} precedes trace start {start}"
-            )
-        key = SliceKey(flow.src, offset // duration)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return _count_by(flows, cfg, destination=False)
 
 
 def count_by_destination(
     flows: Iterable[FlowRecord], cfg: SliceConfig
 ) -> dict[SliceKey, int]:
     """Flows received per (destination IP, slice)."""
+    return _count_by(flows, cfg, destination=True)
+
+
+def _count_by(
+    flows: Iterable[FlowRecord], cfg: SliceConfig, destination: bool
+) -> dict[SliceKey, int]:
     counts: dict[SliceKey, int] = {}
     start = cfg.trace_start_us
     duration = cfg.duration_us
@@ -82,7 +78,7 @@ def count_by_destination(
             raise ValueError(
                 f"flow first_seen {flow.first_seen_us} precedes trace start {start}"
             )
-        key = SliceKey(flow.dst, offset // duration)
+        key = SliceKey(flow.dst if destination else flow.src, offset // duration)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import FlowRecord, IpAddress, SliceKey
+from .core import US_PER_SECOND, FlowRecord, IpAddress, SliceConfig, SliceKey
 from .detector import DetectorConfig, RatioVerdict, SliceCounts, detect, full_outer_join
-
-US_PER_SECOND = 1_000_000
+from .detector import count_by_destination, count_by_source
 
 DEFAULT_WATERMARK_LAG_S = 5.0
 
@@ -73,8 +72,7 @@ class RunStats:
 def merge_counts(a: dict[SliceKey, int], b: dict[SliceKey, int]) -> dict[SliceKey, int]:
     """Combine two count tables by per-key addition."""
     out = dict(a)
-    for key, value in b.items():
-        out[key] = out.get(key, 0) + value
+    _merge_into(out, b)
     return out
 
 
@@ -111,13 +109,13 @@ def _count_partition(
 
 
 def _partition_indices(
-    flows: Sequence[FlowRecord], cfg: DetectorConfig, engine: EngineConfig
+    flows: Sequence[FlowRecord], slices: SliceConfig, engine: EngineConfig
 ) -> list[array]:
     n = engine.workers
     parts = [array("q") for _ in range(n)]
     if engine.partitioning is Partitioning.BY_SLICE_INDEX:
-        start = cfg.slices.trace_start_us
-        duration = cfg.slices.duration_us
+        start = slices.trace_start_us
+        duration = slices.duration_us
         for i, flow in enumerate(flows):
             offset = flow.first_seen_us - start
             if offset < 0:
@@ -132,12 +130,12 @@ def _partition_indices(
 
 
 def _parallel_counts(
-    flows: list[FlowRecord], cfg: DetectorConfig, engine: EngineConfig
+    flows: list[FlowRecord], slices: SliceConfig, engine: EngineConfig
 ) -> tuple[dict[SliceKey, int], dict[SliceKey, int]]:
     global _WORKER_FLOWS
-    parts = _partition_indices(flows, cfg, engine)
-    start = cfg.slices.trace_start_us
-    duration = cfg.slices.duration_us
+    parts = _partition_indices(flows, slices, engine)
+    start = slices.trace_start_us
+    duration = slices.duration_us
     payloads = [(part, start, duration) for part in parts if len(part)]
     generated: dict[SliceKey, int] = {}
     received: dict[SliceKey, int] = {}
@@ -180,23 +178,35 @@ def _time_ratio(wall_s: float, duration_s: float) -> float:
     return wall_s / duration_s if duration_s > 0 else math.inf
 
 
+def count_slices(
+    flows: list[FlowRecord],
+    slices: SliceConfig,
+    engine: EngineConfig = EngineConfig(),
+) -> list[SliceCounts]:
+    """Joined per-(IP, slice) counts of a complete trace, counted in
+    parallel when workers > 1. The counts do not depend on the detection
+    threshold, so one table serves any number of cuts.
+
+    Output is identical for every worker count and partitioning choice.
+    """
+    if engine.workers > 1 and flows:
+        generated, received = _parallel_counts(flows, slices, engine)
+    else:
+        generated = count_by_source(flows, slices)
+        received = count_by_destination(flows, slices)
+    return full_outer_join(generated, received)
+
+
 def run_batch(
     flows: Iterable[FlowRecord],
     cfg: DetectorConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[list[RatioVerdict], RunStats]:
-    """Detect over a complete trace, in parallel when workers > 1.
-
-    Output is identical for every worker count and partitioning choice.
-    """
+    """Detect over a complete trace: count_slices, then one threshold cut."""
     if not isinstance(flows, list):
         flows = list(flows)
     started = time.perf_counter()
-    if engine.workers > 1 and flows:
-        generated, received = _parallel_counts(flows, cfg, engine)
-        verdicts = detect((), cfg, counts=full_outer_join(generated, received))
-    else:
-        verdicts = detect(flows, cfg)
+    verdicts = detect((), cfg, counts=count_slices(flows, cfg.slices, engine))
     wall = time.perf_counter() - started
     duration_s = _duration_s(flows)
     stats = RunStats(

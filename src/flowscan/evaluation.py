@@ -20,12 +20,12 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Optional, Sequence, TextIO, TypeVar
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, TextIO, TypeVar
 
 from .core import FlowRecord, IpAddress, SliceConfig
 from .detector import Direction
 from .ingest import GroundTruthSet
-from .rules import RuleConfig, classify_all, reintegrate
+from .rules import Classification, RuleConfig, classify_all, reintegrate
 
 DEFAULT_SCAN_WHITELIST = frozenset(
     {"ntsc", "ptsc", "posc", "netscan", "portscan", "scan"}
@@ -163,6 +163,7 @@ def evaluate_case(
     whitelist: frozenset[str] = DEFAULT_SCAN_WHITELIST,
     exclude: frozenset[str] = DEFAULT_SCAN_EXCLUDE,
     directional: bool = False,
+    classifications: Optional[Mapping[IpAddress, Classification]] = None,
 ) -> CaseResult:
     """Score one detector run under the chosen case.
 
@@ -170,7 +171,9 @@ def evaluate_case(
     directional is set. The universe is derived from the flows unless
     passed in. Case 3 additionally needs rule and slice configuration
     to classify false positives; only sender-side false positives can
-    be rule-confirmed since the rules judge outbound flows.
+    be rule-confirmed since the rules judge outbound flows. Case 3 looks
+    candidates up in `classifications` when given, which must then
+    cover every one of them, instead of classifying them here.
     """
     if universe is None:
         if flows is None:
@@ -191,16 +194,22 @@ def evaluate_case(
     tp_set, fp_set, fn_set, tn = _split(detected, truth, scope)
     reintegrated = 0
     if case is EvalCase.FILTERED_PLUS_RULES and fp_set:
-        if flows is None or rule_cfg is None or slice_cfg is None:
-            raise ValueError("case 3 requires flows, rule_cfg and slice_cfg")
         if directional:
             candidates = {ip for ip, d in fp_set if d is Direction.SENDER}
         else:
             candidates = set(fp_set)
-        confirmed = reintegrate(
-            candidates, classify_all(candidates, flows, rule_cfg, slice_cfg)
-        )
-        reintegrated = len(confirmed)
+        if classifications is None:
+            if flows is None or rule_cfg is None or slice_cfg is None:
+                raise ValueError("case 3 requires flows, rule_cfg and slice_cfg")
+            classifications = classify_all(candidates, flows, rule_cfg, slice_cfg)
+        else:
+            missing = candidates - classifications.keys()
+            if missing:
+                raise ValueError(
+                    f"{len(missing)} case 3 candidates are not classified, "
+                    f"e.g. {next(iter(missing))}"
+                )
+        reintegrated = len(reintegrate(candidates, classifications))
     matrix = ConfusionMatrix(
         tp=len(tp_set) + reintegrated,
         fp=len(fp_set) - reintegrated,

@@ -19,7 +19,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 from xml.sax.saxutils import quoteattr
 
-from .core import ConfigError, FlowRecord, IpAddress, PROTO_TCP, ip_sort_key, parse_ip
+from .core import (
+    PROTO_TCP, US_PER_SECOND, ConfigError, FlowRecord, IpAddress, ip_sort_key, parse_ip
+)
 from .ingest import (
     Category,
     GroundTruthEntry,
@@ -27,8 +29,6 @@ from .ingest import (
     SourceFile,
     write_flow_file,
 )
-
-US_PER_SECOND = 1_000_000
 
 KIND_NETSCAN = "netscan"
 KIND_PORTSCAN = "portscan"

@@ -133,6 +133,15 @@ def test_detect_bad_threshold(scan_trace, tmp_path, capsys) -> None:
     assert "detector.threshold" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_detect_non_finite_threshold(scan_trace, tmp_path, capsys, value) -> None:
+    out = tmp_path / "v.csv"
+    code = main(["detect", str(scan_trace), "-o", str(out), "--threshold", value])
+    assert code == EXIT_CONFIG
+    assert "detector.threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_detect_strict_aborts_on_malformed_line(scan_trace, tmp_path, capsys) -> None:
     mangled = tmp_path / "mangled.csv"
     text = scan_trace.read_text(encoding="utf-8").splitlines()
@@ -245,6 +254,112 @@ def test_evaluate_directional_flag(scan_trace, gt_path, tmp_path) -> None:
     # universe doubles to (ip, direction) pairs
     assert fields[4] == "1" and fields[5] == "0"
     assert fields[7] == str(2 * 121 - 1)
+
+
+@pytest.mark.parametrize("thresholds", ["nan", "50,inf", "100,nan,200"])
+def test_evaluate_non_finite_thresholds(
+    scan_trace, gt_path, tmp_path, capsys, thresholds
+) -> None:
+    out = tmp_path / "r.csv"
+    code = main(_eval_args(scan_trace, gt_path, out, "--thresholds", thresholds))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "kind=config exit=2" in err
+    assert "evaluation.thresholds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("thresholds", ["100,100", "50,100,100.0", "200,50,200"])
+def test_evaluate_repeated_thresholds_flag(
+    scan_trace, gt_path, tmp_path, capsys, thresholds
+) -> None:
+    out = tmp_path / "r.csv"
+    code = main(_eval_args(scan_trace, gt_path, out, "--thresholds", thresholds))
+    assert code == EXIT_CONFIG
+    assert "evaluation.thresholds repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_repeated_thresholds_config(
+    scan_trace, gt_path, tmp_path, capsys
+) -> None:
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text("[evaluation]\nthresholds = 100,50,100\n", encoding="utf-8")
+    out = tmp_path / "r.csv"
+    code = main(_eval_args(scan_trace, gt_path, out, "--config", str(cfg)))
+    assert code == EXIT_CONFIG
+    assert "evaluation.thresholds repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "ini, field",
+    [
+        ("[detector]\nthreshold = nan\n", "detector.threshold"),
+        ("[detector]\nthreshold = inf\n", "detector.threshold"),
+        ("[evaluation]\nthresholds = 50,nan\n", "evaluation.thresholds"),
+        ("[evaluation]\nthresholds = inf\n", "evaluation.thresholds"),
+    ],
+)
+def test_non_finite_thresholds_in_config(
+    scan_trace, gt_path, tmp_path, capsys, ini, field
+) -> None:
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    out = tmp_path / "r.csv"
+    code = main(_eval_args(scan_trace, gt_path, out, "--config", str(cfg)))
+    assert code == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def _with_bad_rows(trace, tmp_path):
+    """The trace with three malformed rows planted among its 122 good ones."""
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    for at, bad in ((3, "garbage,line"), (50, "1,2,3"), (100, "x" * 40)):
+        lines.insert(at, bad)
+    path = tmp_path / "planted.flows.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
+    planted = _with_bad_rows(scan_trace, tmp_path)
+    out = tmp_path / "v.csv"
+    assert main(["detect", str(planted), "-o", str(out)]) == EXIT_OK
+    assert "122 flows, 3 malformed rows skipped ->" in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"] == {
+        str(planted): {"rows_read": 122, "rows_skipped": 3}
+    }
+
+    clean = tmp_path / "clean.csv"
+    assert main(["detect", str(scan_trace), "-o", str(clean)]) == EXIT_OK
+    assert "malformed" not in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(clean).read_text(encoding="utf-8"))
+    assert manifest["ingest"] == {
+        str(scan_trace): {"rows_read": 122, "rows_skipped": 0}
+    }
+
+
+def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) -> None:
+    planted = _with_bad_rows(scan_trace, tmp_path)
+    out = tmp_path / "r.csv"
+    args = [
+        "evaluate",
+        "--trace",
+        f"{planted},{gt_path}",
+        "--trace",
+        f"{scan_trace},{gt_path}",
+        "-o",
+        str(out),
+    ]
+    assert main(args) == EXIT_OK
+    assert "6 report rows, 3 malformed rows skipped ->" in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"] == {
+        str(planted): {"rows_read": 122, "rows_skipped": 3},
+        str(scan_trace): {"rows_read": 122, "rows_skipped": 0},
+    }
 
 
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:

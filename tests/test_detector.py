@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -117,6 +118,12 @@ def test_ratio_examples() -> None:
 def test_ratio_rejects_negative_counts() -> None:
     with pytest.raises(ValueError):
         ratio_of(-1, 3)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
+def test_detector_config_rejects_bad_threshold(threshold: float) -> None:
+    with pytest.raises(ValueError, match="finite and > 0"):
+        DetectorConfig(slices=CFG, threshold=threshold)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

@@ -26,7 +26,7 @@ from flowscan.evaluation import (
     write_report,
 )
 from flowscan.ingest import Category, GroundTruthEntry, GroundTruthSet, SourceFile
-from flowscan.rules import RuleConfig
+from flowscan.rules import RuleConfig, classify_all
 
 from helpers import ip, mk_flow
 
@@ -299,6 +299,45 @@ def test_case3_requires_rule_inputs() -> None:
             _fixture_detected(),
             _fixture_gt(),
             flows=_fixture_flows(),
+        )
+
+
+def test_case3_uses_given_classifications() -> None:
+    detected = _fixture_detected()
+    flows = _fixture_flows()
+    classifications = classify_all(detected, flows, RULES, SLICES)
+    given_result = evaluate_case(
+        EvalCase.FILTERED_PLUS_RULES,
+        detected,
+        _fixture_gt(),
+        universe=trace_universe(flows),
+        classifications=classifications,
+    )
+    assert given_result == evaluate_case(
+        EvalCase.FILTERED_PLUS_RULES,
+        detected,
+        _fixture_gt(),
+        flows=flows,
+        rule_cfg=RULES,
+        slice_cfg=SLICES,
+    )
+    assert given_result.reintegrated == 1
+
+
+def test_case3_classifications_missing_a_candidate_raise() -> None:
+    detected = _fixture_detected()
+    flows = _fixture_flows()
+    # B is the only false positive; classify A alone
+    classifications = classify_all({ip(A)}, flows, RULES, SLICES)
+    with pytest.raises(ValueError, match="not classified"):
+        evaluate_case(
+            EvalCase.FILTERED_PLUS_RULES,
+            detected,
+            _fixture_gt(),
+            flows=flows,
+            rule_cfg=RULES,
+            slice_cfg=SLICES,
+            classifications=classifications,
         )
 
 
