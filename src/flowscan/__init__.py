@@ -9,7 +9,7 @@ from .detector import (
     detect,
     ratio_of,
 )
-from .engine import EngineConfig, Mode, Partitioning, RunStats, run_batch, run_streaming
+from .engine import EngineConfig, Mode, RunStats, run_batch, run_streaming
 from .evaluation import (
     AggregateScore,
     ConfusionMatrix,
@@ -47,7 +47,6 @@ __all__ = [
     "GroundTruthSet",
     "Mode",
     "PRScore",
-    "Partitioning",
     "RatioVerdict",
     "RuleConfig",
     "RunStats",

@@ -262,9 +262,15 @@ def _skipped_note(ingest: dict) -> str:
 
 
 def _slice_config(cfg: AppConfig, flows: Sequence) -> SliceConfig:
+    earliest = min((f.first_seen_us for f in flows), default=0)
     start = cfg.trace_start_us
     if start is None:
-        start = min((f.first_seen_us for f in flows), default=0)
+        start = earliest
+    elif earliest < start:
+        raise ConfigError(
+            f"detector.trace_start_us {start} is after the earliest flow "
+            f"first_seen_us {earliest}"
+        )
     return SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
 
 
@@ -308,7 +314,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
         workers=cfg.workers,
-        partitioning=cfg.partitioning,
         mode=cfg.mode,
         watermark_lag_seconds=cfg.watermark_lag_seconds,
     )
@@ -342,9 +347,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
         started,
         extra={"stats": dataclasses.asdict(stats), "ingest": ingest},
     )
+    late = f", {stats.late_dropped} late flows dropped" if stats.late_dropped else ""
     print(
         f"{len(verdicts)} verdicts from {stats.records_in} flows"
-        f"{_skipped_note(ingest)} -> {out_path}"
+        f"{_skipped_note(ingest)}{late} -> {out_path}"
     )
     return EXIT_OK
 
@@ -381,7 +387,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.time()
     out_path = Path(args.out)
     traces = [_parse_trace_arg(raw) for raw in args.trace]
-    engine_cfg = EngineConfig(workers=cfg.workers, partitioning=cfg.partitioning)
+    engine_cfg = EngineConfig(workers=cfg.workers)
 
     rows: list[EvalRow] = []
     inputs: list[Path] = []
@@ -488,7 +494,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     runs: list[tuple[int, int, RunStats]] = []
     for workers in sweep:
-        engine_cfg = EngineConfig(workers=workers, partitioning=cfg.partitioning)
+        engine_cfg = EngineConfig(workers=workers)
         for rep in range(1, args.reps + 1):
             _verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
             runs.append((workers, rep, stats))

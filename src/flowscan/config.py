@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core import ConfigError
 from .detector import DEFAULT_THRESHOLD
-from .engine import DEFAULT_WATERMARK_LAG_S, Mode, Partitioning
+from .engine import DEFAULT_WATERMARK_LAG_S, Mode
 from .evaluation import DEFAULT_SCAN_EXCLUDE, DEFAULT_SCAN_WHITELIST
 from .rules import RuleConfig
 
@@ -36,7 +36,6 @@ class AppConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLD_SWEEP
     workers: int = 1
     mode: Mode = Mode.BATCH
-    partitioning: Partitioning = Partitioning.BY_SLICE_INDEX
     watermark_lag_seconds: float = DEFAULT_WATERMARK_LAG_S
     rules: RuleConfig = field(default_factory=RuleConfig)
     whitelist: frozenset[str] = DEFAULT_SCAN_WHITELIST
@@ -148,12 +147,7 @@ def _boolean(text: str) -> bool:
 # field, or under [rules] a RuleConfig field.
 _PARSERS = {
     "detector": {"slice_seconds": float, "threshold": float, "trace_start_us": int},
-    "engine": {
-        "workers": int,
-        "partitioning": _enum(Partitioning),
-        "mode": _enum(Mode),
-        "watermark_lag_seconds": float,
-    },
+    "engine": {"workers": int, "mode": _enum(Mode), "watermark_lag_seconds": float},
     "rules": {
         "netscan_min_hosts": int,
         "portscan_min_ports": int,

@@ -10,13 +10,17 @@ over the smaller one clamped to at least 1.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import FlowRecord, IpAddress, SliceConfig, SliceKey, slice_of
 
 DEFAULT_THRESHOLD = 100.0
+
+# Flow counts per (IP, slice index).
+CountTable = Counter[tuple[IpAddress, int]]
 
 
 class Direction(Enum):
@@ -52,47 +56,47 @@ class DetectorConfig:
             raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
-def count_by_source(
-    flows: Iterable[FlowRecord], cfg: SliceConfig
-) -> dict[SliceKey, int]:
-    """Flows generated per (source IP, slice)."""
-    return _count_by(flows, cfg, destination=False)
+def flow_columns(
+    flows: Sequence[FlowRecord], slices: SliceConfig
+) -> tuple[list[IpAddress], list[IpAddress], list[int]]:
+    """The flows' source IPs, destination IPs and slice indices, as three
+    columns. Raises ValueError for a flow that starts before the trace start.
+    """
+    start = slices.trace_start_us
+    duration = slices.duration_us
+    index = [(flow.first_seen_us - start) // duration for flow in flows]
+    if index and min(index) < 0:
+        slice_of(flows[index.index(min(index))], slices)  # raises
+    return [flow.src for flow in flows], [flow.dst for flow in flows], index
 
 
-def count_by_destination(
-    flows: Iterable[FlowRecord], cfg: SliceConfig
-) -> dict[SliceKey, int]:
-    """Flows received per (destination IP, slice)."""
-    return _count_by(flows, cfg, destination=True)
+def count_columns(
+    srcs: Sequence[IpAddress], dsts: Sequence[IpAddress], index: Sequence[int]
+) -> tuple[CountTable, CountTable]:
+    """Flows generated per (source IP, slice index) and received per
+    (destination IP, slice index): the one counting step of the detector."""
+    return Counter(zip(srcs, index)), Counter(zip(dsts, index))
 
 
-def _count_by(
-    flows: Iterable[FlowRecord], cfg: SliceConfig, destination: bool
-) -> dict[SliceKey, int]:
-    counts: dict[SliceKey, int] = {}
-    start = cfg.trace_start_us
-    duration = cfg.duration_us
-    for flow in flows:
-        offset = flow.first_seen_us - start
-        if offset < 0:
-            raise ValueError(
-                f"flow first_seen {flow.first_seen_us} precedes trace start {start}"
-            )
-        key = SliceKey(flow.dst if destination else flow.src, offset // duration)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def count_flows(
+    flows: Sequence[FlowRecord], slices: SliceConfig
+) -> tuple[CountTable, CountTable]:
+    """(generated, received) count tables of the flows; see count_columns."""
+    return count_columns(*flow_columns(flows, slices))
 
 
 def full_outer_join(
-    generated: dict[SliceKey, int], received: dict[SliceKey, int]
+    generated: Mapping[tuple[IpAddress, int], int],
+    received: Mapping[tuple[IpAddress, int], int],
 ) -> list[SliceCounts]:
     """Pair the two count tables over the union of keys, filling zeros."""
+    make = SliceKey._make
     out = []
     for key, gen in generated.items():
-        out.append(SliceCounts(key, gen, received.get(key, 0)))
+        out.append(SliceCounts(make(key), gen, received.get(key, 0)))
     for key, recv in received.items():
         if key not in generated:
-            out.append(SliceCounts(key, 0, recv))
+            out.append(SliceCounts(make(key), 0, recv))
     return out
 
 
@@ -113,10 +117,9 @@ def detect(
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
     by (slice index, IP). Precomputed joined counts may be passed in."""
     if counts is None:
-        counts = full_outer_join(
-            count_by_source(flows, cfg.slices),
-            count_by_destination(flows, cfg.slices),
-        )
+        if not isinstance(flows, list):
+            flows = list(flows)
+        counts = full_outer_join(*count_flows(flows, cfg.slices))
     threshold = cfg.threshold
     verdicts = []
     for entry in counts:

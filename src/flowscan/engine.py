@@ -1,12 +1,13 @@
 """Batch and streaming execution around the ratio detector.
 
 Batch mode optionally fans the counting stage out across forked worker
-processes. Flows are shared with workers through a module global
-captured at fork time, so only small index arrays and the per-partition
-count tables cross process boundaries. Counting is a per-key sum, which
-is associative and commutative, so any partitioning of the input merges
-to the same tables and the final output is byte-identical regardless of
-worker count or partitioning strategy.
+processes. The flows' source, destination and slice-index columns are
+built once, before the fork, and shared with the workers through a
+module global; each worker counts one contiguous index range of them,
+and this process counts the first range. Only the range bounds and the
+per-range count tables are pickled. Counting is a per-key sum, which is
+associative and commutative, so the ranges merge to the same tables and
+the final output is byte-identical for every worker count.
 
 Streaming mode processes an ordered flow stream with a watermark set to
 the newest timestamp seen minus a fixed lag. A slice closes, and its
@@ -19,25 +20,28 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import US_PER_SECOND, FlowRecord, IpAddress, SliceConfig, SliceKey
-from .detector import DetectorConfig, RatioVerdict, SliceCounts, detect, full_outer_join
-from .detector import count_by_destination, count_by_source
+from .core import US_PER_SECOND, FlowRecord, IpAddress, SliceConfig, slice_of
+from .detector import (
+    CountTable,
+    DetectorConfig,
+    RatioVerdict,
+    SliceCounts,
+    count_columns,
+    count_flows,
+    detect,
+    flow_columns,
+    full_outer_join,
+)
 
 DEFAULT_WATERMARK_LAG_S = 5.0
 
 
 class EngineError(RuntimeError):
     """A worker process failed; the message reports partial progress."""
-
-
-class Partitioning(Enum):
-    BY_SLICE_INDEX = "by_slice_index"
-    BY_IP_HASH = "by_ip_hash"
 
 
 class Mode(Enum):
@@ -48,7 +52,6 @@ class Mode(Enum):
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     workers: int = 1
-    partitioning: Partitioning = Partitioning.BY_SLICE_INDEX
     mode: Mode = Mode.BATCH
     watermark_lag_seconds: float = DEFAULT_WATERMARK_LAG_S
 
@@ -69,108 +72,46 @@ class RunStats:
     late_dropped: int = 0
 
 
-def merge_counts(a: dict[SliceKey, int], b: dict[SliceKey, int]) -> dict[SliceKey, int]:
-    """Combine two count tables by per-key addition."""
-    out = dict(a)
-    _merge_into(out, b)
-    return out
+# Flow columns visible to forked count workers; set only for the pool's
+# lifetime.
+_WORKER_COLUMNS: Optional[tuple[list[IpAddress], list[IpAddress], list[int]]] = None
 
 
-def _merge_into(acc: dict[SliceKey, int], part: dict[SliceKey, int]) -> None:
-    for key, value in part.items():
-        acc[key] = acc.get(key, 0) + value
-
-
-# Flows visible to forked count workers; set only for the pool's lifetime.
-_WORKER_FLOWS: Optional[list[FlowRecord]] = None
-
-
-def _count_partition(
-    payload: tuple[array, int, int]
-) -> tuple[dict[SliceKey, int], dict[SliceKey, int]]:
-    indices, start, duration = payload
-    flows = _WORKER_FLOWS
-    assert flows is not None
-    generated: dict[SliceKey, int] = {}
-    received: dict[SliceKey, int] = {}
-    for i in indices:
-        flow = flows[i]
-        offset = flow.first_seen_us - start
-        if offset < 0:
-            raise ValueError(
-                f"flow first_seen {flow.first_seen_us} precedes trace start {start}"
-            )
-        index = offset // duration
-        key = SliceKey(flow.src, index)
-        generated[key] = generated.get(key, 0) + 1
-        key = SliceKey(flow.dst, index)
-        received[key] = received.get(key, 0) + 1
-    return generated, received
-
-
-def _partition_indices(
-    flows: Sequence[FlowRecord], slices: SliceConfig, engine: EngineConfig
-) -> list[array]:
-    n = engine.workers
-    parts = [array("q") for _ in range(n)]
-    if engine.partitioning is Partitioning.BY_SLICE_INDEX:
-        start = slices.trace_start_us
-        duration = slices.duration_us
-        for i, flow in enumerate(flows):
-            offset = flow.first_seen_us - start
-            if offset < 0:
-                raise ValueError(
-                    f"flow first_seen {flow.first_seen_us} precedes trace start {start}"
-                )
-            parts[(offset // duration) % n].append(i)
-    else:
-        for i, flow in enumerate(flows):
-            parts[int(flow.src) % n].append(i)
-    return parts
+def _count_range(bounds: tuple[int, int]) -> tuple[CountTable, CountTable]:
+    assert _WORKER_COLUMNS is not None
+    low, high = bounds
+    return count_columns(*(column[low:high] for column in _WORKER_COLUMNS))
 
 
 def _parallel_counts(
-    flows: list[FlowRecord], slices: SliceConfig, engine: EngineConfig
-) -> tuple[dict[SliceKey, int], dict[SliceKey, int]]:
-    global _WORKER_FLOWS
-    parts = _partition_indices(flows, slices, engine)
-    start = slices.trace_start_us
-    duration = slices.duration_us
-    payloads = [(part, start, duration) for part in parts if len(part)]
-    generated: dict[SliceKey, int] = {}
-    received: dict[SliceKey, int] = {}
-    if not payloads:
-        return generated, received
-    if "fork" not in multiprocessing.get_all_start_methods():
-        # No fork on this platform: run the partitions in-process. The
-        # partition/merge path stays identical, only the parallelism is lost.
-        _WORKER_FLOWS = flows
-        try:
-            for payload in payloads:
-                gen, recv = _count_partition(payload)
-                _merge_into(generated, gen)
-                _merge_into(received, recv)
-        finally:
-            _WORKER_FLOWS = None
-        return generated, received
+    flows: list[FlowRecord], slices: SliceConfig, workers: int
+) -> tuple[CountTable, CountTable]:
+    global _WORKER_COLUMNS
+    # The columns are built before the fork, so workers touch no flow
+    # object and copy-on-write has next to nothing to copy.
+    _WORKER_COLUMNS = flow_columns(flows, slices)
+    step = -(-len(flows) // workers)
+    ranges = [(low, min(low + step, len(flows))) for low in range(0, len(flows), step)]
     ctx = multiprocessing.get_context("fork")
-    # Workers inherit the flow list via fork; only indices are pickled.
-    _WORKER_FLOWS = flows
     completed = 0
     try:
-        with ctx.Pool(processes=engine.workers) as pool:
+        with ctx.Pool(processes=len(ranges) - 1) as pool:
+            parts = pool.imap(_count_range, ranges[1:])
+            # This process counts the first range while the workers count
+            # the rest.
+            generated, received = _count_range(ranges[0])
             try:
-                for gen, recv in pool.imap(_count_partition, payloads):
-                    _merge_into(generated, gen)
-                    _merge_into(received, recv)
+                for gen, recv in parts:
+                    generated.update(gen)
+                    received.update(recv)
                     completed += 1
             except Exception as exc:
                 raise EngineError(
-                    f"count worker failed after {completed} of {len(payloads)} "
+                    f"count worker failed after {completed} of {len(ranges) - 1} "
                     f"partitions: {exc}"
                 ) from exc
     finally:
-        _WORKER_FLOWS = None
+        _WORKER_COLUMNS = None
     return generated, received
 
 
@@ -183,17 +124,21 @@ def count_slices(
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> list[SliceCounts]:
-    """Joined per-(IP, slice) counts of a complete trace, counted in
-    parallel when workers > 1. The counts do not depend on the detection
-    threshold, so one table serves any number of cuts.
+    """Joined per-(IP, slice) counts of a complete trace, counted by
+    forked workers when workers > 1 and the platform can fork. The counts
+    do not depend on the detection threshold, so one table serves any
+    number of cuts.
 
-    Output is identical for every worker count and partitioning choice.
+    Output is identical for every worker count.
     """
-    if engine.workers > 1 and flows:
-        generated, received = _parallel_counts(flows, slices, engine)
+    if (
+        engine.workers > 1
+        and len(flows) > 1
+        and "fork" in multiprocessing.get_all_start_methods()
+    ):
+        generated, received = _parallel_counts(flows, slices, engine.workers)
     else:
-        generated = count_by_source(flows, slices)
-        received = count_by_destination(flows, slices)
+        generated, received = count_flows(flows, slices)
     return full_outer_join(generated, received)
 
 
@@ -249,8 +194,8 @@ def run_streaming(
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
-    # slice index -> (per-ip generated, per-ip received)
-    open_slices: dict[int, tuple[dict[IpAddress, int], dict[IpAddress, int]]] = {}
+    # slice index -> the flows buffered for it
+    open_slices: dict[int, list[FlowRecord]] = {}
     newest: Optional[int] = None
     closed_max = -1
     records = dropped = emitted = 0
@@ -260,17 +205,7 @@ def run_streaming(
     started = time.perf_counter()
 
     def close_slice(index: int) -> int:
-        generated, received = open_slices.pop(index)
-        counts = [
-            SliceCounts(SliceKey(ip, index), gen, received.get(ip, 0))
-            for ip, gen in generated.items()
-        ]
-        counts += [
-            SliceCounts(SliceKey(ip, index), 0, recv)
-            for ip, recv in received.items()
-            if ip not in generated
-        ]
-        verdicts = detect((), cfg, counts=counts)
+        verdicts = detect(open_slices.pop(index), cfg)
         emit(index, verdicts)
         return len(verdicts)
 
@@ -283,7 +218,8 @@ def run_streaming(
             max_last = flow.last_seen_us
         offset = ts - start
         if offset < 0:
-            raise ValueError(f"flow first_seen {ts} precedes trace start {start}")
+            # Checked on arrival: past a closed slice it would count as late.
+            slice_of(flow, cfg.slices)  # raises
         index = offset // duration
         if newest is None or ts > newest:
             newest = ts
@@ -296,9 +232,7 @@ def run_streaming(
         if index <= closed_max:
             dropped += 1
             continue
-        generated, received = open_slices.setdefault(index, ({}, {}))
-        generated[flow.src] = generated.get(flow.src, 0) + 1
-        received[flow.dst] = received.get(flow.dst, 0) + 1
+        open_slices.setdefault(index, []).append(flow)
 
     for ready in sorted(open_slices):
         emitted += close_slice(ready)

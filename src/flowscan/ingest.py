@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
+    US_PER_SECOND,
     FlowRecord,
     IpAddress,
     format_ip,
@@ -174,8 +175,8 @@ def aggregate_packets(
     their successor opens, then any still-active flows in the order the
     5-tuples first appeared.
     """
-    timeout_us = round(idle_timeout_s * 1_000_000)
-    tolerance_us = round(reorder_tolerance_s * 1_000_000)
+    timeout_us = round(idle_timeout_s * US_PER_SECOND)
+    tolerance_us = round(reorder_tolerance_s * US_PER_SECOND)
     # key -> [first_us, last_us, packets, bytes]
     active: dict[tuple, list[int]] = {}
     newest = None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -111,6 +112,42 @@ def test_detect_stream_mode_matches_batch(scan_trace, tmp_path) -> None:
     )
     tail = lambda p: p.read_text(encoding="utf-8").splitlines()[1:]
     assert tail(stream) == tail(batch)
+
+
+def test_detect_stream_reports_late_drops(scan_trace, tmp_path, capsys) -> None:
+    lines = scan_trace.read_text(encoding="utf-8").splitlines()
+    rows = lines[1:]
+    random.Random(3).shuffle(rows)
+    shuffled = tmp_path / "shuffled.flows.csv"
+    shuffled.write_text("\n".join([lines[0], *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "stream.csv"
+    assert main(["detect", str(shuffled), "-o", str(out), "--mode", "stream"]) == EXIT_OK
+    late = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["stats"][
+        "late_dropped"
+    ]
+    assert late > 0
+    assert f"122 flows, {late} late flows dropped ->" in capsys.readouterr().out
+
+    assert main(["detect", str(shuffled), "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert "late" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--workers", "2"), ("--mode", "stream")],
+    ids=["batch", "workers2", "stream"],
+)
+def test_detect_pre_start_flow_exits_2(scan_trace, tmp_path, capsys, extra) -> None:
+    out = tmp_path / "v.csv"
+    code = main(
+        ["detect", str(scan_trace), "-o", str(out), "--trace-start-us", "5", *extra]
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("flowscan: error kind=config exit=2 detail=")
+    assert "detector.trace_start_us 5" in err
+    assert "earliest flow first_seen_us 0" in err
+    assert not out.exists()
 
 
 def test_detect_missing_input(tmp_path, capsys) -> None:
@@ -360,6 +397,17 @@ def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) ->
         str(planted): {"rows_read": 122, "rows_skipped": 3},
         str(scan_trace): {"rows_read": 122, "rows_skipped": 0},
     }
+
+
+def test_evaluate_pre_start_flow_exits_2(scan_trace, gt_path, tmp_path, capsys) -> None:
+    out = tmp_path / "r.csv"
+    args = _eval_args(scan_trace, gt_path, out, "--trace-start-us", "5")
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "kind=config exit=2" in err
+    assert "detector.trace_start_us 5" in err
+    assert "earliest flow first_seen_us 0" in err
+    assert not out.exists()
 
 
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:

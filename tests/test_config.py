@@ -7,7 +7,7 @@ import pytest
 from flowscan.config import AppConfig, load_config
 from flowscan.core import ConfigError
 from flowscan.detector import DEFAULT_THRESHOLD
-from flowscan.engine import Mode, Partitioning
+from flowscan.engine import Mode
 from flowscan.rules import RuleConfig
 
 FULL_INI = """\
@@ -18,7 +18,6 @@ trace_start_us = 1000
 
 [engine]
 workers = 3
-partitioning = BY_IP_HASH
 mode = stream
 watermark_lag_seconds = 2.5
 
@@ -58,7 +57,6 @@ def test_every_key_is_read(tmp_path) -> None:
         threshold=75.0,
         trace_start_us=1000,
         workers=3,
-        partitioning=Partitioning.BY_IP_HASH,
         mode=Mode.STREAM,
         watermark_lag_seconds=2.5,
         rules=RuleConfig(
@@ -89,7 +87,7 @@ def test_partial_sections_keep_other_defaults(tmp_path) -> None:
         ("[detector]\ntrace_start_us = 1.5\n", "detector.trace_start_us"),
         ("[engine]\nworkers = two\n", "engine.workers"),
         ("[engine]\nmode = turbo\n", "engine.mode"),
-        ("[engine]\npartitioning = random\n", "by_slice_index, by_ip_hash"),
+        ("[engine]\npartitioning = by_ip_hash\n", "unknown config key engine.partitioning"),
         ("[rules]\nsubnet_prefix = 200\n", "rules"),
         ("[rules]\nnetscan_min_hosts = x\n", "rules.netscan_min_hosts"),
         ("[rules]\nknown_ports = 9-3\n", "rules.known_ports"),

@@ -13,8 +13,7 @@ from flowscan.detector import (
     Direction,
     SliceCounts,
     anomalous_ips,
-    count_by_destination,
-    count_by_source,
+    count_flows,
     detect,
     full_outer_join,
     ratio_of,
@@ -27,14 +26,26 @@ S = 1_000_000
 CFG = SliceConfig(trace_start_us=0, slice_seconds=30.0)
 
 
+# count_flows returns (generated, received): the tables counted by source
+# and by destination IP.
+
+
+def _by_source(flows) -> dict:
+    return count_flows(flows, CFG)[0]
+
+
+def _by_destination(flows) -> dict:
+    return count_flows(flows, CFG)[1]
+
+
 def test_count_by_source_empty() -> None:
-    assert count_by_source([], CFG) == {}
+    assert count_flows([], CFG) == ({}, {})
 
 
 def test_count_by_source_hand_counted() -> None:
     flows = [mk_flow(src="10.0.0.1", first=i * S) for i in range(3)]
     flows.append(mk_flow(src="10.0.0.2", first=31 * S))
-    assert count_by_source(flows, CFG) == {
+    assert _by_source(flows) == {
         SliceKey(ip("10.0.0.1"), 0): 3,
         SliceKey(ip("10.0.0.2"), 1): 1,
     }
@@ -43,14 +54,14 @@ def test_count_by_source_hand_counted() -> None:
 def test_count_by_source_split_across_slices() -> None:
     flows = [mk_flow(src="10.0.0.1", first=i * S) for i in range(12)]
     flows += [mk_flow(src="10.0.0.1", first=30 * S + i) for i in range(8)]
-    assert count_by_source(flows, CFG) == {
+    assert _by_source(flows) == {
         SliceKey(ip("10.0.0.1"), 0): 12,
         SliceKey(ip("10.0.0.1"), 1): 8,
     }
 
 
 def test_count_by_destination_single_flow() -> None:
-    assert count_by_destination([mk_flow(dst="10.0.0.2")], CFG) == {
+    assert _by_destination([mk_flow(dst="10.0.0.2")]) == {
         SliceKey(ip("10.0.0.2"), 0): 1
     }
 
@@ -61,7 +72,13 @@ def test_count_by_destination_matches_brute_force(rng: random.Random) -> None:
     for flow in flows:
         key = SliceKey(flow.dst, flow.first_seen_us // (30 * S))
         tally[key] = tally.get(key, 0) + 1
-    assert count_by_destination(flows, CFG) == tally
+    assert _by_destination(flows) == tally
+
+
+def test_count_flows_rejects_pre_start_flow() -> None:
+    flows = [mk_flow(first=5 * S), mk_flow(first=-2), mk_flow(first=-1)]
+    with pytest.raises(ValueError, match="first_seen -2 precedes trace start 0"):
+        count_flows(flows, CFG)
 
 
 def test_join_null_fill() -> None:
@@ -242,11 +259,15 @@ def test_threshold_monotonicity(rng: random.Random) -> None:
     assert flagged[200] <= flagged[100] <= flagged[50]
 
 
+def test_detect_accepts_any_iterable(rng: random.Random) -> None:
+    flows = random_flows(rng, 500, scanners=1)
+    cfg = DetectorConfig(slices=CFG, threshold=50)
+    assert detect(iter(flows), cfg) == detect(flows, cfg)
+
+
 def test_count_conservation(rng: random.Random) -> None:
     flows = random_flows(rng, 1234)
-    counts = full_outer_join(
-        count_by_source(flows, CFG), count_by_destination(flows, CFG)
-    )
+    counts = full_outer_join(*count_flows(flows, CFG))
     assert sum(c.generated for c in counts) == len(flows)
     assert sum(c.received for c in counts) == len(flows)
 

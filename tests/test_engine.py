@@ -1,21 +1,23 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowscan.core import SliceConfig, SliceKey
-from flowscan.detector import DetectorConfig, detect
+import flowscan.engine
+from flowscan.core import FlowRecord, SliceConfig, SliceKey
+from flowscan.detector import DetectorConfig, SliceCounts, detect
 from flowscan.engine import (
     EngineConfig,
     EngineError,
     Mode,
-    Partitioning,
     RunStats,
-    merge_counts,
+    count_slices,
     run_batch,
     run_streaming,
 )
@@ -33,30 +35,6 @@ def test_engine_config_validation() -> None:
         EngineConfig(watermark_lag_seconds=-1.0)
 
 
-def test_merge_counts_example() -> None:
-    a_key = SliceKey(ip("10.0.0.1"), 0)
-    b_key = SliceKey(ip("10.0.0.2"), 1)
-    merged = merge_counts({a_key: 3, b_key: 1}, {a_key: 2})
-    assert merged == {a_key: 5, b_key: 1}
-
-
-_keys = st.tuples(
-    st.sampled_from([ip("10.0.0.1"), ip("10.0.0.2"), ip("2001:db8::1")]),
-    st.integers(0, 3),
-).map(lambda t: SliceKey(*t))
-_tables = st.dictionaries(_keys, st.integers(0, 50), max_size=8)
-
-
-@given(_tables, _tables)
-def test_merge_counts_commutative(a: dict, b: dict) -> None:
-    assert merge_counts(a, b) == merge_counts(b, a)
-
-
-@given(_tables, _tables, _tables)
-def test_merge_counts_associative(a: dict, b: dict, c: dict) -> None:
-    assert merge_counts(a, merge_counts(b, c)) == merge_counts(merge_counts(a, b), c)
-
-
 def test_batch_single_worker_matches_detect(rng: random.Random) -> None:
     flows = random_flows(rng, 800, scanners=1)
     verdicts, stats = run_batch(flows, CFG)
@@ -65,21 +43,51 @@ def test_batch_single_worker_matches_detect(rng: random.Random) -> None:
     assert stats.verdicts_out == len(verdicts)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("partitioning", list(Partitioning))
-def test_batch_parallel_matches_sequential(
-    rng: random.Random, workers: int, partitioning: Partitioning
-) -> None:
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_batch_parallel_matches_sequential(rng: random.Random, workers: int) -> None:
+    # random_flows shuffles, so every worker's contiguous range holds keys
+    # that other ranges hold too and the merge has to add them up.
     flows = random_flows(rng, 600, scanners=2)
     baseline, _ = run_batch(flows, CFG)
-    parallel, _ = run_batch(
-        flows, CFG, EngineConfig(workers=workers, partitioning=partitioning)
-    )
+    parallel, _ = run_batch(flows, CFG, EngineConfig(workers=workers))
     assert parallel == baseline
 
 
+_HOSTS = [ip("10.0.0.1"), ip("10.0.0.2"), ip("2001:db8::1"), ip("2001:db8::2")]
+_flow_lists = st.lists(
+    st.builds(
+        lambda src, dst, first: FlowRecord(src, dst, 40000, 80, 6, first, first),
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.integers(0, 4 * 30 * S),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_flow_lists)
+def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None:
+    # Examples with workers 2 and 3 fork, so keep them few and small; lists
+    # shorter than the worker count leave some workers without a range.
+    generated: Counter = Counter()
+    received: Counter = Counter()
+    for flow in flows:
+        index = flow.first_seen_us // CFG.slices.duration_us
+        generated[SliceKey(flow.src, index)] += 1
+        received[SliceKey(flow.dst, index)] += 1
+    expected = {
+        SliceCounts(key, generated[key], received[key])
+        for key in generated.keys() | received.keys()
+    }
+    for workers in (1, 2, 3):
+        counts = count_slices(flows, CFG.slices, EngineConfig(workers=workers))
+        assert len(counts) == len(expected)
+        assert set(counts) == expected
+
+
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
-    # one slice of traffic, eight slice-keyed partitions: most stay empty
+    # one scanner in one slice: all eight ranges count the same key
     flows = [mk_flow(src="10.0.0.1", dst=f"10.0.1.{i + 1}", first=i) for i in range(80)]
     baseline, _ = run_batch(flows, CFG)
     parallel, _ = run_batch(flows, CFG, EngineConfig(workers=8))
@@ -102,16 +110,26 @@ def test_batch_stats_duration() -> None:
     assert stats.time_ratio == stats.wall_time_s / 90.0
 
 
-def test_worker_failure_wrapped_with_progress() -> None:
-    flows = [mk_flow(first=5), mk_flow(src="10.0.0.9", first=-3)]
-    engine = EngineConfig(workers=2, partitioning=Partitioning.BY_IP_HASH)
-    with pytest.raises(EngineError, match=r"0 of \d+ partitions"):
-        run_batch(flows, CFG, engine)
+def test_worker_failure_wrapped_with_progress(monkeypatch) -> None:
+    parent = os.getpid()
+    count_columns = flowscan.engine.count_columns
+
+    def broken_in_workers(*columns):
+        if os.getpid() != parent:
+            raise RuntimeError("worker crashed")
+        return count_columns(*columns)
+
+    # The forked workers inherit the patched module global.
+    monkeypatch.setattr(flowscan.engine, "count_columns", broken_in_workers)
+    flows = [mk_flow(first=i) for i in range(6)]
+    with pytest.raises(EngineError, match=r"0 of 2 partitions: worker crashed"):
+        run_batch(flows, CFG, EngineConfig(workers=3))
 
 
 def test_pre_start_flow_rejected_before_fork() -> None:
-    flows = [mk_flow(first=-3)]
-    with pytest.raises(ValueError, match="precedes trace start"):
+    # The pre-start flow sits in a worker's range, not in this process's.
+    flows = [mk_flow(first=5), mk_flow(first=6), mk_flow(src="10.0.0.9", first=-3)]
+    with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
         run_batch(flows, CFG, EngineConfig(workers=2))
 
 
@@ -205,3 +223,18 @@ def test_streaming_empty_stream() -> None:
 def test_streaming_pre_start_flow_rejected() -> None:
     with pytest.raises(ValueError, match="precedes trace start"):
         run_streaming([mk_flow(first=-1)], CFG, EngineConfig(), lambda i, v: None)
+
+
+def test_streaming_pre_start_flow_after_a_close_is_not_late() -> None:
+    # Slice 0 has closed by the time the pre-start flow arrives; it must
+    # raise rather than be dropped as late.
+    flows = [mk_flow(first=0), mk_flow(first=40 * S), mk_flow(first=-1)]
+    emissions: list[int] = []
+    with pytest.raises(ValueError, match="precedes trace start"):
+        run_streaming(
+            flows,
+            CFG,
+            EngineConfig(watermark_lag_seconds=0.0),
+            lambda index, verdicts: emissions.append(index),
+        )
+    assert emissions == [0]
