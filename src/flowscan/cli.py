@@ -313,9 +313,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     slices = _slice_config(cfg, flows)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
-        workers=cfg.workers,
-        mode=cfg.mode,
-        watermark_lag_seconds=cfg.watermark_lag_seconds,
+        workers=cfg.workers, watermark_lag_seconds=cfg.watermark_lag_seconds
     )
     if cfg.mode is Mode.STREAM:
         collected: list[RatioVerdict] = []
@@ -488,7 +486,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     started = time.time()
     flow_path = Path(args.flows)
     out_path = Path(args.out)
-    flows = list(read_flow_file(flow_path, strict=cfg.strict))
+    flows, read_counts = _read_flows(flow_path, cfg.strict)
+    ingest = {str(flow_path): read_counts}
     slices = _slice_config(cfg, flows)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
 
@@ -512,9 +511,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ratios = [s.time_ratio for w, _, s in runs if w == workers]
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
     _write_manifest(
-        out_path, "bench", _config_snapshot(cfg), [flow_path], [out_path], started
+        out_path,
+        "bench",
+        _config_snapshot(cfg),
+        [flow_path],
+        [out_path],
+        started,
+        extra={"ingest": ingest},
     )
-    print(f"{len(runs)} timed runs over workers {sweep} -> {out_path}")
+    print(
+        f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
+        f" -> {out_path}"
+    )
     return EXIT_OK
 
 

@@ -136,7 +136,7 @@ def _enum(enum_cls):
     return parse
 
 
-def _boolean(text: str) -> bool:
+def parse_boolean(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
     except KeyError:
@@ -160,7 +160,7 @@ _PARSERS = {
         "whitelist": _parse_terms,
         "exclude": _parse_terms,
     },
-    "io": {"strict": _boolean},
+    "io": {"strict": parse_boolean},
 }
 
 

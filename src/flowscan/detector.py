@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import FlowRecord, IpAddress, SliceConfig, SliceKey, slice_of
 
@@ -26,15 +26,6 @@ CountTable = Counter[tuple[IpAddress, int]]
 class Direction(Enum):
     SENDER = "sender"
     RECEIVER = "receiver"
-
-
-@dataclass(frozen=True, slots=True)
-class SliceCounts:
-    """Joined per-(IP, slice) flow counts; absent sides are zero."""
-
-    key: SliceKey
-    generated: int
-    received: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,21 +76,6 @@ def count_flows(
     return count_columns(*flow_columns(flows, slices))
 
 
-def full_outer_join(
-    generated: Mapping[tuple[IpAddress, int], int],
-    received: Mapping[tuple[IpAddress, int], int],
-) -> list[SliceCounts]:
-    """Pair the two count tables over the union of keys, filling zeros."""
-    make = SliceKey._make
-    out = []
-    for key, gen in generated.items():
-        out.append(SliceCounts(make(key), gen, received.get(key, 0)))
-    for key, recv in received.items():
-        if key not in generated:
-            out.append(SliceCounts(make(key), 0, recv))
-    return out
-
-
 def ratio_of(generated: int, received: int) -> float:
     """Signed flow-count ratio; sign gives the dominant direction."""
     if generated < 0 or received < 0:
@@ -112,27 +88,38 @@ def ratio_of(generated: int, received: int) -> float:
 def detect(
     flows: Iterable[FlowRecord],
     cfg: DetectorConfig,
-    counts: Optional[list[SliceCounts]] = None,
+    counts: Optional[tuple[CountTable, CountTable]] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
-    by (slice index, IP). Precomputed joined counts may be passed in."""
+    by (slice index, IP). A precomputed (generated, received) pair of
+    count tables, as count_flows returns, may be passed in; a key absent
+    from one table counts zero on that side."""
     if counts is None:
         if not isinstance(flows, list):
             flows = list(flows)
-        counts = full_outer_join(*count_flows(flows, cfg.slices))
+        counts = count_flows(flows, cfg.slices)
+    generated, received = counts
     threshold = cfg.threshold
+    make = SliceKey._make
     verdicts = []
-    for entry in counts:
-        ratio = ratio_of(entry.generated, entry.received)
-        if ratio > threshold:
-            direction = Direction.SENDER
-        elif ratio < -threshold:
-            direction = Direction.RECEIVER
-        else:
-            continue
-        verdicts.append(
-            RatioVerdict(entry.key, direction, entry.generated, entry.received, ratio)
-        )
+    # |ratio| <= the larger count and threshold > 0, so only a count above
+    # the threshold can flag its key, and only in its own direction.
+    for key, gen in generated.items():
+        if gen > threshold:
+            recv = received.get(key, 0)
+            ratio = ratio_of(gen, recv)
+            if ratio > threshold:
+                verdicts.append(
+                    RatioVerdict(make(key), Direction.SENDER, gen, recv, ratio)
+                )
+    for key, recv in received.items():
+        if recv > threshold:
+            gen = generated.get(key, 0)
+            ratio = ratio_of(gen, recv)
+            if ratio < -threshold:
+                verdicts.append(
+                    RatioVerdict(make(key), Direction.RECEIVER, gen, recv, ratio)
+                )
     verdicts.sort(key=lambda v: v.key.sort_key())
     return verdicts
 

@@ -29,12 +29,10 @@ from .detector import (
     CountTable,
     DetectorConfig,
     RatioVerdict,
-    SliceCounts,
     count_columns,
     count_flows,
     detect,
     flow_columns,
-    full_outer_join,
 )
 
 DEFAULT_WATERMARK_LAG_S = 5.0
@@ -52,7 +50,6 @@ class Mode(Enum):
 @dataclass(frozen=True, slots=True)
 class EngineConfig:
     workers: int = 1
-    mode: Mode = Mode.BATCH
     watermark_lag_seconds: float = DEFAULT_WATERMARK_LAG_S
 
     def __post_init__(self) -> None:
@@ -123,11 +120,12 @@ def count_slices(
     flows: list[FlowRecord],
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
-) -> list[SliceCounts]:
-    """Joined per-(IP, slice) counts of a complete trace, counted by
-    forked workers when workers > 1 and the platform can fork. The counts
-    do not depend on the detection threshold, so one table serves any
-    number of cuts.
+) -> tuple[CountTable, CountTable]:
+    """The (generated, received) count tables of a complete trace, as
+    count_flows returns them, counted by forked workers when workers > 1
+    and the platform can fork. The tables do not depend on the detection
+    threshold, so one pair serves any number of `detect(..., counts=...)`
+    cuts.
 
     Output is identical for every worker count.
     """
@@ -136,10 +134,8 @@ def count_slices(
         and len(flows) > 1
         and "fork" in multiprocessing.get_all_start_methods()
     ):
-        generated, received = _parallel_counts(flows, slices, engine.workers)
-    else:
-        generated, received = count_flows(flows, slices)
-    return full_outer_join(generated, received)
+        return _parallel_counts(flows, slices, engine.workers)
+    return count_flows(flows, slices)
 
 
 def run_batch(

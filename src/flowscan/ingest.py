@@ -24,7 +24,7 @@ logger = logging.getLogger(__name__)
 FLOW_HEADER = "first_seen_us,last_seen_us,src_ip,dst_ip,src_port,dst_port,proto,packets,bytes"
 
 # A lenient read aborts anyway once this fraction of data lines is malformed.
-DEFAULT_MAX_ERROR_RATIO = 0.1
+MAX_ERROR_RATIO = 0.1
 
 DEFAULT_IDLE_TIMEOUT_S = 60.0
 
@@ -41,21 +41,15 @@ class FlowFileReader:
     """Iterates FlowRecords out of a flow file.
 
     In lenient mode malformed lines are skipped and counted in `errors`;
-    the read still fails once more than `max_error_ratio` of the data
+    the read still fails once more than MAX_ERROR_RATIO of the data
     lines are bad. In strict mode the first malformed line aborts.
     IP address objects are interned per file so repeated addresses share
     one object.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        strict: bool = False,
-        max_error_ratio: float = DEFAULT_MAX_ERROR_RATIO,
-    ) -> None:
+    def __init__(self, path: str | Path, strict: bool = False) -> None:
         self.path = Path(path)
         self.strict = strict
-        self.max_error_ratio = max_error_ratio
         self.errors = 0
         self.rows = 0
         self._ip_cache: dict[str, IpAddress] = {}
@@ -86,10 +80,10 @@ class FlowFileReader:
                         raise FlowFileError(f"{self.path}:{lineno}: {exc}") from exc
                     self.errors += 1
         seen = self.rows + self.errors
-        if seen and self.errors / seen > self.max_error_ratio:
+        if seen and self.errors / seen > MAX_ERROR_RATIO:
             raise FlowFileError(
                 f"{self.path}: {self.errors} of {seen} lines malformed, "
-                f"above the {self.max_error_ratio:.0%} limit"
+                f"above the {MAX_ERROR_RATIO:.0%} limit"
             )
 
     def _parse_line(self, line: str) -> FlowRecord:
@@ -109,12 +103,8 @@ class FlowFileReader:
         )
 
 
-def read_flow_file(
-    path: str | Path,
-    strict: bool = False,
-    max_error_ratio: float = DEFAULT_MAX_ERROR_RATIO,
-) -> FlowFileReader:
-    return FlowFileReader(path, strict=strict, max_error_ratio=max_error_ratio)
+def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:
+    return FlowFileReader(path, strict=strict)
 
 
 def format_flow(flow: FlowRecord) -> str:

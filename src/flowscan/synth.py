@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 from xml.sax.saxutils import quoteattr
 
+from .config import parse_boolean
 from .core import (
     PROTO_TCP, US_PER_SECOND, ConfigError, FlowRecord, IpAddress, ip_sort_key, parse_ip
 )
@@ -55,9 +56,9 @@ class BackgroundSpec:
 @dataclass(frozen=True)
 class ScannerSpec:
     name: str
-    kind: str
     ip: IpAddress
-    flows_per_slice: int
+    kind: str = KIND_NETSCAN
+    flows_per_slice: int = 120
     target_subnet: Optional[ipaddress.IPv4Network | ipaddress.IPv6Network] = None
     target: Optional[IpAddress] = None
     port: int = 80
@@ -72,7 +73,7 @@ class ScannerSpec:
 @dataclass(frozen=True)
 class DecoySpec:
     name: str
-    label: str
+    label: str = "dosAttack"
     src_ip: Optional[IpAddress] = None
     dst_ip: Optional[IpAddress] = None
     category: Category = Category.ANOMALOUS
@@ -87,10 +88,39 @@ class SynthSpec:
     decoys: tuple[DecoySpec, ...] = ()
 
 
-def _require_positive(value: int, name: str) -> int:
+# section kind -> key -> parser of the value text. Each key names a field of
+# that section's spec class; the class default stands for a key left out.
+_SPEC_PARSERS = {
+    "trace": {"start_us": int, "slice_seconds": float, "slices": int},
+    "background": {
+        "hosts": int,
+        "flows_per_host_per_slice": int,
+        "subnet": ipaddress.ip_network,
+    },
+    "scanner": {
+        "kind": str,
+        "ip": parse_ip,
+        "flows_per_slice": int,
+        "target_subnet": ipaddress.ip_network,
+        "target": parse_ip,
+        "port": int,
+        "port_start": int,
+        "labeled": parse_boolean,
+        "label": str,
+    },
+    "decoy": {
+        "label": str,
+        "src_ip": parse_ip,
+        "dst_ip": parse_ip,
+        "category": Category,
+        "file": SourceFile,
+    },
+}
+
+
+def _require_positive(value: int, name: str) -> None:
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def load_spec(path: str | Path) -> SynthSpec:
@@ -100,51 +130,50 @@ def load_spec(path: str | Path) -> SynthSpec:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        return _spec_from_parser(parser)
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _spec_from_parser(parser)
+
+
+def _fields(parser: configparser.ConfigParser, section: str) -> dict:
+    """The parsed keys of `section` (none if it is absent). Raises
+    ConfigError naming `section.key` for an unknown key or a bad value."""
+    if not parser.has_section(section):
+        return {}
+    parsers = _SPEC_PARSERS[section.split(":", 1)[0]]
+    fields = {}
+    for key, text in parser[section].items():
+        if key not in parsers:
+            raise ConfigError(f"unknown spec key {section}.{key}")
+        try:
+            fields[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return fields
 
 
 def _spec_from_parser(parser: configparser.ConfigParser) -> SynthSpec:
-    trace = TraceSpec()
-    if parser.has_section("trace"):
-        sec = parser["trace"]
-        trace = TraceSpec(
-            start_us=sec.getint("start_us", fallback=0),
-            slice_seconds=sec.getfloat("slice_seconds", fallback=30.0),
-            slices=_require_positive(sec.getint("slices", fallback=10), "trace.slices"),
-        )
+    trace = TraceSpec(**_fields(parser, "trace"))
+    _require_positive(trace.slices, "trace.slices")
     if trace.slice_seconds <= 0:
         raise ConfigError("trace.slice_seconds must be > 0")
 
     background = None
     if parser.has_section("background"):
-        sec = parser["background"]
-        subnet = ipaddress.ip_network(sec.get("subnet", fallback="10.0.0.0/16"))
-        hosts = _require_positive(sec.getint("hosts", fallback=100), "background.hosts")
+        background = BackgroundSpec(**_fields(parser, "background"))
+        hosts, subnet = background.hosts, background.subnet
+        _require_positive(hosts, "background.hosts")
         if hosts > subnet.num_addresses - 2:
-            raise ConfigError(
-                f"background.hosts {hosts} does not fit in {subnet}"
-            )
-        background = BackgroundSpec(
-            hosts=hosts,
-            flows_per_host_per_slice=_require_positive(
-                sec.getint("flows_per_host_per_slice", fallback=2),
-                "background.flows_per_host_per_slice",
-            ),
-            subnet=subnet,
+            raise ConfigError(f"background.hosts {hosts} does not fit in {subnet}")
+        _require_positive(
+            background.flows_per_host_per_slice, "background.flows_per_host_per_slice"
         )
 
     scanners = []
     decoys = []
     for section in parser.sections():
         if section.startswith("scanner:"):
-            scanners.append(_scanner_from(parser[section], section[8:]))
+            scanners.append(_scanner_from(parser, section))
         elif section.startswith("decoy:"):
-            decoys.append(_decoy_from(parser[section], section[6:]))
+            decoys.append(_decoy_from(parser, section))
         elif section not in ("trace", "background"):
             raise ConfigError(f"unknown section [{section}]")
     _check_distinct_sources(background, scanners)
@@ -156,57 +185,28 @@ def _spec_from_parser(parser: configparser.ConfigParser) -> SynthSpec:
     )
 
 
-def _scanner_from(sec: configparser.SectionProxy, name: str) -> ScannerSpec:
-    kind = sec.get("kind", fallback=KIND_NETSCAN)
+def _scanner_from(parser: configparser.ConfigParser, section: str) -> ScannerSpec:
+    fields = _fields(parser, section)
+    kind = fields.get("kind", KIND_NETSCAN)
     if kind not in (KIND_NETSCAN, KIND_PORTSCAN):
-        raise ConfigError(f"scanner:{name}.kind must be netscan or portscan, got {kind!r}")
-    ip = parse_ip(sec["ip"])
-    flows = _require_positive(
-        sec.getint("flows_per_slice", fallback=120), f"scanner:{name}.flows_per_slice"
-    )
-    target_subnet = None
-    target = None
-    if kind == KIND_NETSCAN:
-        target_subnet = ipaddress.ip_network(sec["target_subnet"])
-        if target_subnet.num_addresses < 4:
-            raise ConfigError(f"scanner:{name}.target_subnet too small")
-    else:
-        target = parse_ip(sec["target"])
-    return ScannerSpec(
-        name=name,
-        kind=kind,
-        ip=ip,
-        flows_per_slice=flows,
-        target_subnet=target_subnet,
-        target=target,
-        port=sec.getint("port", fallback=80),
-        port_start=sec.getint("port_start", fallback=1),
-        labeled=sec.getboolean("labeled", fallback=True),
-        label=sec.get("label", fallback=""),
-    )
+        raise ConfigError(f"{section}.kind must be netscan or portscan, got {kind!r}")
+    for key in ("ip", "target_subnet" if kind == KIND_NETSCAN else "target"):
+        if key not in fields:
+            raise ConfigError(f"{section}.{key} is required")
+    scanner = ScannerSpec(name=section[len("scanner:"):], **fields)
+    _require_positive(scanner.flows_per_slice, f"{section}.flows_per_slice")
+    if kind == KIND_NETSCAN and fields["target_subnet"].num_addresses < 4:
+        raise ConfigError(f"{section}.target_subnet too small")
+    if not 0 <= scanner.port <= 65535:
+        raise ConfigError(f"{section}.port must be in 0-65535, got {scanner.port}")
+    return scanner
 
 
-def _decoy_from(sec: configparser.SectionProxy, name: str) -> DecoySpec:
-    src = sec.get("src_ip", fallback=None)
-    dst = sec.get("dst_ip", fallback=None)
-    if not src and not dst:
-        raise ConfigError(f"decoy:{name} needs src_ip or dst_ip")
-    try:
-        category = Category(sec.get("category", fallback="anomalous"))
-    except ValueError as exc:
-        raise ConfigError(f"decoy:{name}.category: {exc}") from exc
-    try:
-        file = SourceFile(sec.get("file", fallback="anomalous"))
-    except ValueError as exc:
-        raise ConfigError(f"decoy:{name}.file: {exc}") from exc
-    return DecoySpec(
-        name=name,
-        label=sec.get("label", fallback="dosAttack"),
-        src_ip=parse_ip(src) if src else None,
-        dst_ip=parse_ip(dst) if dst else None,
-        category=category,
-        file=file,
-    )
+def _decoy_from(parser: configparser.ConfigParser, section: str) -> DecoySpec:
+    fields = _fields(parser, section)
+    if "src_ip" not in fields and "dst_ip" not in fields:
+        raise ConfigError(f"{section} needs src_ip or dst_ip")
+    return DecoySpec(name=section[len("decoy:"):], **fields)
 
 
 def _check_distinct_sources(

@@ -361,21 +361,26 @@ def _with_bad_rows(trace, tmp_path):
 
 def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
     planted = _with_bad_rows(scan_trace, tmp_path)
-    out = tmp_path / "v.csv"
-    assert main(["detect", str(planted), "-o", str(out)]) == EXIT_OK
-    assert "122 flows, 3 malformed rows skipped ->" in capsys.readouterr().out
-    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
-    assert manifest["ingest"] == {
-        str(planted): {"rows_read": 122, "rows_skipped": 3}
-    }
+    bench_flags = ["--workers", "1", "--reps", "1"]
+    for command, flags, line in (
+        ("detect", [], "122 flows, 3 malformed rows skipped ->"),
+        ("bench", bench_flags, "workers [1], 3 malformed rows skipped ->"),
+    ):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, str(planted), "-o", str(out), *flags]) == EXIT_OK
+        assert line in capsys.readouterr().out
+        manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+        assert manifest["ingest"] == {
+            str(planted): {"rows_read": 122, "rows_skipped": 3}
+        }
 
-    clean = tmp_path / "clean.csv"
-    assert main(["detect", str(scan_trace), "-o", str(clean)]) == EXIT_OK
-    assert "malformed" not in capsys.readouterr().out
-    manifest = json.loads(manifest_path_for(clean).read_text(encoding="utf-8"))
-    assert manifest["ingest"] == {
-        str(scan_trace): {"rows_read": 122, "rows_skipped": 0}
-    }
+        clean = tmp_path / f"{command}.clean.csv"
+        assert main([command, str(scan_trace), "-o", str(clean), *flags]) == EXIT_OK
+        assert "malformed" not in capsys.readouterr().out
+        manifest = json.loads(manifest_path_for(clean).read_text(encoding="utf-8"))
+        assert manifest["ingest"] == {
+            str(scan_trace): {"rows_read": 122, "rows_skipped": 0}
+        }
 
 
 def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) -> None:

@@ -2,20 +2,20 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowscan.core import SliceConfig, SliceKey
+from flowscan.core import FlowRecord, SliceConfig, SliceKey
 from flowscan.detector import (
     DetectorConfig,
     Direction,
-    SliceCounts,
+    RatioVerdict,
     anomalous_ips,
     count_flows,
     detect,
-    full_outer_join,
     ratio_of,
 )
 
@@ -81,47 +81,75 @@ def test_count_flows_rejects_pre_start_flow() -> None:
         count_flows(flows, CFG)
 
 
+# The test_join_* tests cut a given (generated, received) pair with
+# detect(..., counts=...): a key missing from one table counts zero there.
+
+
+def _cut(generated, received, threshold: float) -> list[RatioVerdict]:
+    cfg = DetectorConfig(slices=CFG, threshold=threshold)
+    return detect((), cfg, counts=(Counter(generated), Counter(received)))
+
+
 def test_join_null_fill() -> None:
     key = SliceKey(ip("10.0.0.1"), 0)
-    [entry] = full_outer_join({key: 5}, {})
-    assert entry == SliceCounts(key, 5, 0)
-    [entry] = full_outer_join({}, {key: 7})
-    assert entry == SliceCounts(key, 0, 7)
+    assert _cut({key: 5}, {}, 4) == [RatioVerdict(key, Direction.SENDER, 5, 0, 5.0)]
+    assert _cut({}, {key: 7}, 4) == [
+        RatioVerdict(key, Direction.RECEIVER, 0, 7, -7.0)
+    ]
+    # one flow on one side is ratio 1: flagged only below 1
+    assert _cut({key: 1}, {}, 1) == []
+    assert _cut({}, {key: 1}, 0.5) == [
+        RatioVerdict(key, Direction.RECEIVER, 0, 1, -1.0)
+    ]
 
 
 def test_join_both_sides() -> None:
     key = SliceKey(ip("10.0.0.1"), 2)
-    [entry] = full_outer_join({key: 4}, {key: 7})
-    assert entry == SliceCounts(key, 4, 7)
+    assert _cut({key: 4}, {key: 7}, 1) == [
+        RatioVerdict(key, Direction.RECEIVER, 4, 7, -1.75)
+    ]
+    # both counts pass the threshold; the key is still flagged once
+    assert _cut({key: 40}, {key: 4}, 3) == [
+        RatioVerdict(key, Direction.SENDER, 40, 4, 10.0)
+    ]
+    # equal counts are ratio +1
+    assert _cut({key: 6}, {key: 6}, 0.5) == [
+        RatioVerdict(key, Direction.SENDER, 6, 6, 1.0)
+    ]
+    assert _cut({key: 6}, {key: 6}, 1) == []
 
 
 def test_join_disjoint_sizes() -> None:
     gen = {SliceKey(ip(f"10.0.0.{i}"), 0): 1 for i in range(1, 4)}
     recv = {SliceKey(ip(f"10.0.1.{i}"), 0): 1 for i in range(1, 3)}
-    assert len(full_outer_join(gen, recv)) == 5
+    verdicts = _cut(gen, recv, 0.5)
+    assert [(v.key, v.direction) for v in verdicts] == [
+        *((key, Direction.SENDER) for key in gen),
+        *((key, Direction.RECEIVER) for key in recv),
+    ]
 
 
-@given(
-    st.dictionaries(
-        st.tuples(st.ip_addresses(v=4), st.integers(0, 5)),
-        st.integers(1, 50),
-        max_size=40,
-    ),
-    st.dictionaries(
-        st.tuples(st.ip_addresses(v=4), st.integers(0, 5)),
-        st.integers(1, 50),
-        max_size=40,
-    ),
+_table = st.dictionaries(
+    st.tuples(st.ip_addresses(v=4), st.integers(0, 5)),
+    st.integers(1, 50),
+    max_size=40,
 )
-def test_join_totality_property(gen_raw, recv_raw) -> None:
-    gen = {SliceKey(*k): v for k, v in gen_raw.items()}
-    recv = {SliceKey(*k): v for k, v in recv_raw.items()}
-    joined = full_outer_join(gen, recv)
-    assert len(joined) == len(set(gen) | set(recv))
-    for entry in joined:
-        assert entry.generated == gen.get(entry.key, 0)
-        assert entry.received == recv.get(entry.key, 0)
-        assert entry.generated + entry.received >= 1
+# Thresholds on both sides of the counts the tables hold, down to where a
+# single flow is flagged.
+_thresholds = st.sampled_from((0.5, 1, 1.5, 2, 3, 50))
+
+
+@given(_table, _table, _thresholds)
+def test_join_totality_property(gen_raw, recv_raw, threshold: float) -> None:
+    expected = []
+    for key in gen_raw.keys() | recv_raw.keys():
+        gen, recv = gen_raw.get(key, 0), recv_raw.get(key, 0)
+        ratio = gen / max(recv, 1) if gen >= recv else -(recv / max(gen, 1))
+        if abs(ratio) > threshold:
+            direction = Direction.SENDER if ratio > 0 else Direction.RECEIVER
+            expected.append(RatioVerdict(SliceKey(*key), direction, gen, recv, ratio))
+    expected.sort(key=lambda v: v.key.sort_key())
+    assert _cut(gen_raw, recv_raw, threshold) == expected
 
 
 def test_ratio_examples() -> None:
@@ -211,6 +239,29 @@ def test_detect_insensitive_to_input_order(rng: random.Random) -> None:
         assert detect(flows, cfg) == baseline
 
 
+_HOSTS = [ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3"), ip("2001:db8::1")]
+
+
+@given(
+    st.lists(
+        st.builds(
+            lambda src, dst, first: FlowRecord(src, dst, 40000, 80, 6, first, first),
+            st.sampled_from(_HOSTS),
+            st.sampled_from(_HOSTS),
+            st.integers(0, 2 * 30 * S - 1),
+        ),
+        max_size=120,
+    ),
+    _thresholds,
+)
+def test_detect_matches_naive_oracle_near_the_cut_bound(
+    flows: list[FlowRecord], threshold: float
+) -> None:
+    got = detect(flows, DetectorConfig(slices=CFG, threshold=threshold))
+    expected = naive_verdicts(flows, 0, 30 * S, threshold)
+    assert render_rows([verdict_as_row(v) for v in got]) == render_rows(expected)
+
+
 def test_detect_matches_naive_oracle(rng: random.Random) -> None:
     for round_no in range(10):
         flows = random_flows(rng, rng.randrange(100, 4000), scanners=rng.randrange(4))
@@ -267,9 +318,9 @@ def test_detect_accepts_any_iterable(rng: random.Random) -> None:
 
 def test_count_conservation(rng: random.Random) -> None:
     flows = random_flows(rng, 1234)
-    counts = full_outer_join(*count_flows(flows, CFG))
-    assert sum(c.generated for c in counts) == len(flows)
-    assert sum(c.received for c in counts) == len(flows)
+    generated, received = count_flows(flows, CFG)
+    assert sum(generated.values()) == len(flows)
+    assert sum(received.values()) == len(flows)
 
 
 def test_anomalous_ips_dedup() -> None:

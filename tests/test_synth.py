@@ -103,6 +103,49 @@ def test_load_spec_fields(spec: SynthSpec) -> None:
         ("[background]\nhosts = 300\nsubnet = 10.0.0.0/24\n", "does not fit"),
         ("[decoy:d]\nlabel = dosAttack\n", "src_ip or dst_ip"),
         ("not an ini file", "File contains no section headers"),
+        ("[trace]\nslice_secs = 10\n", "unknown spec key trace.slice_secs"),
+        (
+            "[background]\nflow_per_host_per_slice = 3\n",
+            "unknown spec key background.flow_per_host_per_slice",
+        ),
+        (
+            "[scanner:x]\nkind = netscan\nip = 192.0.2.1\ntarget_subnet = 10.99.0.0/24\n"
+            "flows_per_slise = 5\n",
+            "unknown spec key scanner:x.flows_per_slise",
+        ),
+        (
+            "[scanner:x]\nkind = portscan\nip = 192.0.2.1\ntarget = 10.0.0.1\n"
+            "labelled = no\n",
+            "unknown spec key scanner:x.labelled",
+        ),
+        (
+            "[decoy:d]\nlabel = dosAttack\nsrc = 10.0.0.5\n",
+            "unknown spec key decoy:d.src",
+        ),
+        (
+            "[scanner:x]\nkind = netscan\nip = 192.0.2.1\ntarget_subnet = 10.99.0.0/24\n"
+            "port = 70000\n",
+            "scanner:x.port must be in 0-65535, got 70000",
+        ),
+        (
+            "[scanner:x]\nkind = netscan\nip = 192.0.2.1\ntarget_subnet = 10.99.0.0/24\n"
+            "port = -1\n",
+            "scanner:x.port must be in 0-65535, got -1",
+        ),
+        (
+            "[scanner:x]\nkind = netscan\nip = 192.0.2.1\n",
+            "scanner:x.target_subnet is required",
+        ),
+        (
+            "[scanner:x]\nkind = portscan\nip = 192.0.2.1\n",
+            "scanner:x.target is required",
+        ),
+        ("[scanner:x]\nkind = netscan\n", "scanner:x.ip is required"),
+        (
+            "[scanner:x]\nkind = portscan\nip = 192.0.2.1\ntarget = 10.0.0.1\n"
+            "labeled = maybe\n",
+            "scanner:x.labeled: not a boolean",
+        ),
     ],
 )
 def test_load_spec_rejects_bad_input(tmp_path, mutation: str, message: str) -> None:
