@@ -1,6 +1,6 @@
 """Flow-level scan detection via per-slice generated/received ratios."""
 
-from .core import FlowRecord, SliceConfig, SliceKey, slice_of
+from .core import FlowBatch, FlowRecord, SliceConfig, SliceKey, slice_of
 from .detector import (
     DetectorConfig,
     Direction,
@@ -42,6 +42,7 @@ __all__ = [
     "Direction",
     "EngineConfig",
     "EvalCase",
+    "FlowBatch",
     "FlowFileReader",
     "FlowRecord",
     "GroundTruthSet",

@@ -32,7 +32,7 @@ from .config import (
     load_config,
     parse_thresholds,
 )
-from .core import ConfigError, FlowRecord, SliceConfig, format_ip
+from .core import ConfigError, FlowBatch, SliceConfig, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
 from .engine import EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
 from .evaluation import (
@@ -44,6 +44,7 @@ from .evaluation import (
 )
 from .ingest import (
     FlowFileError,
+    FlowFileReader,
     GroundTruthError,
     GroundTruthSet,
     SourceFile,
@@ -247,13 +248,19 @@ def _write_manifest(
     return path
 
 
-def _read_flows(path: Path, strict: bool) -> tuple[list[FlowRecord], dict]:
+def _read_flows(path: Path, strict: bool) -> tuple[FlowBatch, dict]:
     """All flows of one file, and its row counts for the manifest."""
     reader = read_flow_file(path, strict=strict)
-    flows = list(reader)
-    # read_flow_file may be wrapped to hand back the rows alone.
-    skipped = getattr(reader, "errors", 0)
-    return flows, {"rows_read": len(flows), "rows_skipped": skipped}
+    if isinstance(reader, FlowFileReader):
+        flows = reader.read()
+    else:
+        # read_flow_file may be wrapped to hand back the rows alone.
+        flows = FlowBatch.from_records(reader)
+    return flows, {
+        "rows_read": len(flows),
+        "rows_skipped": getattr(reader, "errors", 0),
+        "first_skipped_lines": getattr(reader, "skipped_lines", []),
+    }
 
 
 def _skipped_note(ingest: dict) -> str:
@@ -261,8 +268,8 @@ def _skipped_note(ingest: dict) -> str:
     return f", {skipped} malformed rows skipped" if skipped else ""
 
 
-def _slice_config(cfg: AppConfig, flows: Sequence) -> SliceConfig:
-    earliest = min((f.first_seen_us for f in flows), default=0)
+def _slice_config(cfg: AppConfig, flows: FlowBatch) -> SliceConfig:
+    earliest = min(flows.first_seen_us, default=0)
     start = cfg.trace_start_us
     if start is None:
         start = earliest
@@ -321,7 +328,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         def emit(_slice_index: int, emitted: list[RatioVerdict]) -> None:
             collected.extend(emitted)
 
-        stats = run_streaming(iter(flows), detector_cfg, engine_cfg, emit)
+        stats = run_streaming(flows, detector_cfg, engine_cfg, emit)
         verdicts = collected
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
@@ -409,7 +416,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         detected_at = []
         for threshold in cfg.thresholds:
             detector_cfg = DetectorConfig(slices=slices, threshold=threshold)
-            pairs = anomalous_ips(detect((), detector_cfg, counts=counts))
+            verdicts = detect((), detector_cfg, counts=counts, ips=flows.ips)
+            pairs = anomalous_ips(verdicts)
             detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
         # The rules depend on neither threshold nor source: classify every
         # IP that case 3 could reintegrate at any threshold, once.

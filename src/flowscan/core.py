@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import ipaddress
+from array import array
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 US_PER_SECOND = 1_000_000
+
+# Timestamps and packet/byte counts are signed 64-bit ints.
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 # IANA protocol numbers for the two protocols we name explicitly.
 PROTO_TCP = 6
@@ -52,12 +57,45 @@ def format_protocol(proto: int) -> str:
     return _PROTO_NAMES.get(proto, str(proto))
 
 
+def check_flow_fields(
+    src_port: int,
+    dst_port: int,
+    protocol: int,
+    first_seen_us: int,
+    last_seen_us: int,
+    packet_count: int,
+    byte_count: int,
+) -> None:
+    """Raise ValueError unless the values make a valid flow. Timestamps and
+    counts must fit a signed 64-bit int, the width of FlowBatch's columns."""
+    if not 0 <= src_port <= 65535:
+        raise ValueError(f"src_port out of range: {src_port}")
+    if not 0 <= dst_port <= 65535:
+        raise ValueError(f"dst_port out of range: {dst_port}")
+    if not 0 <= protocol <= 255:
+        raise ValueError(f"protocol out of range: {protocol}")
+    if first_seen_us > last_seen_us:
+        raise ValueError("first_seen_us after last_seen_us")
+    if packet_count < 1:
+        raise ValueError(f"packet_count must be >= 1, got {packet_count}")
+    if byte_count < 0:
+        raise ValueError(f"byte_count must be >= 0, got {byte_count}")
+    if (
+        first_seen_us < INT64_MIN
+        or last_seen_us > INT64_MAX
+        or packet_count > INT64_MAX
+        or byte_count > INT64_MAX
+    ):
+        raise ValueError("a timestamp or count does not fit a signed 64-bit int")
+
+
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
     """One unidirectional flow summary keyed by its 5-tuple.
 
     Timestamps are integer microseconds since the Unix epoch; a flow is
-    anchored to the slice of its first packet only.
+    anchored to the slice of its first packet only. Timestamps and
+    counts are signed 64-bit.
     """
 
     src: IpAddress
@@ -71,18 +109,15 @@ class FlowRecord:
     byte_count: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.src_port <= 65535:
-            raise ValueError(f"src_port out of range: {self.src_port}")
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port out of range: {self.dst_port}")
-        if not 0 <= self.protocol <= 255:
-            raise ValueError(f"protocol out of range: {self.protocol}")
-        if self.first_seen_us > self.last_seen_us:
-            raise ValueError("first_seen_us after last_seen_us")
-        if self.packet_count < 1:
-            raise ValueError(f"packet_count must be >= 1, got {self.packet_count}")
-        if self.byte_count < 0:
-            raise ValueError(f"byte_count must be >= 0, got {self.byte_count}")
+        check_flow_fields(
+            self.src_port,
+            self.dst_port,
+            self.protocol,
+            self.first_seen_us,
+            self.last_seen_us,
+            self.packet_count,
+            self.byte_count,
+        )
 
     @property
     def five_tuple(self) -> tuple[IpAddress, IpAddress, int, int, int]:
@@ -126,9 +161,95 @@ def slice_of(flow: FlowRecord, cfg: SliceConfig) -> int:
 
     Raises ValueError for flows starting before the trace start.
     """
-    offset = flow.first_seen_us - cfg.trace_start_us
+    return slice_at(flow.first_seen_us, cfg)
+
+
+def slice_at(first_seen_us: int, cfg: SliceConfig) -> int:
+    """Index of the slice holding the timestamp; see slice_of."""
+    offset = first_seen_us - cfg.trace_start_us
     if offset < 0:
         raise ValueError(
-            f"flow first_seen {flow.first_seen_us} precedes trace start {cfg.trace_start_us}"
+            f"flow first_seen {first_seen_us} precedes trace start {cfg.trace_start_us}"
         )
     return offset // cfg.duration_us
+
+
+class FlowBatch:
+    """Flows held as columns: one stdlib array per FlowRecord field.
+
+    `src` and `dst` hold dense int ids into `ips`. An address gets the
+    next id when the first row holding it is appended; ids are keyed by
+    the address value, so two spellings of one address share an id and
+    `ips` holds each address of the batch's rows exactly once.
+    Timestamps and packet/byte counts are signed 64-bit. Indexing or
+    iterating the batch yields FlowRecord rows.
+    """
+
+    def __init__(self) -> None:
+        self.ips: list[IpAddress] = []
+        self._ids: dict[IpAddress, int] = {}
+        self.src = array("I")
+        self.dst = array("I")
+        self.src_port = array("H")
+        self.dst_port = array("H")
+        self.protocol = array("B")
+        self.first_seen_us = array("q")
+        self.last_seen_us = array("q")
+        self.packet_count = array("q")
+        self.byte_count = array("q")
+
+    @classmethod
+    def from_records(cls, flows: Iterable[FlowRecord]) -> FlowBatch:
+        batch = cls()
+        for flow in flows:
+            batch.append(flow)
+        return batch
+
+    def intern(self, ip: IpAddress) -> int:
+        """The id of an address, assigning the next one if it is new."""
+        ip_id = self._ids.get(ip)
+        if ip_id is None:
+            ip_id = self._ids[ip] = len(self.ips)
+            self.ips.append(ip)
+        return ip_id
+
+    def id_of(self, ip: IpAddress) -> Optional[int]:
+        """The id of an address, or None if no row holds it."""
+        return self._ids.get(ip)
+
+    def append(self, flow: FlowRecord) -> int:
+        """Append one row; returns its index."""
+        self.src.append(self.intern(flow.src))
+        self.dst.append(self.intern(flow.dst))
+        self.src_port.append(flow.src_port)
+        self.dst_port.append(flow.dst_port)
+        self.protocol.append(flow.protocol)
+        self.first_seen_us.append(flow.first_seen_us)
+        self.last_seen_us.append(flow.last_seen_us)
+        self.packet_count.append(flow.packet_count)
+        self.byte_count.append(flow.byte_count)
+        return len(self.src) - 1
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, row: int) -> FlowRecord:
+        ips = self.ips
+        return FlowRecord(
+            ips[self.src[row]],
+            ips[self.dst[row]],
+            self.src_port[row],
+            self.dst_port[row],
+            self.protocol[row],
+            self.first_seen_us[row],
+            self.last_seen_us[row],
+            self.packet_count[row],
+            self.byte_count[row],
+        )
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+
+# A complete trace: a batch, or a sequence of FlowRecords.
+Flows = Union[FlowBatch, Sequence[FlowRecord]]

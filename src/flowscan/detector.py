@@ -13,14 +13,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-from .core import FlowRecord, IpAddress, SliceConfig, SliceKey, slice_of
+from .core import FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig, SliceKey, slice_at
 
 DEFAULT_THRESHOLD = 100.0
 
-# Flow counts per (IP, slice index).
-CountTable = Counter[tuple[IpAddress, int]]
+# Flow counts per (IP, slice index); the IP is an address, or its dense
+# id when a FlowBatch was counted.
+CountTable = Counter[tuple[Union[IpAddress, int], int]]
 
 
 class Direction(Enum):
@@ -48,31 +49,37 @@ class DetectorConfig:
 
 
 def flow_columns(
-    flows: Sequence[FlowRecord], slices: SliceConfig
-) -> tuple[list[IpAddress], list[IpAddress], list[int]]:
+    flows: Flows, slices: SliceConfig
+) -> tuple[Sequence, Sequence, list[int]]:
     """The flows' source IPs, destination IPs and slice indices, as three
-    columns. Raises ValueError for a flow that starts before the trace start.
+    columns; a FlowBatch gives its id columns, a FlowRecord sequence its
+    addresses. Raises ValueError for a flow that starts before the trace
+    start.
     """
     start = slices.trace_start_us
     duration = slices.duration_us
-    index = [(flow.first_seen_us - start) // duration for flow in flows]
+    if isinstance(flows, FlowBatch):
+        index = [(first - start) // duration for first in flows.first_seen_us]
+        srcs, dsts = flows.src, flows.dst
+    else:
+        index = [(flow.first_seen_us - start) // duration for flow in flows]
+        srcs, dsts = [flow.src for flow in flows], [flow.dst for flow in flows]
     if index and min(index) < 0:
-        slice_of(flows[index.index(min(index))], slices)  # raises
-    return [flow.src for flow in flows], [flow.dst for flow in flows], index
+        slice_at(flows[index.index(min(index))].first_seen_us, slices)  # raises
+    return srcs, dsts, index
 
 
 def count_columns(
-    srcs: Sequence[IpAddress], dsts: Sequence[IpAddress], index: Sequence[int]
+    srcs: Sequence, dsts: Sequence, index: Sequence[int]
 ) -> tuple[CountTable, CountTable]:
     """Flows generated per (source IP, slice index) and received per
     (destination IP, slice index): the one counting step of the detector."""
     return Counter(zip(srcs, index)), Counter(zip(dsts, index))
 
 
-def count_flows(
-    flows: Sequence[FlowRecord], slices: SliceConfig
-) -> tuple[CountTable, CountTable]:
-    """(generated, received) count tables of the flows; see count_columns."""
+def count_flows(flows: Flows, slices: SliceConfig) -> tuple[CountTable, CountTable]:
+    """(generated, received) count tables of the flows, keyed by ids for a
+    FlowBatch; see count_columns."""
     return count_columns(*flow_columns(flows, slices))
 
 
@@ -86,21 +93,30 @@ def ratio_of(generated: int, received: int) -> float:
 
 
 def detect(
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRecord] | FlowBatch,
     cfg: DetectorConfig,
     counts: Optional[tuple[CountTable, CountTable]] = None,
+    ips: Optional[Sequence[IpAddress]] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
     by (slice index, IP). A precomputed (generated, received) pair of
     count tables, as count_flows returns, may be passed in; a key absent
-    from one table counts zero on that side."""
+    from one table counts zero on that side. Tables keyed by dense ids,
+    as counting a FlowBatch gives, need that batch's `ips` to name each
+    id's address."""
     if counts is None:
-        if not isinstance(flows, list):
+        if isinstance(flows, FlowBatch):
+            ips = flows.ips
+        elif not isinstance(flows, list):
             flows = list(flows)
         counts = count_flows(flows, cfg.slices)
     generated, received = counts
     threshold = cfg.threshold
-    make = SliceKey._make
+    if ips is None:
+        make = SliceKey._make
+    else:
+        def make(key: tuple[int, int]) -> SliceKey:
+            return SliceKey(ips[key[0]], key[1])
     verdicts = []
     # |ratio| <= the larger count and threshold > 0, so only a count above
     # the threshold can flag its key, and only in its own direction.

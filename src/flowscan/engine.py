@@ -13,6 +13,8 @@ Streaming mode processes an ordered flow stream with a watermark set to
 the newest timestamp seen minus a fixed lag. A slice closes, and its
 verdicts are emitted exactly once, when the watermark reaches the
 slice's end; flows for already-closed slices are dropped and counted.
+An open slice buffers the row indices of its flows in a FlowBatch and
+counts their id columns when it closes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import US_PER_SECOND, FlowRecord, IpAddress, SliceConfig, slice_of
+from .core import US_PER_SECOND, FlowBatch, FlowRecord, Flows, SliceConfig, slice_at
 from .detector import (
     CountTable,
     DetectorConfig,
@@ -71,7 +73,7 @@ class RunStats:
 
 # Flow columns visible to forked count workers; set only for the pool's
 # lifetime.
-_WORKER_COLUMNS: Optional[tuple[list[IpAddress], list[IpAddress], list[int]]] = None
+_WORKER_COLUMNS: Optional[tuple[Sequence, Sequence, list[int]]] = None
 
 
 def _count_range(bounds: tuple[int, int]) -> tuple[CountTable, CountTable]:
@@ -81,7 +83,7 @@ def _count_range(bounds: tuple[int, int]) -> tuple[CountTable, CountTable]:
 
 
 def _parallel_counts(
-    flows: list[FlowRecord], slices: SliceConfig, workers: int
+    flows: Flows, slices: SliceConfig, workers: int
 ) -> tuple[CountTable, CountTable]:
     global _WORKER_COLUMNS
     # The columns are built before the fork, so workers touch no flow
@@ -117,15 +119,15 @@ def _time_ratio(wall_s: float, duration_s: float) -> float:
 
 
 def count_slices(
-    flows: list[FlowRecord],
+    flows: Flows,
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[CountTable, CountTable]:
     """The (generated, received) count tables of a complete trace, as
-    count_flows returns them, counted by forked workers when workers > 1
-    and the platform can fork. The tables do not depend on the detection
-    threshold, so one pair serves any number of `detect(..., counts=...)`
-    cuts.
+    count_flows returns them (keyed by ids for a FlowBatch), counted by
+    forked workers when workers > 1 and the platform can fork. The tables
+    do not depend on the detection threshold, so one pair serves any
+    number of `detect(..., counts=...)` cuts.
 
     Output is identical for every worker count.
     """
@@ -139,15 +141,17 @@ def count_slices(
 
 
 def run_batch(
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRecord] | FlowBatch,
     cfg: DetectorConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[list[RatioVerdict], RunStats]:
     """Detect over a complete trace: count_slices, then one threshold cut."""
-    if not isinstance(flows, list):
+    ips = flows.ips if isinstance(flows, FlowBatch) else None
+    if not isinstance(flows, (list, FlowBatch)):
         flows = list(flows)
     started = time.perf_counter()
-    verdicts = detect((), cfg, counts=count_slices(flows, cfg.slices, engine))
+    counts = count_slices(flows, cfg.slices, engine)
+    verdicts = detect((), cfg, counts=counts, ips=ips)
     wall = time.perf_counter() - started
     duration_s = _duration_s(flows)
     stats = RunStats(
@@ -160,11 +164,14 @@ def run_batch(
     return verdicts, stats
 
 
-def _duration_s(flows: Sequence[FlowRecord]) -> float:
-    if not flows:
+def _duration_s(flows: Flows) -> float:
+    if not len(flows):
         return 0.0
-    first = min(f.first_seen_us for f in flows)
-    last = max(f.last_seen_us for f in flows)
+    if isinstance(flows, FlowBatch):
+        first, last = min(flows.first_seen_us), max(flows.last_seen_us)
+    else:
+        first = min(f.first_seen_us for f in flows)
+        last = max(f.last_seen_us for f in flows)
     return (last - first) / US_PER_SECOND
 
 
@@ -172,7 +179,7 @@ EmitFn = Callable[[int, list[RatioVerdict]], None]
 
 
 def run_streaming(
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRecord] | FlowBatch,
     cfg: DetectorConfig,
     engine: EngineConfig,
     emit: EmitFn,
@@ -180,6 +187,8 @@ def run_streaming(
     """Consume a flow stream, emitting each slice's verdicts as the
     watermark passes its end.
 
+    The stream is a FlowBatch read in row order, or any iterable of
+    FlowRecords, whose rows are appended to a batch as they arrive.
     `emit(slice_index, verdicts)` fires once per slice that saw any
     flows, in ascending slice order for everything still open at end of
     stream; its exceptions propagate. Flows whose slice already closed
@@ -187,35 +196,40 @@ def run_streaming(
     (or disorder within the watermark lag) the union of emissions equals
     the batch result.
     """
+    if isinstance(flows, FlowBatch):
+        batch = flows
+        arrivals: Iterable[int] = range(len(batch))
+    else:
+        batch = FlowBatch()
+        arrivals = map(batch.append, flows)
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
-    # slice index -> the flows buffered for it
-    open_slices: dict[int, list[FlowRecord]] = {}
+    first_seen, srcs, dsts = batch.first_seen_us, batch.src, batch.dst
+    # slice index -> the rows buffered for it
+    open_slices: dict[int, list[int]] = {}
     newest: Optional[int] = None
     closed_max = -1
     records = dropped = emitted = 0
-    min_first: Optional[int] = None
-    max_last: Optional[int] = None
 
     started = time.perf_counter()
 
     def close_slice(index: int) -> int:
-        verdicts = detect(open_slices.pop(index), cfg)
+        rows = open_slices.pop(index)
+        counts = count_columns(
+            [srcs[row] for row in rows], [dsts[row] for row in rows], [index] * len(rows)
+        )
+        verdicts = detect((), cfg, counts=counts, ips=batch.ips)
         emit(index, verdicts)
         return len(verdicts)
 
-    for flow in flows:
+    for row in arrivals:
         records += 1
-        ts = flow.first_seen_us
-        if min_first is None or ts < min_first:
-            min_first = ts
-        if max_last is None or flow.last_seen_us > max_last:
-            max_last = flow.last_seen_us
+        ts = first_seen[row]
         offset = ts - start
         if offset < 0:
             # Checked on arrival: past a closed slice it would count as late.
-            slice_of(flow, cfg.slices)  # raises
+            slice_at(ts, cfg.slices)  # raises
         index = offset // duration
         if newest is None or ts > newest:
             newest = ts
@@ -228,14 +242,12 @@ def run_streaming(
         if index <= closed_max:
             dropped += 1
             continue
-        open_slices.setdefault(index, []).append(flow)
+        open_slices.setdefault(index, []).append(row)
 
     for ready in sorted(open_slices):
         emitted += close_slice(ready)
     wall = time.perf_counter() - started
-    duration_s = (
-        (max_last - min_first) / US_PER_SECOND if min_first is not None else 0.0
-    )
+    duration_s = _duration_s(batch)
     return RunStats(
         wall_time_s=wall,
         trace_duration_s=duration_s,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, TextIO, TypeVar
 
-from .core import FlowRecord, IpAddress, SliceConfig
+from .core import FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig
 from .detector import Direction
 from .ingest import GroundTruthSet
 from .rules import Classification, RuleConfig, classify_all, reintegrate
@@ -97,13 +97,10 @@ def filter_scan_labels(
     )
 
 
-def trace_universe(flows: Iterable[FlowRecord]) -> set[IpAddress]:
+def trace_universe(flows: Iterable[FlowRecord] | FlowBatch) -> set[IpAddress]:
     """Every distinct IP appearing in the trace, as source or destination."""
-    universe: set[IpAddress] = set()
-    for flow in flows:
-        universe.add(flow.src)
-        universe.add(flow.dst)
-    return universe
+    batch = flows if isinstance(flows, FlowBatch) else FlowBatch.from_records(flows)
+    return set(batch.ips)
 
 
 def _split(
@@ -156,7 +153,7 @@ def evaluate_case(
     case: EvalCase,
     detected: set,
     gt: GroundTruthSet,
-    flows: Optional[Sequence[FlowRecord]] = None,
+    flows: Optional[Flows] = None,
     rule_cfg: Optional[RuleConfig] = None,
     slice_cfg: Optional[SliceConfig] = None,
     universe: Optional[set[IpAddress]] = None,

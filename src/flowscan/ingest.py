@@ -11,8 +11,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     US_PER_SECOND,
+    FlowBatch,
     FlowRecord,
     IpAddress,
+    check_flow_fields,
     format_ip,
     format_protocol,
     parse_ip,
@@ -26,6 +28,9 @@ FLOW_HEADER = "first_seen_us,last_seen_us,src_ip,dst_ip,src_port,dst_port,proto,
 # A lenient read aborts anyway once this fraction of data lines is malformed.
 MAX_ERROR_RATIO = 0.1
 
+# A lenient read keeps the line numbers of this many skipped lines.
+SKIPPED_LINES_KEPT = 5
+
 DEFAULT_IDLE_TIMEOUT_S = 60.0
 
 
@@ -38,13 +43,16 @@ class GroundTruthError(ValueError):
 
 
 class FlowFileReader:
-    """Iterates FlowRecords out of a flow file.
+    """Reads a flow file into a FlowBatch.
 
-    In lenient mode malformed lines are skipped and counted in `errors`;
-    the read still fails once more than MAX_ERROR_RATIO of the data
-    lines are bad. In strict mode the first malformed line aborts.
-    IP address objects are interned per file so repeated addresses share
-    one object.
+    In lenient mode malformed lines are skipped and counted in `errors`,
+    and the line numbers of the first SKIPPED_LINES_KEPT of them are kept
+    in `skipped_lines`; the read still fails once more than
+    MAX_ERROR_RATIO of the data lines are bad. In strict mode the first
+    malformed line aborts. A line is malformed unless its nine fields
+    make a valid FlowRecord (timestamps and packet/byte counts are signed
+    64-bit). Addresses of skipped lines get no id in the batch. Iterating
+    the reader yields the batch's rows.
     """
 
     def __init__(self, path: str | Path, strict: bool = False) -> None:
@@ -52,58 +60,84 @@ class FlowFileReader:
         self.strict = strict
         self.errors = 0
         self.rows = 0
-        self._ip_cache: dict[str, IpAddress] = {}
-
-    def _ip(self, text: str) -> IpAddress:
-        ip = self._ip_cache.get(text)
-        if ip is None:
-            ip = parse_ip(text)
-            self._ip_cache[text] = ip
-        return ip
+        self.skipped_lines: list[int] = []
 
     def __iter__(self) -> Iterator[FlowRecord]:
+        return iter(self.read())
+
+    def read(self) -> FlowBatch:
+        """The file's accepted rows."""
+        batch = FlowBatch()
+        self.errors = self.rows = 0
+        self.skipped_lines = []
+        # text -> id for addresses of accepted rows; text -> code for protocols
+        ids: dict[str, int] = {}
+        protocols: dict[str, int] = {}
+        intern = batch.intern
+        src_ids, dst_ids = batch.src.append, batch.dst.append
+        src_ports, dst_ports = batch.src_port.append, batch.dst_port.append
+        protocol_codes = batch.protocol.append
+        firsts, lasts = batch.first_seen_us.append, batch.last_seen_us.append
+        packet_counts, byte_counts = batch.packet_count.append, batch.byte_count.append
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             header = fh.readline().rstrip("\r\n")
             if header != FLOW_HEADER:
                 raise FlowFileError(f"{self.path}: bad header {header!r}")
-            lineno = 1
-            for line in fh:
-                lineno += 1
+            for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\r\n")
                 if not line:
                     continue
+                parts = line.split(",")
                 try:
-                    yield self._parse_line(line)
-                    self.rows += 1
-                except (ValueError, IndexError) as exc:
+                    if len(parts) != 9:
+                        raise ValueError(f"expected 9 fields, got {len(parts)}")
+                    first, last, src_text, dst_text, sport, dport, proto, packets, size = parts
+                    src = ids.get(src_text)
+                    src_ip = parse_ip(src_text) if src is None else None
+                    dst = ids.get(dst_text)
+                    dst_ip = parse_ip(dst_text) if dst is None else None
+                    sport = int(sport)
+                    dport = int(dport)
+                    protocol = protocols.get(proto)
+                    if protocol is None:
+                        protocol = protocols[proto] = parse_protocol(proto)
+                    first = int(first)
+                    last = int(last)
+                    packets = int(packets)
+                    size = int(size)
+                    check_flow_fields(sport, dport, protocol, first, last, packets, size)
+                except ValueError as exc:
                     if self.strict:
                         raise FlowFileError(f"{self.path}:{lineno}: {exc}") from exc
                     self.errors += 1
+                    if len(self.skipped_lines) < SKIPPED_LINES_KEPT:
+                        self.skipped_lines.append(lineno)
+                    continue
+                if src is None:
+                    src = ids[src_text] = intern(src_ip)
+                if dst is None:
+                    dst = ids[dst_text] = intern(dst_ip)
+                src_ids(src)
+                dst_ids(dst)
+                src_ports(sport)
+                dst_ports(dport)
+                protocol_codes(protocol)
+                firsts(first)
+                lasts(last)
+                packet_counts(packets)
+                byte_counts(size)
+        self.rows = len(batch)
         seen = self.rows + self.errors
         if seen and self.errors / seen > MAX_ERROR_RATIO:
             raise FlowFileError(
                 f"{self.path}: {self.errors} of {seen} lines malformed, "
                 f"above the {MAX_ERROR_RATIO:.0%} limit"
             )
-
-    def _parse_line(self, line: str) -> FlowRecord:
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise ValueError(f"expected 9 fields, got {len(parts)}")
-        return FlowRecord(
-            src=self._ip(parts[2]),
-            dst=self._ip(parts[3]),
-            src_port=int(parts[4]),
-            dst_port=int(parts[5]),
-            protocol=parse_protocol(parts[6]),
-            first_seen_us=int(parts[0]),
-            last_seen_us=int(parts[1]),
-            packet_count=int(parts[7]),
-            byte_count=int(parts[8]),
-        )
+        return batch
 
 
 def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:
+    """A reader over the flow file; `read()` returns its FlowBatch."""
     return FlowFileReader(path, strict=strict)
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import FlowRecord, IpAddress, SliceConfig, slice_of
+from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, slice_at
 
 
 class ScanLabel(Enum):
@@ -71,33 +71,40 @@ class Classification:
 
 def classify(
     ip: IpAddress,
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRecord] | FlowBatch,
     cfg: RuleConfig,
     slices: SliceConfig,
 ) -> Classification:
     """Apply all three rules to the flows generated by `ip`."""
-    outbound = [f for f in flows if f.src == ip]
-    return classify_outbound(ip, outbound, cfg, slices)
+    return classify_all((ip,), flows, cfg, slices)[ip]
 
 
-def classify_outbound(
+def _classify_rows(
     ip: IpAddress,
-    outbound: Iterable[FlowRecord],
+    batch: FlowBatch,
+    rows: Sequence[int],
     cfg: RuleConfig,
     slices: SliceConfig,
 ) -> Classification:
-    """Same as classify, for flows already known to originate at `ip`."""
-    by_subnet: dict[tuple[int, int], set[IpAddress]] = {}
-    by_dst_ports: dict[IpAddress, set[int]] = {}
-    by_slice_known: dict[int, set[IpAddress]] = {}
+    """Apply all three rules to the given rows of the batch, which are
+    the flows generated by `ip`. Destinations are told apart by id."""
+    by_subnet: dict[tuple[int, int], set[int]] = {}
+    by_dst_ports: dict[int, set[int]] = {}
+    by_slice_known: dict[int, set[int]] = {}
+    subnets: dict[int, tuple[int, int]] = {}
     known = cfg.known_ports
     prefix = cfg.subnet_prefix
-    for flow in outbound:
-        dst = flow.dst
-        by_subnet.setdefault(subnet_key(dst, prefix), set()).add(dst)
-        by_dst_ports.setdefault(dst, set()).add(flow.dst_port)
-        if flow.dst_port in known:
-            by_slice_known.setdefault(slice_of(flow, slices), set()).add(dst)
+    ips, dsts, ports, first_seen = batch.ips, batch.dst, batch.dst_port, batch.first_seen_us
+    for row in rows:
+        dst = dsts[row]
+        port = ports[row]
+        subnet = subnets.get(dst)
+        if subnet is None:
+            subnet = subnets[dst] = subnet_key(ips[dst], prefix)
+        by_subnet.setdefault(subnet, set()).add(dst)
+        by_dst_ports.setdefault(dst, set()).add(port)
+        if port in known:
+            by_slice_known.setdefault(slice_at(first_seen[row], slices), set()).add(dst)
 
     netscan_hosts = max((len(v) for v in by_subnet.values()), default=0)
     portscan_ports = max((len(v) for v in by_dst_ports.values()), default=0)
@@ -121,18 +128,21 @@ def classify_outbound(
 
 def classify_all(
     ips: Iterable[IpAddress],
-    flows: Iterable[FlowRecord],
+    flows: Iterable[FlowRecord] | FlowBatch,
     cfg: RuleConfig,
     slices: SliceConfig,
 ) -> dict[IpAddress, Classification]:
-    """Classify several IPs in one pass over the flows."""
-    wanted = set(ips)
-    outbound: dict[IpAddress, list[FlowRecord]] = {ip: [] for ip in wanted}
-    for flow in flows:
-        if flow.src in wanted:
-            outbound[flow.src].append(flow)
+    """Classify several IPs in one pass over the flows' source column."""
+    batch = flows if isinstance(flows, FlowBatch) else FlowBatch.from_records(flows)
+    ids = {ip: batch.id_of(ip) for ip in ips}
+    # source id -> the rows it generated; an IP no row holds has no id
+    outbound: dict[int, list[int]] = {i: [] for i in ids.values() if i is not None}
+    for row, src in enumerate(batch.src):
+        if src in outbound:
+            outbound[src].append(row)
     return {
-        ip: classify_outbound(ip, outbound[ip], cfg, slices) for ip in wanted
+        ip: _classify_rows(ip, batch, outbound.get(ip_id, ()), cfg, slices)
+        for ip, ip_id in ids.items()
     }
 
 

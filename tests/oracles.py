@@ -7,6 +7,9 @@ the domain types themselves.
 
 from __future__ import annotations
 
+import csv
+import ipaddress
+
 from flowscan.core import FlowRecord
 from flowscan.detector import RatioVerdict
 from flowscan.ingest import PacketSummary
@@ -144,3 +147,45 @@ def brute_force_labels(
         if len(dsts) >= combined_min:
             labels.add("netscan_and_portscan")
     return labels
+
+
+def reference_parse(path, error_limit: float = 0.1) -> tuple[list[FlowRecord], list[int]]:
+    """(rows, line numbers of malformed lines) of a flow file, read with
+    the csv module: a non-blank line is a row when its nine fields make a
+    valid FlowRecord and every timestamp and count fits a signed 64-bit
+    int. Raises ValueError for a bad header, or when more than
+    `error_limit` of the lines are malformed."""
+    header = "first_seen_us,last_seen_us,src_ip,dst_ip,src_port,dst_port,proto,packets,bytes"
+    rows = []
+    bad_lines = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader) != header.split(","):
+            raise ValueError("bad header")
+        for fields in reader:
+            if fields:
+                try:
+                    rows.append(_reference_row(fields))
+                except ValueError:
+                    bad_lines.append(reader.line_num)
+    if bad_lines and len(bad_lines) / (len(rows) + len(bad_lines)) > error_limit:
+        raise ValueError("too many malformed lines")
+    return rows, bad_lines
+
+
+def _reference_row(fields: list[str]) -> FlowRecord:
+    first, last, src, dst, sport, dport, proto, packets, size = fields
+    numbers = [int(first), int(last), int(packets), int(size)]
+    if any(not -(2**63) <= n < 2**63 for n in numbers):
+        raise ValueError("beyond int64")
+    return FlowRecord(
+        src=ipaddress.ip_address(src),
+        dst=ipaddress.ip_address(dst),
+        src_port=int(sport),
+        dst_port=int(dport),
+        protocol={"TCP": 6, "UDP": 17}.get(proto.upper()) or int(proto),
+        first_seen_us=numbers[0],
+        last_seen_us=numbers[1],
+        packet_count=numbers[2],
+        byte_count=numbers[3],
+    )

@@ -1,0 +1,236 @@
+"""FlowBatch and the columnar paths, checked against tests/oracles.py."""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowscan.core import FlowBatch, FlowRecord, SliceConfig
+from flowscan.detector import DetectorConfig, detect
+from flowscan.engine import EngineConfig, run_batch, run_streaming
+from flowscan.evaluation import trace_universe
+from flowscan.ingest import (
+    FLOW_HEADER,
+    SKIPPED_LINES_KEPT,
+    FlowFileError,
+    FlowFileReader,
+    write_flow_file,
+)
+from flowscan.rules import RuleConfig, classify_all
+
+from helpers import ip, mk_flow
+from oracles import brute_force_labels, naive_verdicts, reference_parse, verdict_as_row
+
+S = 1_000_000
+SLICE_US = 30 * S
+
+_ADDRESSES = [ip("10.0.0.1"), ip("10.0.0.2"), ip("2001:db8::1"), ip("2001:db8:0:0:1::a")]
+# A valid address that only ever appears in malformed rows.
+_NOVEL = "192.0.2.99"
+
+
+def _spellings(addr) -> st.SearchStrategy[str]:
+    """Compressed, exploded (zero-padded) and upper-case spellings."""
+    return st.sampled_from(
+        [str(addr), str(addr).upper(), addr.exploded, addr.exploded.upper()]
+    )
+
+
+_address_texts = st.sampled_from(_ADDRESSES).flatmap(_spellings)
+
+
+@st.composite
+def _good_fields(draw) -> list[str]:
+    first = draw(st.integers(0, 10**7))
+    return [
+        str(first),
+        str(first + draw(st.integers(0, 10**6))),
+        draw(_address_texts),
+        draw(_address_texts),
+        str(draw(st.integers(0, 65535))),
+        str(draw(st.integers(0, 65535))),
+        draw(st.sampled_from(["TCP", "udp", "6", "17", "1"])),
+        str(draw(st.integers(1, 5))),
+        str(draw(st.integers(0, 1500))),
+    ]
+
+
+# (field index, value): outside the signed 64-bit range, except the last
+# one, which is the largest value that fits.
+_WIDE_VALUES = [(1, 2**63), (0, -(2**63) - 1), (7, 2**63), (8, 2**64), (1, 2**63 - 1)]
+
+
+@st.composite
+def _line(draw) -> str:
+    fields = draw(_good_fields())
+    kind = draw(st.sampled_from(["good", "good", "bad_address", "fields", "wide", "blank"]))
+    if kind == "bad_address":
+        # a good (and otherwise unseen) address, then a bad one
+        fields[2] = _NOVEL
+        fields[3] = draw(st.sampled_from(["10.0.0.256", "2001:db8::g", "010.0.0.1", ""]))
+    elif kind == "fields":
+        fields = fields[:-1] if draw(st.booleans()) else fields + ["0"]
+    elif kind == "wide":
+        at, value = draw(st.sampled_from(_WIDE_VALUES))
+        fields[at] = str(value)
+        fields[2] = _NOVEL
+    elif kind == "blank":
+        return ""
+    return ",".join(fields)
+
+
+@st.composite
+def _flow_file_lines(draw) -> list[str]:
+    lines = draw(st.lists(_line(), max_size=30))
+    # Half the examples stay under the error-ratio limit.
+    if draw(st.booleans()):
+        lines += [",".join(draw(_good_fields()))] * (10 * len(lines))
+    return draw(st.permutations(lines))
+
+
+def _write_lines(directory: str, lines: list[str]) -> Path:
+    path = Path(directory) / "flows.csv"
+    path.write_text("\n".join([FLOW_HEADER, *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+@settings(max_examples=80)
+@given(_flow_file_lines())
+def test_reader_matches_reference_parse(lines: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_lines(tmp, lines)
+        reader = FlowFileReader(path)
+        try:
+            expected, bad_lines = reference_parse(path)
+        except ValueError:
+            with pytest.raises(FlowFileError, match="malformed"):
+                reader.read()
+            return
+        batch = reader.read()
+        strict = FlowFileReader(path, strict=True)
+        if bad_lines:
+            with pytest.raises(FlowFileError, match=f"^{path}:{bad_lines[0]}: "):
+                strict.read()
+        else:
+            assert list(strict) == expected
+    assert list(batch) == expected
+    assert reader.errors == len(bad_lines)
+    assert reader.rows == len(expected)
+    assert reader.skipped_lines == bad_lines[:SKIPPED_LINES_KEPT]
+    # one id per address value, and only addresses of accepted rows
+    assert len(set(batch.ips)) == len(batch.ips)
+    assert set(batch.ips) == {f.src for f in expected} | {f.dst for f in expected}
+
+
+def test_two_spellings_share_one_id(tmp_path: Path) -> None:
+    rows = [
+        "0,1,2001:db8::1,10.0.0.1,4000,80,TCP,1,60",
+        "0,1,2001:0DB8:0000:0000:0000:0000:0000:0001,10.0.0.1,4000,80,TCP,1,60",
+    ]
+    batch = FlowFileReader(_write_lines(str(tmp_path), rows)).read()
+    assert batch.ips == [ip("2001:db8::1"), ip("10.0.0.1")]
+    assert list(batch.src) == [0, 0]
+
+
+@pytest.mark.parametrize("at, value", _WIDE_VALUES[:4])
+def test_value_beyond_int64_is_a_malformed_row(tmp_path: Path, at: int, value: int) -> None:
+    good = "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
+    fields = good.split(",")
+    fields[at] = str(value)
+    path = _write_lines(str(tmp_path), [good] * 10 + [",".join(fields)])
+    reader = FlowFileReader(path)
+    assert len(reader.read()) == 10
+    assert (reader.errors, reader.skipped_lines) == (1, [12])
+    with pytest.raises(FlowFileError, match=f"^{path}:12: .*64-bit"):
+        FlowFileReader(path, strict=True).read()
+
+
+def test_largest_int64_values_are_kept(tmp_path: Path) -> None:
+    top = 2**63 - 1
+    row = f"{-(2**63)},{top},10.0.0.1,10.0.0.2,1,2,TCP,{top},{top}"
+    path = _write_lines(str(tmp_path), [row])
+    (flow,) = FlowFileReader(path).read()
+    assert (flow.first_seen_us, flow.last_seen_us) == (-(2**63), top)
+    assert (flow.packet_count, flow.byte_count) == (top, top)
+
+
+def test_flow_record_beyond_int64_rejected() -> None:
+    with pytest.raises(ValueError, match="64-bit"):
+        mk_flow(first=0, last=2**63)
+    with pytest.raises(ValueError, match="64-bit"):
+        mk_flow(size=2**63)
+
+
+def test_universe_skips_addresses_of_skipped_rows(tmp_path: Path) -> None:
+    good = "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
+    path = _write_lines(
+        str(tmp_path),
+        [good] * 20
+        + [
+            f"0,1,{_NOVEL},10.0.0.256,4000,80,TCP,1,60",
+            f"0,{2**63},{_NOVEL},10.0.0.1,4000,80,TCP,1,60",
+        ],
+    )
+    reader = FlowFileReader(path)
+    batch = reader.read()
+    assert reader.errors == 2
+    assert trace_universe(batch) == {ip("10.0.0.1"), ip("10.0.0.2")}
+    assert trace_universe(batch) == trace_universe(list(batch))
+
+
+_HOSTS = [
+    ip("10.0.0.1"),
+    ip("10.0.0.2"),
+    ip("10.0.0.3"),
+    ip("10.0.0.4"),
+    ip("10.0.1.1"),
+    ip("2001:db8::1"),
+    ip("2001:db8::2"),
+]
+_flows = st.lists(
+    st.builds(
+        lambda src, dst, dport, first: FlowRecord(src, dst, 40000, dport, 6, first, first),
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.sampled_from([22, 80, 443, 3000, 8080]),
+        st.integers(0, 3 * SLICE_US),
+    ),
+    max_size=60,
+)
+# The pool holds two IPv6 hosts, fewer than netscan_min_hosts, so the
+# oracle's netscan rule (IPv4 only) and the program's (both families) agree.
+_RULES = RuleConfig(netscan_min_hosts=3, portscan_min_ports=2, combined_min_hosts=3)
+
+
+@settings(max_examples=40)
+@given(_flows, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_batch_paths_match_oracles(flows: list[FlowRecord], threshold: float) -> None:
+    slices = SliceConfig(trace_start_us=0, slice_seconds=30.0)
+    cfg = DetectorConfig(slices=slices, threshold=threshold)
+    expected = naive_verdicts(flows, 0, SLICE_US, threshold)
+    ordered = sorted(flows, key=lambda f: f.first_seen_us)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        write_flow_file(path, ordered)
+        read = FlowFileReader(path).read()
+    for batch in (FlowBatch.from_records(flows), read):
+        assert [verdict_as_row(v) for v in detect(batch, cfg)] == expected
+        assert [verdict_as_row(v) for v in run_batch(batch, cfg)[0]] == expected
+    streamed: list = []
+    run_streaming(
+        read, cfg, EngineConfig(watermark_lag_seconds=0.0), lambda i, v: streamed.extend(v)
+    )
+    assert [verdict_as_row(v) for v in streamed] == expected
+
+    senders = {f.src for f in flows} | {ip("192.0.2.1")}  # one sends nothing
+    for batch in (FlowBatch.from_records(flows), read):
+        classified = classify_all(senders, batch, _RULES, slices)
+        assert classified.keys() == senders
+        for sender, result in classified.items():
+            assert {label.value for label in result.labels} == brute_force_labels(
+                sender, flows, 0, SLICE_US, netscan_min=3, portscan_min=2, combined_min=3
+            )

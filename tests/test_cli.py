@@ -191,6 +191,26 @@ def test_detect_strict_aborts_on_malformed_line(scan_trace, tmp_path, capsys) ->
     assert main(["detect", str(mangled), "-o", str(out)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+def test_detect_timestamp_beyond_int64(scan_trace, tmp_path, capsys, mode) -> None:
+    # A timestamp of 2**63 does not fit the int64 column: a malformed row,
+    # never an OverflowError.
+    lines = scan_trace.read_text(encoding="utf-8").splitlines()
+    lines.insert(5, f"0,{2**63},10.0.0.7,10.0.0.8,4000,80,TCP,1,60")
+    bad = tmp_path / "huge.flows.csv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "v.csv"
+    flags = ["--mode", mode]
+    assert main(["detect", str(bad), "-o", str(out), *flags, "--strict"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"kind=io exit=1 detail={bad}:6: " in err
+    assert "Traceback" not in err
+    assert main(["detect", str(bad), "-o", str(out), *flags]) == EXIT_OK
+    assert "122 flows, 1 malformed rows skipped ->" in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"][str(bad)]["first_skipped_lines"] == [6]
+
+
 def _eval_args(scan_trace, gt_path, out, *extra: str) -> list[str]:
     return [
         "evaluate",
@@ -371,7 +391,11 @@ def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
         assert line in capsys.readouterr().out
         manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
         assert manifest["ingest"] == {
-            str(planted): {"rows_read": 122, "rows_skipped": 3}
+            str(planted): {
+                "rows_read": 122,
+                "rows_skipped": 3,
+                "first_skipped_lines": [4, 51, 101],
+            }
         }
 
         clean = tmp_path / f"{command}.clean.csv"
@@ -379,7 +403,11 @@ def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
         assert "malformed" not in capsys.readouterr().out
         manifest = json.loads(manifest_path_for(clean).read_text(encoding="utf-8"))
         assert manifest["ingest"] == {
-            str(scan_trace): {"rows_read": 122, "rows_skipped": 0}
+            str(scan_trace): {
+                "rows_read": 122,
+                "rows_skipped": 0,
+                "first_skipped_lines": [],
+            }
         }
 
 
@@ -399,8 +427,12 @@ def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) ->
     assert "6 report rows, 3 malformed rows skipped ->" in capsys.readouterr().out
     manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
     assert manifest["ingest"] == {
-        str(planted): {"rows_read": 122, "rows_skipped": 3},
-        str(scan_trace): {"rows_read": 122, "rows_skipped": 0},
+        str(planted): {
+            "rows_read": 122,
+            "rows_skipped": 3,
+            "first_skipped_lines": [4, 51, 101],
+        },
+        str(scan_trace): {"rows_read": 122, "rows_skipped": 0, "first_skipped_lines": []},
     }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowscan.engine
-from flowscan.core import FlowRecord, SliceConfig, SliceKey
+from flowscan.core import FlowBatch, FlowRecord, SliceConfig, SliceKey
 from flowscan.detector import DetectorConfig, detect
 from flowscan.engine import (
     EngineConfig,
@@ -75,9 +75,17 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
         index = flow.first_seen_us // CFG.slices.duration_us
         generated[SliceKey(flow.src, index)] += 1
         received[SliceKey(flow.dst, index)] += 1
+    batch = FlowBatch.from_records(flows)
     for workers in (1, 2, 3):
         counts = count_slices(flows, CFG.slices, EngineConfig(workers=workers))
         assert counts == (generated, received)
+        # A batch's tables are keyed by dense ids into batch.ips.
+        by_id = count_slices(batch, CFG.slices, EngineConfig(workers=workers))
+        assert tuple(
+            Counter({(batch.ips[i], index): n for (i, index), n in table.items()})
+            for table in by_id
+        ) == (generated, received)
+        assert all(isinstance(i, int) for table in by_id for i, _ in table)
 
 
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
