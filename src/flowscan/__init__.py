@@ -25,7 +25,6 @@ from .evaluation import (
 from .ingest import (
     FlowFileReader,
     GroundTruthSet,
-    aggregate_packets,
     read_flow_file,
     read_ground_truth,
     write_flow_file,
@@ -55,7 +54,6 @@ __all__ = [
     "SliceConfig",
     "SliceKey",
     "aggregate",
-    "aggregate_packets",
     "anomalous_ips",
     "classify",
     "classify_all",

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import statistics
 import sys
 import time
 from datetime import datetime, timezone
@@ -52,7 +51,6 @@ from .ingest import (
     read_ground_truth,
 )
 from .rules import Classification, classify_all
-from .synth import load_spec, write_outputs
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -482,6 +480,8 @@ def _quartiles(values: list[float]) -> tuple[float, float, float, float, float]:
     if len(values) == 1:
         v = values[0]
         return v, v, v, v, v
+    import statistics  # here, so that detect does not pay for the import
+
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return min(values), q1, median, q3, max(values)
 
@@ -535,6 +535,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here: synth's imports are slow, and no other command needs it.
+    from .synth import load_spec, write_outputs
+
     started = time.time()
     spec_path = Path(args.spec)
     out_base = Path(args.out)

@@ -73,7 +73,7 @@ def count_columns(
     srcs: Sequence, dsts: Sequence, index: Sequence[int]
 ) -> tuple[CountTable, CountTable]:
     """Flows generated per (source IP, slice index) and received per
-    (destination IP, slice index): the one counting step of the detector."""
+    (destination IP, slice index): the counting step of batch mode."""
     return Counter(zip(srcs, index)), Counter(zip(dsts, index))
 
 
@@ -97,13 +97,15 @@ def detect(
     cfg: DetectorConfig,
     counts: Optional[tuple[CountTable, CountTable]] = None,
     ips: Optional[Sequence[IpAddress]] = None,
+    slice_index: Optional[int] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
     by (slice index, IP). A precomputed (generated, received) pair of
     count tables, as count_flows returns, may be passed in; a key absent
     from one table counts zero on that side. Tables keyed by dense ids,
     as counting a FlowBatch gives, need that batch's `ips` to name each
-    id's address."""
+    id's address. Tables of the one slice `slice_index` may be keyed by
+    id alone."""
     if counts is None:
         if isinstance(flows, FlowBatch):
             ips = flows.ips
@@ -112,7 +114,10 @@ def detect(
         counts = count_flows(flows, cfg.slices)
     generated, received = counts
     threshold = cfg.threshold
-    if ips is None:
+    if slice_index is not None:
+        def make(key: int) -> SliceKey:
+            return SliceKey(ips[key], slice_index)
+    elif ips is None:
         make = SliceKey._make
     else:
         def make(key: tuple[int, int]) -> SliceKey:

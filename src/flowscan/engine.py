@@ -13,15 +13,15 @@ Streaming mode processes an ordered flow stream with a watermark set to
 the newest timestamp seen minus a fixed lag. A slice closes, and its
 verdicts are emitted exactly once, when the watermark reaches the
 slice's end; flows for already-closed slices are dropped and counted.
-An open slice buffers the row indices of its flows in a FlowBatch and
-counts their id columns when it closes.
+An open slice buffers the source ids and the destination ids of its
+flows, and counts each list by id when it closes.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -86,6 +86,8 @@ def _parallel_counts(
     flows: Flows, slices: SliceConfig, workers: int
 ) -> tuple[CountTable, CountTable]:
     global _WORKER_COLUMNS
+    import multiprocessing
+
     # The columns are built before the fork, so workers touch no flow
     # object and copy-on-write has next to nothing to copy.
     _WORKER_COLUMNS = flow_columns(flows, slices)
@@ -131,12 +133,12 @@ def count_slices(
 
     Output is identical for every worker count.
     """
-    if (
-        engine.workers > 1
-        and len(flows) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    ):
-        return _parallel_counts(flows, slices, engine.workers)
+    if engine.workers > 1 and len(flows) > 1:
+        # Imported here: only the fork path needs it, and it is slow to import.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _parallel_counts(flows, slices, engine.workers)
     return count_flows(flows, slices)
 
 
@@ -198,16 +200,18 @@ def run_streaming(
     """
     if isinstance(flows, FlowBatch):
         batch = flows
-        arrivals: Iterable[int] = range(len(batch))
+        arrivals = zip(batch.first_seen_us, batch.src, batch.dst)
     else:
         batch = FlowBatch()
-        arrivals = map(batch.append, flows)
+        first_seen, srcs, dsts = batch.first_seen_us, batch.src, batch.dst
+        rows = map(batch.append, flows)
+        arrivals = ((first_seen[row], srcs[row], dsts[row]) for row in rows)
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
-    first_seen, srcs, dsts = batch.first_seen_us, batch.src, batch.dst
-    # slice index -> the rows buffered for it
-    open_slices: dict[int, list[int]] = {}
+    # slice index -> the source ids, and the destination ids, of its flows
+    open_srcs: defaultdict[int, list[int]] = defaultdict(list)
+    open_dsts: defaultdict[int, list[int]] = defaultdict(list)
     newest: Optional[int] = None
     closed_max = -1
     records = dropped = emitted = 0
@@ -215,17 +219,13 @@ def run_streaming(
     started = time.perf_counter()
 
     def close_slice(index: int) -> int:
-        rows = open_slices.pop(index)
-        counts = count_columns(
-            [srcs[row] for row in rows], [dsts[row] for row in rows], [index] * len(rows)
-        )
-        verdicts = detect((), cfg, counts=counts, ips=batch.ips)
+        counts = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
+        verdicts = detect((), cfg, counts=counts, ips=batch.ips, slice_index=index)
         emit(index, verdicts)
         return len(verdicts)
 
-    for row in arrivals:
+    for ts, src, dst in arrivals:
         records += 1
-        ts = first_seen[row]
         offset = ts - start
         if offset < 0:
             # Checked on arrival: past a closed slice it would count as late.
@@ -236,15 +236,16 @@ def run_streaming(
             watermark = newest - lag_us
             new_closed_max = (watermark - start) // duration - 1
             if new_closed_max > closed_max:
-                for ready in sorted(k for k in open_slices if k <= new_closed_max):
+                for ready in sorted(k for k in open_srcs if k <= new_closed_max):
                     emitted += close_slice(ready)
                 closed_max = new_closed_max
         if index <= closed_max:
             dropped += 1
             continue
-        open_slices.setdefault(index, []).append(row)
+        open_srcs[index].append(src)
+        open_dsts[index].append(dst)
 
-    for ready in sorted(open_slices):
+    for ready in sorted(open_srcs):
         emitted += close_slice(ready)
     wall = time.perf_counter() - started
     duration_s = _duration_s(batch)

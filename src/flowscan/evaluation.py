@@ -17,7 +17,6 @@ as a source, a receiver verdict only truth listing it as a destination.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, TextIO, TypeVar
@@ -219,6 +218,8 @@ def evaluate_case(
 
 
 def _aggregate_values(values: Sequence[Optional[float]]) -> AggregateScore:
+    import statistics  # here, so that detect does not pay for the import
+
     included = [v for v in values if v is not None]
     if not included:
         raise ValueError("no defined values to aggregate")

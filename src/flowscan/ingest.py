@@ -1,16 +1,18 @@
-"""Input handling: flow files, packet-to-flow aggregation, ground truth XML."""
+"""Input handling: flow files and ground truth XML."""
 
 from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
+from operator import gt
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    US_PER_SECOND,
     FlowBatch,
     FlowRecord,
     IpAddress,
@@ -31,7 +33,11 @@ MAX_ERROR_RATIO = 0.1
 # A lenient read keeps the line numbers of this many skipped lines.
 SKIPPED_LINES_KEPT = 5
 
-DEFAULT_IDLE_TIMEOUT_S = 60.0
+# The reader parses the file in chunks of about this many bytes of whole
+# lines, each as columns when all its lines are valid. A chunk with a bad
+# line is parsed again row by row, so larger chunks cost more per bad line
+# and hold more memory.
+CHUNK_BYTES = 8192
 
 
 class FlowFileError(ValueError):
@@ -73,59 +79,15 @@ class FlowFileReader:
         # text -> id for addresses of accepted rows; text -> code for protocols
         ids: dict[str, int] = {}
         protocols: dict[str, int] = {}
-        intern = batch.intern
-        src_ids, dst_ids = batch.src.append, batch.dst.append
-        src_ports, dst_ports = batch.src_port.append, batch.dst_port.append
-        protocol_codes = batch.protocol.append
-        firsts, lasts = batch.first_seen_us.append, batch.last_seen_us.append
-        packet_counts, byte_counts = batch.packet_count.append, batch.byte_count.append
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             header = fh.readline().rstrip("\r\n")
             if header != FLOW_HEADER:
                 raise FlowFileError(f"{self.path}: bad header {header!r}")
-            for lineno, line in enumerate(fh, 2):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                parts = line.split(",")
-                try:
-                    if len(parts) != 9:
-                        raise ValueError(f"expected 9 fields, got {len(parts)}")
-                    first, last, src_text, dst_text, sport, dport, proto, packets, size = parts
-                    src = ids.get(src_text)
-                    src_ip = parse_ip(src_text) if src is None else None
-                    dst = ids.get(dst_text)
-                    dst_ip = parse_ip(dst_text) if dst is None else None
-                    sport = int(sport)
-                    dport = int(dport)
-                    protocol = protocols.get(proto)
-                    if protocol is None:
-                        protocol = protocols[proto] = parse_protocol(proto)
-                    first = int(first)
-                    last = int(last)
-                    packets = int(packets)
-                    size = int(size)
-                    check_flow_fields(sport, dport, protocol, first, last, packets, size)
-                except ValueError as exc:
-                    if self.strict:
-                        raise FlowFileError(f"{self.path}:{lineno}: {exc}") from exc
-                    self.errors += 1
-                    if len(self.skipped_lines) < SKIPPED_LINES_KEPT:
-                        self.skipped_lines.append(lineno)
-                    continue
-                if src is None:
-                    src = ids[src_text] = intern(src_ip)
-                if dst is None:
-                    dst = ids[dst_text] = intern(dst_ip)
-                src_ids(src)
-                dst_ids(dst)
-                src_ports(sport)
-                dst_ports(dport)
-                protocol_codes(protocol)
-                firsts(first)
-                lasts(last)
-                packet_counts(packets)
-                byte_counts(size)
+            lineno = 2
+            while lines := fh.readlines(CHUNK_BYTES):
+                if not _append_columns(batch, lines, ids, protocols):
+                    self._append_rows(batch, lines, lineno, ids, protocols)
+                lineno += len(lines)
         self.rows = len(batch)
         seen = self.rows + self.errors
         if seen and self.errors / seen > MAX_ERROR_RATIO:
@@ -134,6 +96,111 @@ class FlowFileReader:
                 f"above the {MAX_ERROR_RATIO:.0%} limit"
             )
         return batch
+
+    def _append_rows(
+        self,
+        batch: FlowBatch,
+        lines: list[str],
+        first_lineno: int,
+        ids: dict[str, int],
+        protocols: dict[str, int],
+    ) -> None:
+        """Append the valid lines, numbered from `first_lineno`, one row at
+        a time. Malformed lines are skipped or abort, by mode."""
+        intern = batch.intern
+        src_ids, dst_ids = batch.src.append, batch.dst.append
+        src_ports, dst_ports = batch.src_port.append, batch.dst_port.append
+        protocol_codes = batch.protocol.append
+        firsts, lasts = batch.first_seen_us.append, batch.last_seen_us.append
+        packet_counts, byte_counts = batch.packet_count.append, batch.byte_count.append
+        for lineno, line in enumerate(lines, first_lineno):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            parts = line.split(",")
+            try:
+                if len(parts) != 9:
+                    raise ValueError(f"expected 9 fields, got {len(parts)}")
+                first, last, src_text, dst_text, sport, dport, proto, packets, size = parts
+                src = ids.get(src_text)
+                src_ip = parse_ip(src_text) if src is None else None
+                dst = ids.get(dst_text)
+                dst_ip = parse_ip(dst_text) if dst is None else None
+                sport = int(sport)
+                dport = int(dport)
+                protocol = protocols.get(proto)
+                if protocol is None:
+                    protocol = protocols[proto] = parse_protocol(proto)
+                first = int(first)
+                last = int(last)
+                packets = int(packets)
+                size = int(size)
+                check_flow_fields(sport, dport, protocol, first, last, packets, size)
+            except ValueError as exc:
+                if self.strict:
+                    raise FlowFileError(f"{self.path}:{lineno}: {exc}") from exc
+                self.errors += 1
+                if len(self.skipped_lines) < SKIPPED_LINES_KEPT:
+                    self.skipped_lines.append(lineno)
+                continue
+            if src is None:
+                src = ids[src_text] = intern(src_ip)
+            if dst is None:
+                dst = ids[dst_text] = intern(dst_ip)
+            src_ids(src)
+            dst_ids(dst)
+            src_ports(sport)
+            dst_ports(dport)
+            protocol_codes(protocol)
+            firsts(first)
+            lasts(last)
+            packet_counts(packets)
+            byte_counts(size)
+
+
+def _append_columns(
+    batch: FlowBatch, lines: list[str], ids: dict[str, int], protocols: dict[str, int]
+) -> bool:
+    """Append the lines to the batch a column at a time if every one of
+    them is a valid row, with the checks of FlowFileReader._append_rows;
+    otherwise change nothing and return False."""
+    if {*map(str.count, lines, repeat(","))} != {8}:
+        return False
+    # The lines end in their newline, which int() ignores in the last field.
+    fields = ",".join(lines).split(",")
+    srcs, dsts, protocol_texts = fields[2::9], fields[3::9], fields[6::9]
+    try:
+        # An array built from a list is sized once; from an iterator it grows.
+        first = array("q", list(map(int, fields[0::9])))
+        last = array("q", list(map(int, fields[1::9])))
+        src_port = array("H", list(map(int, fields[4::9])))
+        dst_port = array("H", list(map(int, fields[5::9])))
+        packets = array("q", list(map(int, fields[7::9])))
+        sizes = array("q", list(map(int, fields[8::9])))
+        for text in {*protocol_texts}.difference(protocols):
+            protocols[text] = parse_protocol(text)
+        parsed = {text: parse_ip(text) for text in {*srcs, *dsts}.difference(ids)}
+    except (ValueError, OverflowError):
+        # OverflowError: a port or a 64-bit value out of its column's range
+        return False
+    if min(packets) < 1 or min(sizes) < 0 or any(map(gt, first, last)):
+        return False
+    if parsed:
+        # Intern in first-appearance order, a row's source before its
+        # destination, as the row loop does.
+        for text in dict.fromkeys(chain.from_iterable(zip(srcs, dsts))):
+            if text in parsed:
+                ids[text] = batch.intern(parsed[text])
+    batch.src.extend(map(ids.__getitem__, srcs))
+    batch.dst.extend(map(ids.__getitem__, dsts))
+    batch.src_port += src_port
+    batch.dst_port += dst_port
+    batch.protocol.extend(map(protocols.__getitem__, protocol_texts))
+    batch.first_seen_us += first
+    batch.last_seen_us += last
+    batch.packet_count += packets
+    batch.byte_count += sizes
+    return True
 
 
 def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:
@@ -166,84 +233,6 @@ def write_flow_file(path: str | Path, flows: Iterable[FlowRecord]) -> int:
             fh.write(format_flow(flow) + "\n")
             count += 1
     return count
-
-
-@dataclass(frozen=True, slots=True)
-class PacketSummary:
-    """The per-packet fields needed for flow aggregation.
-
-    Ports are 0 for protocols that have none.
-    """
-
-    timestamp_us: int
-    src: IpAddress
-    dst: IpAddress
-    src_port: int
-    dst_port: int
-    protocol: int
-    length: int
-
-
-def aggregate_packets(
-    packets: Iterable[PacketSummary],
-    idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
-    reorder_tolerance_s: float = 0.0,
-    strict: bool = False,
-) -> Iterator[FlowRecord]:
-    """Group packets into unidirectional flows split on idle gaps.
-
-    A gap of `idle_timeout_s` or more between consecutive packets of the
-    same 5-tuple starts a new flow. Packets arriving more than
-    `reorder_tolerance_s` behind the newest timestamp raise in strict
-    mode and are aggregated anyway otherwise. Flows are yielded when
-    their successor opens, then any still-active flows in the order the
-    5-tuples first appeared.
-    """
-    timeout_us = round(idle_timeout_s * US_PER_SECOND)
-    tolerance_us = round(reorder_tolerance_s * US_PER_SECOND)
-    # key -> [first_us, last_us, packets, bytes]
-    active: dict[tuple, list[int]] = {}
-    newest = None
-    for pkt in packets:
-        if newest is not None and pkt.timestamp_us < newest - tolerance_us:
-            if strict:
-                raise ValueError(
-                    f"packet at {pkt.timestamp_us} is {newest - pkt.timestamp_us}us "
-                    "behind the newest timestamp"
-                )
-        if newest is None or pkt.timestamp_us > newest:
-            newest = pkt.timestamp_us
-        key = (pkt.src, pkt.dst, pkt.src_port, pkt.dst_port, pkt.protocol)
-        state = active.get(key)
-        if state is not None and pkt.timestamp_us - state[1] >= timeout_us:
-            yield _close(key, state)
-            state = None
-        if state is None:
-            active[key] = [pkt.timestamp_us, pkt.timestamp_us, 1, pkt.length]
-        else:
-            if pkt.timestamp_us < state[0]:
-                state[0] = pkt.timestamp_us
-            if pkt.timestamp_us > state[1]:
-                state[1] = pkt.timestamp_us
-            state[2] += 1
-            state[3] += pkt.length
-    for key, state in active.items():
-        yield _close(key, state)
-
-
-def _close(key: tuple, state: list[int]) -> FlowRecord:
-    src, dst, src_port, dst_port, protocol = key
-    return FlowRecord(
-        src=src,
-        dst=dst,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        first_seen_us=state[0],
-        last_seen_us=state[1],
-        packet_count=state[2],
-        byte_count=state[3],
-    )
 
 
 class Category(Enum):

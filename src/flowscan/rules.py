@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, slice_at
@@ -137,9 +138,9 @@ def classify_all(
     ids = {ip: batch.id_of(ip) for ip in ips}
     # source id -> the rows it generated; an IP no row holds has no id
     outbound: dict[int, list[int]] = {i: [] for i in ids.values() if i is not None}
-    for row, src in enumerate(batch.src):
-        if src in outbound:
-            outbound[src].append(row)
+    srcs = batch.src
+    for row in compress(count(), map(outbound.__contains__, srcs)):
+        outbound[srcs[row]].append(row)
     return {
         ip: _classify_rows(ip, batch, outbound.get(ip_id, ()), cfg, slices)
         for ip, ip_id in ids.items()

@@ -12,7 +12,6 @@ import ipaddress
 
 from flowscan.core import FlowRecord
 from flowscan.detector import RatioVerdict
-from flowscan.ingest import PacketSummary
 
 VerdictRow = tuple  # (slice_index, ip, direction_str, generated, received, ratio)
 
@@ -47,6 +46,35 @@ def naive_verdicts(
     return rows
 
 
+def naive_stream(
+    flows: list[FlowRecord],
+    trace_start_us: int,
+    slice_us: int,
+    lag_us: int,
+    threshold: float,
+) -> tuple[list[tuple[int, list[VerdictRow]]], int]:
+    """(slice index, verdict rows) per slice that kept a flow, ascending,
+    and the number of late flows, for flows arriving in list order. A
+    flow is late when its slice ends at or before the watermark: the
+    newest first_seen_us so far, this flow's included, minus the lag."""
+    kept: dict[int, list[FlowRecord]] = {}
+    late = 0
+    newest = None
+    for flow in flows:
+        if newest is None or flow.first_seen_us > newest:
+            newest = flow.first_seen_us
+        index = (flow.first_seen_us - trace_start_us) // slice_us
+        if trace_start_us + (index + 1) * slice_us <= newest - lag_us:
+            late += 1
+        else:
+            kept.setdefault(index, []).append(flow)
+    emissions = [
+        (index, naive_verdicts(kept[index], trace_start_us, slice_us, threshold))
+        for index in sorted(kept)
+    ]
+    return emissions, late
+
+
 def verdict_as_row(verdict: RatioVerdict) -> VerdictRow:
     return (
         verdict.key.slice_index,
@@ -65,44 +93,6 @@ def render_rows(rows: list[VerdictRow]) -> bytes:
         for index, ip_addr, direction, gen, recv, ratio in rows
     ]
     return ("\n".join(lines) + "\n").encode()
-
-
-def naive_aggregate(packets: list[PacketSummary], timeout_us: int) -> list[tuple]:
-    """O(n^2)-ish per-key grouping: collect each 5-tuple's packets in
-    arrival order, split on idle gaps. Returns (key, first, last,
-    packets, bytes) tuples as a set-comparable list."""
-    order: list[tuple] = []
-    per_key: dict[tuple, list[PacketSummary]] = {}
-    for pkt in packets:
-        key = (pkt.src, pkt.dst, pkt.src_port, pkt.dst_port, pkt.protocol)
-        if key not in per_key:
-            per_key[key] = []
-            order.append(key)
-        per_key[key].append(pkt)
-    flows = []
-    for key in order:
-        group: list[PacketSummary] = []
-        last_ts = None
-        for pkt in per_key[key]:
-            if last_ts is not None and pkt.timestamp_us - last_ts >= timeout_us:
-                flows.append(_summarize(key, group))
-                group = []
-            group.append(pkt)
-            last_ts = pkt.timestamp_us
-        if group:
-            flows.append(_summarize(key, group))
-    return flows
-
-
-def _summarize(key: tuple, group: list[PacketSummary]) -> tuple:
-    stamps = [p.timestamp_us for p in group]
-    return (
-        key,
-        min(stamps),
-        max(stamps),
-        len(group),
-        sum(p.length for p in group),
-    )
 
 
 def brute_force_labels(

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowscan import ingest
 from flowscan.core import FlowBatch, FlowRecord, SliceConfig
 from flowscan.detector import DetectorConfig, detect
 from flowscan.engine import EngineConfig, run_batch, run_streaming
@@ -23,7 +25,13 @@ from flowscan.ingest import (
 from flowscan.rules import RuleConfig, classify_all
 
 from helpers import ip, mk_flow
-from oracles import brute_force_labels, naive_verdicts, reference_parse, verdict_as_row
+from oracles import (
+    brute_force_labels,
+    naive_stream,
+    naive_verdicts,
+    reference_parse,
+    verdict_as_row,
+)
 
 S = 1_000_000
 SLICE_US = 30 * S
@@ -67,7 +75,9 @@ _WIDE_VALUES = [(1, 2**63), (0, -(2**63) - 1), (7, 2**63), (8, 2**64), (1, 2**63
 @st.composite
 def _line(draw) -> str:
     fields = draw(_good_fields())
-    kind = draw(st.sampled_from(["good", "good", "bad_address", "fields", "wide", "blank"]))
+    kind = draw(
+        st.sampled_from(["good", "good", "bad_address", "fields", "wide", "range", "blank"])
+    )
     if kind == "bad_address":
         # a good (and otherwise unseen) address, then a bad one
         fields[2] = _NOVEL
@@ -77,6 +87,11 @@ def _line(draw) -> str:
     elif kind == "wide":
         at, value = draw(st.sampled_from(_WIDE_VALUES))
         fields[at] = str(value)
+        fields[2] = _NOVEL
+    elif kind == "range":
+        # parses, but no packets, negative bytes, or last before first
+        at, value = draw(st.sampled_from([(7, "0"), (8, "-1"), (1, "-1")]))
+        fields[at] = value
         fields[2] = _NOVEL
     elif kind == "blank":
         return ""
@@ -92,38 +107,81 @@ def _flow_file_lines(draw) -> list[str]:
     return draw(st.permutations(lines))
 
 
-def _write_lines(directory: str, lines: list[str]) -> Path:
+def _write_lines(
+    directory: str, lines: list[str], newline: str = "\n", final_newline: bool = True
+) -> Path:
     path = Path(directory) / "flows.csv"
-    path.write_text("\n".join([FLOW_HEADER, *lines]) + "\n", encoding="utf-8")
+    text = newline.join([FLOW_HEADER, *lines]) + (newline if final_newline else "")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
     return path
+
+
+def _check_read(path: Path) -> None:
+    """The file's lenient and strict reads agree with reference_parse."""
+    reader = FlowFileReader(path)
+    try:
+        expected, bad_lines = reference_parse(path)
+    except ValueError:
+        with pytest.raises(FlowFileError, match="malformed"):
+            reader.read()
+        return
+    batch = reader.read()
+    strict = FlowFileReader(path, strict=True)
+    if bad_lines:
+        with pytest.raises(FlowFileError, match=f"^{path}:{bad_lines[0]}: "):
+            strict.read()
+    else:
+        assert list(strict) == expected
+    assert list(batch) == expected
+    assert reader.errors == len(bad_lines)
+    assert reader.rows == len(expected)
+    assert reader.skipped_lines == bad_lines[:SKIPPED_LINES_KEPT]
+    # one id per address value of the accepted rows, in first-appearance
+    # order, a row's source before its destination
+    assert batch.ips == list(dict.fromkeys(a for f in expected for a in (f.src, f.dst)))
 
 
 @settings(max_examples=80)
 @given(_flow_file_lines())
 def test_reader_matches_reference_parse(lines: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_lines(tmp, lines)
-        reader = FlowFileReader(path)
-        try:
-            expected, bad_lines = reference_parse(path)
-        except ValueError:
-            with pytest.raises(FlowFileError, match="malformed"):
-                reader.read()
-            return
-        batch = reader.read()
-        strict = FlowFileReader(path, strict=True)
-        if bad_lines:
-            with pytest.raises(FlowFileError, match=f"^{path}:{bad_lines[0]}: "):
-                strict.read()
-        else:
-            assert list(strict) == expected
-    assert list(batch) == expected
-    assert reader.errors == len(bad_lines)
-    assert reader.rows == len(expected)
-    assert reader.skipped_lines == bad_lines[:SKIPPED_LINES_KEPT]
-    # one id per address value, and only addresses of accepted rows
-    assert len(set(batch.ips)) == len(batch.ips)
-    assert set(batch.ips) == {f.src for f in expected} | {f.dst for f in expected}
+        _check_read(_write_lines(tmp, lines))
+
+
+_GOOD = "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
+
+
+@settings(max_examples=80)
+@given(
+    _flow_file_lines(),
+    st.integers(1, 160),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+# Two spellings of one address, first seen in different chunks.
+@example(
+    lines=[_GOOD, "0,1,2001:db8::1,10.0.0.2,4000,80,TCP,1,60", _GOOD]
+    + ["0,1,2001:DB8:0:0:0:0:0:1,10.0.0.2,4000,80,TCP,1,60"] * 3,
+    chunk_bytes=100,
+    newline="\r\n",
+    final_newline=False,
+)
+# A blank line, then a valid, unseen address only in a chunk's bad row.
+@example(
+    lines=["", *[_GOOD] * 9, f"0,1,{_NOVEL},10.0.0.2,4000,80,TCP,0,60", _GOOD, _GOOD],
+    chunk_bytes=100,
+    newline="\n",
+    final_newline=True,
+)
+def test_chunked_read_matches_reference_parse(
+    lines: list[str], chunk_bytes: int, newline: str, final_newline: bool
+) -> None:
+    # Chunks of a few lines each, so that every file spans many of them.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        ingest, "CHUNK_BYTES", chunk_bytes
+    ):
+        _check_read(_write_lines(tmp, lines, newline, final_newline))
 
 
 def test_two_spellings_share_one_id(tmp_path: Path) -> None:
@@ -234,3 +292,40 @@ def test_batch_paths_match_oracles(flows: list[FlowRecord], threshold: float) ->
             assert {label.value for label in result.labels} == brute_force_labels(
                 sender, flows, 0, SLICE_US, netscan_min=3, portscan_min=2, combined_min=3
             )
+
+
+# (source, destination, first_seen_us, arrival delay) over ten 2 s slices
+_delayed_flows = st.lists(
+    st.tuples(
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.integers(0, 20 * S),
+        st.integers(0, 20 * S),
+    ),
+    min_size=5,
+    max_size=60,
+)
+
+
+@settings(max_examples=60)
+@given(_delayed_flows, st.sampled_from([0.0, 2.5, 5.0]), st.sampled_from([0.5, 1.0, 2.0]))
+def test_stream_matches_watermark_oracle(raw: list, lag_s: float, threshold: float) -> None:
+    # A flow arrives up to 20 s after it starts, so flows are out of
+    # order by more than the lag, and some are late, at every lag.
+    arrival = [
+        FlowRecord(src, dst, 40000, 80, 6, first, first)
+        for src, dst, first, _ in sorted(raw, key=lambda r: r[2] + r[3])
+    ]
+    slices = SliceConfig(trace_start_us=0, slice_seconds=2.0)
+    cfg = DetectorConfig(slices=slices, threshold=threshold)
+    expected, late = naive_stream(arrival, 0, 2 * S, round(lag_s * S), threshold)
+    for flows in (FlowBatch.from_records(arrival), iter(arrival)):
+        emissions: list = []
+        stats = run_streaming(
+            flows,
+            cfg,
+            EngineConfig(watermark_lag_seconds=lag_s),
+            lambda index, verdicts: emissions.append((index, list(map(verdict_as_row, verdicts)))),
+        )
+        assert emissions == expected
+        assert (stats.late_dropped, stats.records_in) == (late, len(arrival))

@@ -138,9 +138,7 @@ def test_pre_start_flow_rejected_before_fork() -> None:
 def test_fallback_without_fork_matches(rng, monkeypatch) -> None:
     flows = random_flows(rng, 400, scanners=1)
     baseline, _ = run_batch(flows, CFG, EngineConfig(workers=4))
-    monkeypatch.setattr(
-        "flowscan.engine.multiprocessing.get_all_start_methods", lambda: ["spawn"]
-    )
+    monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
     fallback, _ = run_batch(flows, CFG, EngineConfig(workers=4))
     assert fallback == baseline
 

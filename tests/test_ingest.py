@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 import tempfile
 from pathlib import Path
 
@@ -14,9 +13,7 @@ from flowscan.ingest import (
     Category,
     FlowFileError,
     GroundTruthError,
-    PacketSummary,
     SourceFile,
-    aggregate_packets,
     parse_ground_truth,
     read_flow_file,
     read_ground_truth,
@@ -24,7 +21,6 @@ from flowscan.ingest import (
 )
 
 from helpers import ip
-from oracles import naive_aggregate
 
 FIXTURE = """\
 first_seen_us,last_seen_us,src_ip,dst_ip,src_port,dst_port,proto,packets,bytes
@@ -139,116 +135,6 @@ def test_write_read_round_trip_property(flows: list[FlowRecord]) -> None:
         write_flow_file(path, back)
         assert back == flows
         assert path.read_bytes() == first_pass
-
-
-def _pkt(
-    ts: int,
-    src: str = "10.0.0.1",
-    dst: str = "10.0.0.2",
-    sport: int = 4000,
-    dport: int = 80,
-    proto: int = 6,
-    length: int = 60,
-) -> PacketSummary:
-    return PacketSummary(
-        timestamp_us=ts,
-        src=ip(src),
-        dst=ip(dst),
-        src_port=sport,
-        dst_port=dport,
-        protocol=proto,
-        length=length,
-    )
-
-
-def test_single_packet_single_flow() -> None:
-    flows = list(aggregate_packets([_pkt(5_000_000)]))
-    assert len(flows) == 1
-    flow = flows[0]
-    assert flow.packet_count == 1
-    assert flow.first_seen_us == flow.last_seen_us == 5_000_000
-    assert flow.byte_count == 60
-
-
-def test_two_packets_within_timeout_merge() -> None:
-    flows = list(aggregate_packets([_pkt(0), _pkt(10_000_000)], idle_timeout_s=60))
-    assert len(flows) == 1
-    assert flows[0].packet_count == 2
-    assert flows[0].byte_count == 120
-    assert flows[0].last_seen_us == 10_000_000
-
-
-def test_idle_gap_splits_flow() -> None:
-    flows = list(aggregate_packets([_pkt(0), _pkt(120_000_000)], idle_timeout_s=60))
-    assert len(flows) == 2
-    assert all(f.packet_count == 1 for f in flows)
-
-
-def test_directions_stay_distinct() -> None:
-    packets = [_pkt(0), _pkt(1, src="10.0.0.2", dst="10.0.0.1", sport=80, dport=4000)]
-    flows = list(aggregate_packets(packets))
-    assert len(flows) == 2
-
-
-def test_out_of_order_strict_raises() -> None:
-    packets = [_pkt(10_000_000), _pkt(1_000_000)]
-    with pytest.raises(ValueError, match="behind"):
-        list(aggregate_packets(packets, strict=True))
-    # lenient mode still aggregates
-    assert len(list(aggregate_packets(packets))) == 1
-
-
-def test_reorder_tolerance_allows_small_skew() -> None:
-    packets = [_pkt(10_000_000), _pkt(9_500_000)]
-    flows = list(aggregate_packets(packets, reorder_tolerance_s=1.0, strict=True))
-    assert len(flows) == 1
-    assert flows[0].first_seen_us == 9_500_000
-
-
-def test_aggregation_matches_brute_force_on_random_input(rng: random.Random) -> None:
-    hosts = [f"10.0.0.{i}" for i in range(1, 6)]
-    timeout_us = 60_000_000
-    for _ in range(20):
-        ts = 0
-        packets = []
-        for _ in range(rng.randrange(0, 400)):
-            ts += rng.randrange(0, 90_000_000)
-            packets.append(
-                _pkt(
-                    ts,
-                    src=rng.choice(hosts),
-                    dst=rng.choice(hosts),
-                    sport=rng.choice((4000, 4001)),
-                    dport=rng.choice((80, 443)),
-                    length=rng.randrange(40, 1500),
-                )
-            )
-        got = [
-            (f.five_tuple, f.first_seen_us, f.last_seen_us, f.packet_count, f.byte_count)
-            for f in aggregate_packets(packets, idle_timeout_s=60)
-        ]
-        assert sorted(got) == sorted(naive_aggregate(packets, timeout_us))
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 5),  # host pair selector
-            st.integers(0, 200_000_000),  # timestamp
-            st.integers(40, 1500),
-        ),
-        max_size=200,
-    )
-)
-def test_aggregation_conserves_packets_and_bytes(raw) -> None:
-    pairs = [("10.0.0.1", "10.0.0.2"), ("10.0.0.2", "10.0.0.1"), ("10.0.0.3", "10.0.0.4")]
-    packets = [
-        _pkt(ts, src=pairs[sel % 3][0], dst=pairs[sel % 3][1], length=length)
-        for sel, ts, length in sorted(raw, key=lambda t: t[1])
-    ]
-    flows = list(aggregate_packets(packets))
-    assert sum(f.packet_count for f in flows) == len(packets)
-    assert sum(f.byte_count for f in flows) == sum(p.length for p in packets)
 
 
 ANOMALOUS_XML = """\
