@@ -1,6 +1,6 @@
 """Flow-level scan detection via per-slice generated/received ratios."""
 
-from .core import FlowBatch, FlowRecord, SliceConfig, SliceKey, slice_of
+from .core import FlowBatch, FlowRecord, SliceConfig, SliceKey, as_batch, slice_at
 from .detector import (
     DetectorConfig,
     Direction,
@@ -55,6 +55,7 @@ __all__ = [
     "SliceKey",
     "aggregate",
     "anomalous_ips",
+    "as_batch",
     "classify",
     "classify_all",
     "confusion",
@@ -68,7 +69,7 @@ __all__ = [
     "reintegrate",
     "run_batch",
     "run_streaming",
-    "slice_of",
+    "slice_at",
     "write_flow_file",
     "write_report",
 ]

@@ -31,7 +31,7 @@ from .config import (
     load_config,
     parse_thresholds,
 )
-from .core import ConfigError, FlowBatch, SliceConfig, format_ip
+from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
 from .engine import EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
 from .evaluation import (
@@ -179,13 +179,9 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
             changes["thresholds"] = parse_thresholds(thresholds)
         except ValueError as exc:
             raise ConfigError(f"evaluation.thresholds: {exc}") from exc
-    cfg = cfg.replace(**changes)
+    cfg = dataclasses.replace(cfg, **changes)
     cfg.validate()
     return cfg
-
-
-def _config_snapshot(cfg: AppConfig) -> dict:
-    return _snapshot("config", cfg)
 
 
 def _snapshot(name: str, value):
@@ -249,11 +245,8 @@ def _write_manifest(
 def _read_flows(path: Path, strict: bool) -> tuple[FlowBatch, dict]:
     """All flows of one file, and its row counts for the manifest."""
     reader = read_flow_file(path, strict=strict)
-    if isinstance(reader, FlowFileReader):
-        flows = reader.read()
-    else:
-        # read_flow_file may be wrapped to hand back the rows alone.
-        flows = FlowBatch.from_records(reader)
+    # read_flow_file may be wrapped to hand back the rows alone.
+    flows = reader.read() if isinstance(reader, FlowFileReader) else as_batch(reader)
     return flows, {
         "rows_read": len(flows),
         "rows_skipped": getattr(reader, "errors", 0),
@@ -344,7 +337,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     _write_manifest(
         out_path,
         "detect",
-        _config_snapshot(cfg),
+        _snapshot("config", cfg),
         [flow_path],
         [out_path],
         started,
@@ -401,6 +394,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if notice_path is not None:
             inputs.append(notice_path)
         flows, ingest[str(flow_path)] = _read_flows(flow_path, cfg.strict)
+        if not len(flows):
+            raise FlowFileError(f"{flow_path}: no accepted flow rows to evaluate")
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
         slices = _slice_config(cfg, flows)
@@ -456,7 +451,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(
         out_path,
         "evaluate",
-        _config_snapshot(cfg),
+        _snapshot("config", cfg),
         inputs,
         [out_path],
         started,
@@ -521,7 +516,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _write_manifest(
         out_path,
         "bench",
-        _config_snapshot(cfg),
+        _snapshot("config", cfg),
         [flow_path],
         [out_path],
         started,

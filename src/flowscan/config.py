@@ -9,7 +9,6 @@ out of range. Both report the offending field by name.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -67,9 +66,6 @@ class AppConfig:
                 "engine.watermark_lag_seconds must be >= 0, "
                 f"got {self.watermark_lag_seconds}"
             )
-
-    def replace(self, **changes) -> "AppConfig":
-        return dataclasses.replace(self, **changes)
 
 
 def _valid_threshold(value: float) -> bool:

@@ -119,10 +119,6 @@ class FlowRecord:
             self.byte_count,
         )
 
-    @property
-    def five_tuple(self) -> tuple[IpAddress, IpAddress, int, int, int]:
-        return (self.src, self.dst, self.src_port, self.dst_port, self.protocol)
-
 
 class SliceKey(NamedTuple):
     """An (IP address, slice index) pair, the grain of all counting."""
@@ -149,23 +145,10 @@ class SliceConfig:
     def duration_us(self) -> int:
         return round(self.slice_seconds * US_PER_SECOND)
 
-    def slice_start_us(self, slice_index: int) -> int:
-        return self.trace_start_us + slice_index * self.duration_us
-
-    def slice_end_us(self, slice_index: int) -> int:
-        return self.trace_start_us + (slice_index + 1) * self.duration_us
-
-
-def slice_of(flow: FlowRecord, cfg: SliceConfig) -> int:
-    """Index of the slice holding the flow's first packet.
-
-    Raises ValueError for flows starting before the trace start.
-    """
-    return slice_at(flow.first_seen_us, cfg)
-
 
 def slice_at(first_seen_us: int, cfg: SliceConfig) -> int:
-    """Index of the slice holding the timestamp; see slice_of."""
+    """Index of the slice holding a flow's first packet, given its
+    timestamp. Raises ValueError for one before the trace start."""
     offset = first_seen_us - cfg.trace_start_us
     if offset < 0:
         raise ValueError(
@@ -197,13 +180,6 @@ class FlowBatch:
         self.last_seen_us = array("q")
         self.packet_count = array("q")
         self.byte_count = array("q")
-
-    @classmethod
-    def from_records(cls, flows: Iterable[FlowRecord]) -> FlowBatch:
-        batch = cls()
-        for flow in flows:
-            batch.append(flow)
-        return batch
 
     def intern(self, ip: IpAddress) -> int:
         """The id of an address, assigning the next one if it is new."""
@@ -251,5 +227,16 @@ class FlowBatch:
         return map(self.__getitem__, range(len(self)))
 
 
-# A complete trace: a batch, or a sequence of FlowRecords.
+def as_batch(flows: Iterable[FlowRecord] | FlowBatch) -> FlowBatch:
+    """The flows as a FlowBatch: a batch itself, else a new batch holding
+    the records in order."""
+    if isinstance(flows, FlowBatch):
+        return flows
+    batch = FlowBatch()
+    for flow in flows:
+        batch.append(flow)
+    return batch
+
+
+# The counting path's trace; C6 times it on a FlowRecord list (address keys).
 Flows = Union[FlowBatch, Sequence[FlowRecord]]

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig, SliceKey, slice_at
+from .core import (
+    FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig, SliceKey, as_batch, slice_at
+)
 
 DEFAULT_THRESHOLD = 100.0
 
@@ -107,11 +109,8 @@ def detect(
     id's address. Tables of the one slice `slice_index` may be keyed by
     id alone."""
     if counts is None:
-        if isinstance(flows, FlowBatch):
-            ips = flows.ips
-        elif not isinstance(flows, list):
-            flows = list(flows)
-        counts = count_flows(flows, cfg.slices)
+        batch = as_batch(flows)
+        counts, ips = count_flows(batch, cfg.slices), batch.ips
     generated, received = counts
     threshold = cfg.threshold
     if slice_index is not None:

@@ -9,12 +9,13 @@ per-range count tables are pickled. Counting is a per-key sum, which is
 associative and commutative, so the ranges merge to the same tables and
 the final output is byte-identical for every worker count.
 
-Streaming mode processes an ordered flow stream with a watermark set to
-the newest timestamp seen minus a fixed lag. A slice closes, and its
-verdicts are emitted exactly once, when the watermark reaches the
-slice's end; flows for already-closed slices are dropped and counted.
-An open slice buffers the source ids and the destination ids of its
-flows, and counts each list by id when it closes.
+Streaming mode walks a FlowBatch in row order with a watermark set to
+the newest timestamp seen minus a fixed lag; FlowRecords are read whole
+into a batch first. A slice closes, and its verdicts are emitted exactly
+once, when the watermark reaches the slice's end; flows for
+already-closed slices are dropped and counted. An open slice buffers the
+source ids and the destination ids of its flows, and counts each list by
+id when it closes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import US_PER_SECOND, FlowBatch, FlowRecord, Flows, SliceConfig, slice_at
+from .core import (
+    US_PER_SECOND, FlowBatch, FlowRecord, Flows, SliceConfig, as_batch, slice_at
+)
 from .detector import (
     CountTable,
     DetectorConfig,
@@ -189,8 +192,8 @@ def run_streaming(
     """Consume a flow stream, emitting each slice's verdicts as the
     watermark passes its end.
 
-    The stream is a FlowBatch read in row order, or any iterable of
-    FlowRecords, whose rows are appended to a batch as they arrive.
+    The stream is a FlowBatch read in row order. An iterable of
+    FlowRecords is read whole into a batch before the first emission.
     `emit(slice_index, verdicts)` fires once per slice that saw any
     flows, in ascending slice order for everything still open at end of
     stream; its exceptions propagate. Flows whose slice already closed
@@ -198,14 +201,7 @@ def run_streaming(
     (or disorder within the watermark lag) the union of emissions equals
     the batch result.
     """
-    if isinstance(flows, FlowBatch):
-        batch = flows
-        arrivals = zip(batch.first_seen_us, batch.src, batch.dst)
-    else:
-        batch = FlowBatch()
-        first_seen, srcs, dsts = batch.first_seen_us, batch.src, batch.dst
-        rows = map(batch.append, flows)
-        arrivals = ((first_seen[row], srcs[row], dsts[row]) for row in rows)
+    batch = as_batch(flows)
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
@@ -214,7 +210,7 @@ def run_streaming(
     open_dsts: defaultdict[int, list[int]] = defaultdict(list)
     newest: Optional[int] = None
     closed_max = -1
-    records = dropped = emitted = 0
+    dropped = emitted = 0
 
     started = time.perf_counter()
 
@@ -224,8 +220,7 @@ def run_streaming(
         emit(index, verdicts)
         return len(verdicts)
 
-    for ts, src, dst in arrivals:
-        records += 1
+    for ts, src, dst in zip(batch.first_seen_us, batch.src, batch.dst):
         offset = ts - start
         if offset < 0:
             # Checked on arrival: past a closed slice it would count as late.
@@ -253,7 +248,7 @@ def run_streaming(
         wall_time_s=wall,
         trace_duration_s=duration_s,
         time_ratio=_time_ratio(wall, duration_s),
-        records_in=records,
+        records_in=len(batch),
         verdicts_out=emitted,
         late_dropped=dropped,
     )

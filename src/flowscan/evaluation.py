@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, TextIO, TypeVar
 
-from .core import FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig
+from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, as_batch
 from .detector import Direction
 from .ingest import GroundTruthSet
 from .rules import Classification, RuleConfig, classify_all, reintegrate
@@ -98,8 +98,7 @@ def filter_scan_labels(
 
 def trace_universe(flows: Iterable[FlowRecord] | FlowBatch) -> set[IpAddress]:
     """Every distinct IP appearing in the trace, as source or destination."""
-    batch = flows if isinstance(flows, FlowBatch) else FlowBatch.from_records(flows)
-    return set(batch.ips)
+    return set(as_batch(flows).ips)
 
 
 def _split(
@@ -152,7 +151,7 @@ def evaluate_case(
     case: EvalCase,
     detected: set,
     gt: GroundTruthSet,
-    flows: Optional[Flows] = None,
+    flows: Iterable[FlowRecord] | FlowBatch | None = None,
     rule_cfg: Optional[RuleConfig] = None,
     slice_cfg: Optional[SliceConfig] = None,
     universe: Optional[set[IpAddress]] = None,

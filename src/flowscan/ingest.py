@@ -10,7 +10,7 @@ from enum import Enum
 from itertools import chain, repeat
 from operator import gt
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     FlowBatch,
@@ -79,7 +79,8 @@ class FlowFileReader:
         # text -> id for addresses of accepted rows; text -> code for protocols
         ids: dict[str, int] = {}
         protocols: dict[str, int] = {}
-        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+        # A byte that is not UTF-8 decodes to U+FFFD, which no field accepts.
+        with open(self.path, "r", encoding="utf-8", errors="replace", newline="") as fh:
             header = fh.readline().rstrip("\r\n")
             if header != FLOW_HEADER:
                 raise FlowFileError(f"{self.path}: bad header {header!r}")
@@ -266,21 +267,6 @@ class GroundTruthEntry:
 @dataclass
 class GroundTruthSet:
     entries: list[GroundTruthEntry] = field(default_factory=list)
-
-    def ip_set(
-        self,
-        sources: Optional[Sequence[SourceFile]] = None,
-        categories: Optional[Sequence[Category]] = None,
-    ) -> set[IpAddress]:
-        """Union of IPs across entries, optionally restricted by origin."""
-        out: set[IpAddress] = set()
-        for entry in self.entries:
-            if sources is not None and entry.source_file not in sources:
-                continue
-            if categories is not None and entry.category not in categories:
-                continue
-            out |= entry.ip_set()
-        return out
 
 
 _CATEGORIES = {c.value: c for c in Category}

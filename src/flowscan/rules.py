@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
-from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, slice_at
+from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, as_batch, slice_at
 
 
 class ScanLabel(Enum):
@@ -134,7 +134,7 @@ def classify_all(
     slices: SliceConfig,
 ) -> dict[IpAddress, Classification]:
     """Classify several IPs in one pass over the flows' source column."""
-    batch = flows if isinstance(flows, FlowBatch) else FlowBatch.from_records(flows)
+    batch = as_batch(flows)
     ids = {ip: batch.id_of(ip) for ip in ips}
     # source id -> the rows it generated; an IP no row holds has no id
     outbound: dict[int, list[int]] = {i: [] for i in ids.values() if i is not None}

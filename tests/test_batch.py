@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowscan import ingest
-from flowscan.core import FlowBatch, FlowRecord, SliceConfig
+from flowscan.core import FlowRecord, SliceConfig, as_batch
 from flowscan.detector import DetectorConfig, detect
 from flowscan.engine import EngineConfig, run_batch, run_streaming
 from flowscan.evaluation import trace_universe
@@ -207,6 +207,33 @@ def test_value_beyond_int64_is_a_malformed_row(tmp_path: Path, at: int, value: i
         FlowFileReader(path, strict=True).read()
 
 
+@pytest.mark.parametrize("at", [0, 3, 5, 6, 8])
+def test_non_utf8_byte_is_a_malformed_row(tmp_path: Path, at: int) -> None:
+    # An address, a port, the protocol or a count holding a byte that is
+    # not UTF-8, on line 12 of a file that spans several 100-byte chunks.
+    rows = [f"{i},{i + 1},10.0.0.{i % 3 + 1},10.0.0.9,4000,80,TCP,1,60" for i in range(20)]
+    fields = [field.encode() for field in rows[10].split(",")]
+    fields[at] += b"\xff"
+    lines = [FLOW_HEADER.encode(), *(row.encode() for row in rows)]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines[:11] + [b",".join(fields)] + lines[12:]) + b"\n")
+    clean = _write_lines(str(tmp_path), rows[:10] + rows[11:])
+    with mock.patch.object(ingest, "CHUNK_BYTES", 100), mock.patch.object(
+        FlowFileReader, "_append_rows", autospec=True, side_effect=FlowFileReader._append_rows
+    ) as row_loop:
+        reader = FlowFileReader(bad)
+        batch = reader.read()
+        # Only the chunk holding the byte is parsed row by row.
+        assert row_loop.call_count == 1
+        expected = FlowFileReader(clean).read()
+        assert row_loop.call_count == 1
+        with pytest.raises(FlowFileError, match=f"^{bad}:12: "):
+            FlowFileReader(bad, strict=True).read()
+    assert list(batch) == list(expected)
+    assert batch.ips == expected.ips
+    assert (reader.rows, reader.errors, reader.skipped_lines) == (19, 1, [12])
+
+
 def test_largest_int64_values_are_kept(tmp_path: Path) -> None:
     top = 2**63 - 1
     row = f"{-(2**63)},{top},10.0.0.1,10.0.0.2,1,2,TCP,{top},{top}"
@@ -275,7 +302,7 @@ def test_batch_paths_match_oracles(flows: list[FlowRecord], threshold: float) ->
         path = Path(tmp) / "flows.csv"
         write_flow_file(path, ordered)
         read = FlowFileReader(path).read()
-    for batch in (FlowBatch.from_records(flows), read):
+    for batch in (as_batch(flows), read):
         assert [verdict_as_row(v) for v in detect(batch, cfg)] == expected
         assert [verdict_as_row(v) for v in run_batch(batch, cfg)[0]] == expected
     streamed: list = []
@@ -285,7 +312,7 @@ def test_batch_paths_match_oracles(flows: list[FlowRecord], threshold: float) ->
     assert [verdict_as_row(v) for v in streamed] == expected
 
     senders = {f.src for f in flows} | {ip("192.0.2.1")}  # one sends nothing
-    for batch in (FlowBatch.from_records(flows), read):
+    for batch in (as_batch(flows), read):
         classified = classify_all(senders, batch, _RULES, slices)
         assert classified.keys() == senders
         for sender, result in classified.items():
@@ -319,7 +346,7 @@ def test_stream_matches_watermark_oracle(raw: list, lag_s: float, threshold: flo
     slices = SliceConfig(trace_start_us=0, slice_seconds=2.0)
     cfg = DetectorConfig(slices=slices, threshold=threshold)
     expected, late = naive_stream(arrival, 0, 2 * S, round(lag_s * S), threshold)
-    for flows in (FlowBatch.from_records(arrival), iter(arrival)):
+    for flows in (as_batch(arrival), iter(arrival)):
         emissions: list = []
         stats = run_streaming(
             flows,

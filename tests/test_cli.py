@@ -211,6 +211,25 @@ def test_detect_timestamp_beyond_int64(scan_trace, tmp_path, capsys, mode) -> No
     assert manifest["ingest"][str(bad)]["first_skipped_lines"] == [6]
 
 
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+def test_detect_non_utf8_byte(scan_trace, tmp_path, capsys, mode) -> None:
+    # A byte that is not UTF-8 makes a malformed row, never a traceback.
+    lines = scan_trace.read_bytes().splitlines()
+    lines.insert(5, b"0,1,10.0.0.\xff,10.0.0.8,4000,80,TCP,1,60")
+    bad = tmp_path / "bytes.flows.csv"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "v.csv"
+    flags = ["--mode", mode]
+    assert main(["detect", str(bad), "-o", str(out), *flags, "--strict"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowscan: error kind=io exit=1 detail={bad}:6: ")
+    assert err.count("\n") == 1
+    assert main(["detect", str(bad), "-o", str(out), *flags]) == EXIT_OK
+    assert "122 flows, 1 malformed rows skipped ->" in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"][str(bad)]["first_skipped_lines"] == [6]
+
+
 def _eval_args(scan_trace, gt_path, out, *extra: str) -> list[str]:
     return [
         "evaluate",
@@ -445,6 +464,22 @@ def test_evaluate_pre_start_flow_exits_2(scan_trace, gt_path, tmp_path, capsys) 
     assert "detector.trace_start_us 5" in err
     assert "earliest flow first_seen_us 0" in err
     assert not out.exists()
+
+
+def test_evaluate_without_flow_rows_exits_1(gt_path, tmp_path, capsys) -> None:
+    empty = tmp_path / "empty.flows.csv"
+    write_flow_file(empty, [])
+    out = tmp_path / "r.csv"
+    assert main(_eval_args(empty, gt_path, out)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == (
+        f"flowscan: error kind=io exit=1 detail={empty}: "
+        "no accepted flow rows to evaluate\n"
+    )
+    assert not out.exists()
+    # detect has nothing to flag in it, which is no error
+    assert main(["detect", str(empty), "-o", str(out)]) == EXIT_OK
+    assert f"0 verdicts from 0 flows -> {out}" in capsys.readouterr().out
 
 
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -117,4 +118,4 @@ def test_bad_values_name_their_field(tmp_path, text: str, fragment: str) -> None
 )
 def test_validate_rejects_bad_thresholds(changes: dict, fragment: str) -> None:
     with pytest.raises(ConfigError, match=fragment):
-        AppConfig().replace(**changes).validate()
+        dataclasses.replace(AppConfig(), **changes).validate()

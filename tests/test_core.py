@@ -15,7 +15,7 @@ from flowscan.core import (
     ip_sort_key,
     parse_ip,
     parse_protocol,
-    slice_of,
+    slice_at,
 )
 
 from helpers import mk_flow
@@ -25,24 +25,24 @@ S = 1_000_000  # microseconds per second
 
 def test_slice_at_trace_start_is_zero() -> None:
     cfg = SliceConfig(trace_start_us=1000, slice_seconds=30.0)
-    assert slice_of(mk_flow(first=1000), cfg) == 0
+    assert slice_at(1000, cfg) == 0
 
 
 def test_slice_boundary_is_half_open() -> None:
     cfg = SliceConfig(trace_start_us=0, slice_seconds=30.0)
-    assert slice_of(mk_flow(first=30 * S), cfg) == 1
-    assert slice_of(mk_flow(first=30 * S - 1), cfg) == 0
+    assert slice_at(30 * S, cfg) == 1
+    assert slice_at(30 * S - 1, cfg) == 0
 
 
-def test_slice_of_95_seconds_in() -> None:
+def test_slice_at_95_seconds_in() -> None:
     cfg = SliceConfig(trace_start_us=0, slice_seconds=30.0)
-    assert slice_of(mk_flow(first=95 * S), cfg) == 3
+    assert slice_at(95 * S, cfg) == 3
 
 
 def test_flow_before_trace_start_rejected() -> None:
     cfg = SliceConfig(trace_start_us=50 * S, slice_seconds=30.0)
     with pytest.raises(ValueError, match="precedes trace start"):
-        slice_of(mk_flow(first=49 * S), cfg)
+        slice_at(49 * S, cfg)
 
 
 def test_slice_duration_must_be_positive() -> None:
@@ -61,10 +61,9 @@ def test_every_valid_flow_lands_in_exactly_one_slice(
     first: int, start: int, seconds: float
 ) -> None:
     cfg = SliceConfig(trace_start_us=start, slice_seconds=seconds)
-    flow = mk_flow(first=start + first)
-    index = slice_of(flow, cfg)
+    index = slice_at(start + first, cfg)
     assert index >= 0
-    assert cfg.slice_start_us(index) <= flow.first_seen_us < cfg.slice_end_us(index)
+    assert index * cfg.duration_us <= first < (index + 1) * cfg.duration_us
 
 
 @given(st.ip_addresses())
@@ -124,22 +123,11 @@ def test_flow_record_is_hashable_value() -> None:
     assert len({mk_flow(), mk_flow()}) == 1
 
 
-def test_five_tuple() -> None:
-    flow = mk_flow(src="1.2.3.4", dst="5.6.7.8", sport=1, dport=2, proto=17)
-    assert flow.five_tuple == (
-        ipaddress.ip_address("1.2.3.4"),
-        ipaddress.ip_address("5.6.7.8"),
-        1,
-        2,
-        17,
-    )
-
-
 def test_fractional_slice_seconds_use_microsecond_arithmetic() -> None:
     cfg = SliceConfig(trace_start_us=0, slice_seconds=0.5)
     assert cfg.duration_us == 500_000
-    assert slice_of(mk_flow(first=499_999), cfg) == 0
-    assert slice_of(mk_flow(first=500_000), cfg) == 1
+    assert slice_at(499_999, cfg) == 0
+    assert slice_at(500_000, cfg) == 1
 
 
 def test_flow_record_is_frozen() -> None:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowscan.engine
-from flowscan.core import FlowBatch, FlowRecord, SliceConfig, SliceKey
+from flowscan.core import FlowRecord, SliceConfig, SliceKey, as_batch
 from flowscan.detector import DetectorConfig, detect
 from flowscan.engine import (
     EngineConfig,
@@ -75,7 +75,7 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
         index = flow.first_seen_us // CFG.slices.duration_us
         generated[SliceKey(flow.src, index)] += 1
         received[SliceKey(flow.dst, index)] += 1
-    batch = FlowBatch.from_records(flows)
+    batch = as_batch(flows)
     for workers in (1, 2, 3):
         counts = count_slices(flows, CFG.slices, EngineConfig(workers=workers))
         assert counts == (generated, received)
