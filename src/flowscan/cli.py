@@ -33,7 +33,9 @@ from .config import (
 )
 from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
-from .engine import EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
+from .engine import (
+    MAX_LATE_RATIO, EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
+)
 from .evaluation import (
     EvalCase,
     EvalRow,
@@ -320,6 +322,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
             collected.extend(emitted)
 
         stats = run_streaming(flows, detector_cfg, engine_cfg, emit)
+        if stats.late_dropped > MAX_LATE_RATIO * stats.records_in:
+            raise FlowFileError(
+                f"{flow_path}: {stats.late_dropped} of {stats.records_in} flows "
+                f"arrived after their slice closed (limit {MAX_LATE_RATIO:.0%}); "
+                "sort the file by time or use --mode batch"
+            )
         verdicts = collected
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
@@ -409,7 +417,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         detected_at = []
         for threshold in cfg.thresholds:
             detector_cfg = DetectorConfig(slices=slices, threshold=threshold)
-            verdicts = detect((), detector_cfg, counts=counts, ips=flows.ips)
+            verdicts = detect(flows, detector_cfg, counts=counts)
             pairs = anomalous_ips(verdicts)
             detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
         # The rules depend on neither threshold nor source: classify every

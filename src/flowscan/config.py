@@ -175,7 +175,7 @@ def load_config(path: Optional[str | Path] = None) -> AppConfig:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
         cfg = _config_from_parser(parser)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ipaddress
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -236,7 +236,3 @@ def as_batch(flows: Iterable[FlowRecord] | FlowBatch) -> FlowBatch:
     for flow in flows:
         batch.append(flow)
     return batch
-
-
-# The counting path's trace; C6 times it on a FlowRecord list (address keys).
-Flows = Union[FlowBatch, Sequence[FlowRecord]]

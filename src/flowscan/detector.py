@@ -13,17 +13,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 from .core import (
-    FlowBatch, FlowRecord, Flows, IpAddress, SliceConfig, SliceKey, as_batch, slice_at
+    FlowBatch, FlowRecord, IpAddress, SliceConfig, SliceKey, as_batch, slice_at
 )
 
 DEFAULT_THRESHOLD = 100.0
 
-# Flow counts per (IP, slice index); the IP is an address, or its dense
-# id when a FlowBatch was counted.
-CountTable = Counter[tuple[Union[IpAddress, int], int]]
+# Flow counts per (IP id, slice index), the id indexing the batch's `ips`.
+CountTable = Counter[tuple[int, int]]
 
 
 class Direction(Enum):
@@ -50,39 +49,26 @@ class DetectorConfig:
             raise ValueError(f"threshold must be finite and > 0, got {self.threshold}")
 
 
-def flow_columns(
-    flows: Flows, slices: SliceConfig
-) -> tuple[Sequence, Sequence, list[int]]:
-    """The flows' source IPs, destination IPs and slice indices, as three
-    columns; a FlowBatch gives its id columns, a FlowRecord sequence its
-    addresses. Raises ValueError for a flow that starts before the trace
-    start.
+def count_flows(
+    batch: FlowBatch, slices: SliceConfig, low: int = 0, high: Optional[int] = None
+) -> tuple[CountTable, CountTable]:
+    """Flows generated per (source id, slice index) and received per
+    (destination id, slice index) among the batch's rows low..high: the
+    counting step of batch mode and its workers. Raises ValueError for a
+    flow that starts before the trace start.
     """
     start = slices.trace_start_us
     duration = slices.duration_us
-    if isinstance(flows, FlowBatch):
-        index = [(first - start) // duration for first in flows.first_seen_us]
-        srcs, dsts = flows.src, flows.dst
-    else:
-        index = [(flow.first_seen_us - start) // duration for flow in flows]
-        srcs, dsts = [flow.src for flow in flows], [flow.dst for flow in flows]
+    # Views of the row range, alive only while iterated: a slice of an array
+    # would copy it, and a view kept alive would stop the batch from growing.
+    rows = slice(low, high)
+    index = [
+        (first - start) // duration for first in memoryview(batch.first_seen_us)[rows]
+    ]
     if index and min(index) < 0:
-        slice_at(flows[index.index(min(index))].first_seen_us, slices)  # raises
-    return srcs, dsts, index
-
-
-def count_columns(
-    srcs: Sequence, dsts: Sequence, index: Sequence[int]
-) -> tuple[CountTable, CountTable]:
-    """Flows generated per (source IP, slice index) and received per
-    (destination IP, slice index): the counting step of batch mode."""
-    return Counter(zip(srcs, index)), Counter(zip(dsts, index))
-
-
-def count_flows(flows: Flows, slices: SliceConfig) -> tuple[CountTable, CountTable]:
-    """(generated, received) count tables of the flows, keyed by ids for a
-    FlowBatch; see count_columns."""
-    return count_columns(*flow_columns(flows, slices))
+        slice_at(min(batch.first_seen_us[rows]), slices)  # raises
+    generated = Counter(zip(memoryview(batch.src)[rows], index))
+    return generated, Counter(zip(memoryview(batch.dst)[rows], index))
 
 
 def ratio_of(generated: int, received: int) -> float:
@@ -98,29 +84,26 @@ def detect(
     flows: Iterable[FlowRecord] | FlowBatch,
     cfg: DetectorConfig,
     counts: Optional[tuple[CountTable, CountTable]] = None,
-    ips: Optional[Sequence[IpAddress]] = None,
     slice_index: Optional[int] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
     by (slice index, IP). A precomputed (generated, received) pair of
-    count tables, as count_flows returns, may be passed in; a key absent
-    from one table counts zero on that side. Tables keyed by dense ids,
-    as counting a FlowBatch gives, need that batch's `ips` to name each
-    id's address. Tables of the one slice `slice_index` may be keyed by
-    id alone."""
+    count tables of the batch `flows`, as count_flows returns, may be
+    passed in; a key absent from one table counts zero on that side, and
+    the batch's `ips` names each id. Tables of the one slice
+    `slice_index` are keyed by id alone."""
+    batch = as_batch(flows)
     if counts is None:
-        batch = as_batch(flows)
-        counts, ips = count_flows(batch, cfg.slices), batch.ips
+        counts = count_flows(batch, cfg.slices)
     generated, received = counts
     threshold = cfg.threshold
-    if slice_index is not None:
-        def make(key: int) -> SliceKey:
-            return SliceKey(ips[key], slice_index)
-    elif ips is None:
-        make = SliceKey._make
-    else:
+    ips = batch.ips
+    if slice_index is None:
         def make(key: tuple[int, int]) -> SliceKey:
             return SliceKey(ips[key[0]], key[1])
+    else:
+        def make(key: int) -> SliceKey:
+            return SliceKey(ips[key], slice_index)
     verdicts = []
     # |ratio| <= the larger count and threshold > 0, so only a count above
     # the threshold can flag its key, and only in its own direction.

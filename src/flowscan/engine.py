@@ -1,21 +1,26 @@
 """Batch and streaming execution around the ratio detector.
 
-Batch mode optionally fans the counting stage out across forked worker
-processes. The flows' source, destination and slice-index columns are
-built once, before the fork, and shared with the workers through a
-module global; each worker counts one contiguous index range of them,
-and this process counts the first range. Only the range bounds and the
-per-range count tables are pickled. Counting is a per-key sum, which is
-associative and commutative, so the ranges merge to the same tables and
-the final output is byte-identical for every worker count.
+Both modes count a FlowBatch, keying every table by (IP id, slice
+index); an iterable of FlowRecords is read whole into a batch at the
+entry point first.
 
-Streaming mode walks a FlowBatch in row order with a watermark set to
-the newest timestamp seen minus a fixed lag; FlowRecords are read whole
-into a batch first. A slice closes, and its verdicts are emitted exactly
-once, when the watermark reaches the slice's end; flows for
-already-closed slices are dropped and counted. An open slice buffers the
-source ids and the destination ids of its flows, and counts each list by
-id when it closes.
+Batch mode optionally fans the counting stage out across forked worker
+processes. The batch and its slice config reach the workers through a
+module global, so nothing is built before the fork; each worker counts
+one contiguous row range of the batch, computing that range's slice
+indices itself, and this process counts the first range. Only the range
+bounds and the per-range count tables are pickled. Counting is a per-key
+sum, which is associative and commutative, so the ranges merge to the
+same tables and the final output is byte-identical for every worker
+count.
+
+Streaming mode walks the batch in row order with a watermark set to
+the newest timestamp seen minus a fixed lag. A slice closes, and its
+verdicts are emitted exactly once, when the watermark reaches the
+slice's end; flows for already-closed slices are dropped and counted,
+and the CLI fails a run that drops more than MAX_LATE_RATIO of its
+flows. An open slice buffers the source ids and the destination ids of
+its flows, and counts each list by id when it closes.
 """
 
 from __future__ import annotations
@@ -25,22 +30,15 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-from .core import (
-    US_PER_SECOND, FlowBatch, FlowRecord, Flows, SliceConfig, as_batch, slice_at
-)
-from .detector import (
-    CountTable,
-    DetectorConfig,
-    RatioVerdict,
-    count_columns,
-    count_flows,
-    detect,
-    flow_columns,
-)
+from .core import US_PER_SECOND, FlowBatch, FlowRecord, SliceConfig, as_batch, slice_at
+from .detector import CountTable, DetectorConfig, RatioVerdict, count_flows, detect
 
 DEFAULT_WATERMARK_LAG_S = 5.0
+# The largest share of a stream's flows that may arrive after their slice
+# closed; past it the dropped flows distort the verdicts too much to keep.
+MAX_LATE_RATIO = 0.1
 
 
 class EngineError(RuntimeError):
@@ -74,28 +72,28 @@ class RunStats:
     late_dropped: int = 0
 
 
-# Flow columns visible to forked count workers; set only for the pool's
-# lifetime.
-_WORKER_COLUMNS: Optional[tuple[Sequence, Sequence, list[int]]] = None
+# The batch and slice config visible to forked count workers; set only for
+# the pool's lifetime.
+_WORKER_INPUT: Optional[tuple[FlowBatch, SliceConfig]] = None
 
 
 def _count_range(bounds: tuple[int, int]) -> tuple[CountTable, CountTable]:
-    assert _WORKER_COLUMNS is not None
-    low, high = bounds
-    return count_columns(*(column[low:high] for column in _WORKER_COLUMNS))
+    assert _WORKER_INPUT is not None
+    return count_flows(*_WORKER_INPUT, *bounds)
 
 
 def _parallel_counts(
-    flows: Flows, slices: SliceConfig, workers: int
+    batch: FlowBatch, slices: SliceConfig, workers: int
 ) -> tuple[CountTable, CountTable]:
-    global _WORKER_COLUMNS
+    global _WORKER_INPUT
     import multiprocessing
 
-    # The columns are built before the fork, so workers touch no flow
-    # object and copy-on-write has next to nothing to copy.
-    _WORKER_COLUMNS = flow_columns(flows, slices)
-    step = -(-len(flows) // workers)
-    ranges = [(low, min(low + step, len(flows))) for low in range(0, len(flows), step)]
+    # A pre-start flow raises here, before any fork, wherever its range.
+    slice_at(min(batch.first_seen_us), slices)
+    # Workers read the batch's arrays through copy-on-write memory.
+    _WORKER_INPUT = batch, slices
+    step = -(-len(batch) // workers)
+    ranges = [(low, min(low + step, len(batch))) for low in range(0, len(batch), step)]
     ctx = multiprocessing.get_context("fork")
     completed = 0
     try:
@@ -115,7 +113,7 @@ def _parallel_counts(
                     f"partitions: {exc}"
                 ) from exc
     finally:
-        _WORKER_COLUMNS = None
+        _WORKER_INPUT = None
     return generated, received
 
 
@@ -124,25 +122,26 @@ def _time_ratio(wall_s: float, duration_s: float) -> float:
 
 
 def count_slices(
-    flows: Flows,
+    flows: Iterable[FlowRecord] | FlowBatch,
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[CountTable, CountTable]:
     """The (generated, received) count tables of a complete trace, as
-    count_flows returns them (keyed by ids for a FlowBatch), counted by
-    forked workers when workers > 1 and the platform can fork. The tables
-    do not depend on the detection threshold, so one pair serves any
-    number of `detect(..., counts=...)` cuts.
+    count_flows returns them for the trace's batch, counted by forked
+    workers when workers > 1 and the platform can fork. The tables do not
+    depend on the detection threshold, so one pair serves any number of
+    `detect(batch, ..., counts=...)` cuts.
 
     Output is identical for every worker count.
     """
-    if engine.workers > 1 and len(flows) > 1:
+    batch = as_batch(flows)
+    if engine.workers > 1 and len(batch) > 1:
         # Imported here: only the fork path needs it, and it is slow to import.
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
-            return _parallel_counts(flows, slices, engine.workers)
-    return count_flows(flows, slices)
+            return _parallel_counts(batch, slices, engine.workers)
+    return count_flows(batch, slices)
 
 
 def run_batch(
@@ -150,33 +149,28 @@ def run_batch(
     cfg: DetectorConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[list[RatioVerdict], RunStats]:
-    """Detect over a complete trace: count_slices, then one threshold cut."""
-    ips = flows.ips if isinstance(flows, FlowBatch) else None
-    if not isinstance(flows, (list, FlowBatch)):
-        flows = list(flows)
+    """Detect over a complete trace: count_slices, then one threshold cut.
+    The wall time covers both, not reading records into a batch."""
+    batch = as_batch(flows)
     started = time.perf_counter()
-    counts = count_slices(flows, cfg.slices, engine)
-    verdicts = detect((), cfg, counts=counts, ips=ips)
+    counts = count_slices(batch, cfg.slices, engine)
+    verdicts = detect(batch, cfg, counts=counts)
     wall = time.perf_counter() - started
-    duration_s = _duration_s(flows)
+    duration_s = _duration_s(batch)
     stats = RunStats(
         wall_time_s=wall,
         trace_duration_s=duration_s,
         time_ratio=_time_ratio(wall, duration_s),
-        records_in=len(flows),
+        records_in=len(batch),
         verdicts_out=len(verdicts),
     )
     return verdicts, stats
 
 
-def _duration_s(flows: Flows) -> float:
-    if not len(flows):
+def _duration_s(batch: FlowBatch) -> float:
+    if not len(batch):
         return 0.0
-    if isinstance(flows, FlowBatch):
-        first, last = min(flows.first_seen_us), max(flows.last_seen_us)
-    else:
-        first = min(f.first_seen_us for f in flows)
-        last = max(f.last_seen_us for f in flows)
+    first, last = min(batch.first_seen_us), max(batch.last_seen_us)
     return (last - first) / US_PER_SECOND
 
 
@@ -216,7 +210,7 @@ def run_streaming(
 
     def close_slice(index: int) -> int:
         counts = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
-        verdicts = detect((), cfg, counts=counts, ips=batch.ips, slice_index=index)
+        verdicts = detect(batch, cfg, counts=counts, slice_index=index)
         emit(index, verdicts)
         return len(verdicts)
 

@@ -114,22 +114,51 @@ def test_detect_stream_mode_matches_batch(scan_trace, tmp_path) -> None:
     assert tail(stream) == tail(batch)
 
 
-def test_detect_stream_reports_late_drops(scan_trace, tmp_path, capsys) -> None:
+def _late_trace(scan_trace, tmp_path, late: int | None):
+    """The trace with its first `late` slice-0 rows moved to the end, past
+    the flows that close slice 0; late=None shuffles every row instead."""
     lines = scan_trace.read_text(encoding="utf-8").splitlines()
     rows = lines[1:]
-    random.Random(3).shuffle(rows)
-    shuffled = tmp_path / "shuffled.flows.csv"
-    shuffled.write_text("\n".join([lines[0], *rows]) + "\n", encoding="utf-8")
+    if late is None:
+        random.Random(3).shuffle(rows)
+    else:
+        rows = rows[late:] + rows[:late]
+    path = tmp_path / "late.flows.csv"
+    path.write_text("\n".join([lines[0], *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_detect_stream_reports_late_drops(scan_trace, tmp_path, capsys) -> None:
+    # 12 of 122 flows late is under the 10% limit.
+    late_trace = _late_trace(scan_trace, tmp_path, 12)
     out = tmp_path / "stream.csv"
-    assert main(["detect", str(shuffled), "-o", str(out), "--mode", "stream"]) == EXIT_OK
+    assert main(["detect", str(late_trace), "-o", str(out), "--mode", "stream"]) == EXIT_OK
     late = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["stats"][
         "late_dropped"
     ]
-    assert late > 0
-    assert f"122 flows, {late} late flows dropped ->" in capsys.readouterr().out
+    assert late == 12
+    assert "122 flows, 12 late flows dropped ->" in capsys.readouterr().out
 
-    assert main(["detect", str(shuffled), "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+    assert main(["detect", str(late_trace), "-o", str(tmp_path / "b.csv")]) == EXIT_OK
     assert "late" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "late, dropped", [(13, 13), (None, 86)], ids=["just-over", "shuffled"]
+)
+def test_detect_stream_too_many_late_flows_exits_1(
+    scan_trace, tmp_path, capsys, late, dropped
+) -> None:
+    late_trace = _late_trace(scan_trace, tmp_path, late)
+    out = tmp_path / "stream.csv"
+    code = main(["detect", str(late_trace), "-o", str(out), "--mode", "stream"])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("flowscan: error kind=io exit=1 detail=")
+    assert err.count("\n") == 1
+    assert f"{dropped} of 122 flows arrived after their slice closed" in err
+    assert not out.exists()
+    assert not manifest_path_for(out).exists()
 
 
 @pytest.mark.parametrize(
@@ -632,6 +661,19 @@ def test_env_config_and_flag_precedence(scan_trace, tmp_path, monkeypatch) -> No
     main(["detect", str(scan_trace), "-o", str(out), "--threshold", "90"])
     manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
     assert manifest["config"]["threshold"] == 90.0
+
+
+def test_config_file_with_non_utf8_byte_exits_2(scan_trace, tmp_path, capsys) -> None:
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[detector]\nthreshold = 5\xff\n")
+    out = tmp_path / "v.csv"
+    code = main(["detect", str(scan_trace), "-o", str(out), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"flowscan: error kind=config exit=2 detail={cfg}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(scan_trace, tmp_path, capsys) -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowscan.core import FlowRecord, SliceConfig, SliceKey
+from flowscan.core import FlowBatch, FlowRecord, SliceConfig, SliceKey, as_batch
 from flowscan.detector import (
     DetectorConfig,
     Direction,
@@ -27,19 +27,26 @@ CFG = SliceConfig(trace_start_us=0, slice_seconds=30.0)
 
 
 # count_flows returns (generated, received): the tables counted by source
-# and by destination IP.
+# and by destination IP, keyed by (id, slice index). The helpers name each
+# id through the batch's `ips`.
+
+
+def _by_address(flows, side: int) -> dict:
+    batch = as_batch(flows)
+    table = count_flows(batch, CFG)[side]
+    return {SliceKey(batch.ips[i], index): n for (i, index), n in table.items()}
 
 
 def _by_source(flows) -> dict:
-    return count_flows(flows, CFG)[0]
+    return _by_address(flows, 0)
 
 
 def _by_destination(flows) -> dict:
-    return count_flows(flows, CFG)[1]
+    return _by_address(flows, 1)
 
 
 def test_count_by_source_empty() -> None:
-    assert count_flows([], CFG) == ({}, {})
+    assert count_flows(as_batch([]), CFG) == ({}, {})
 
 
 def test_count_by_source_hand_counted() -> None:
@@ -78,16 +85,23 @@ def test_count_by_destination_matches_brute_force(rng: random.Random) -> None:
 def test_count_flows_rejects_pre_start_flow() -> None:
     flows = [mk_flow(first=5 * S), mk_flow(first=-2), mk_flow(first=-1)]
     with pytest.raises(ValueError, match="first_seen -2 precedes trace start 0"):
-        count_flows(flows, CFG)
+        count_flows(as_batch(flows), CFG)
 
 
 # The test_join_* tests cut a given (generated, received) pair with
-# detect(..., counts=...): a key missing from one table counts zero there.
+# detect(batch, ..., counts=...): a key missing from one table counts zero
+# there. The address-keyed tables are re-keyed by the ids of a batch that
+# interns each address.
 
 
 def _cut(generated, received, threshold: float) -> list[RatioVerdict]:
     cfg = DetectorConfig(slices=CFG, threshold=threshold)
-    return detect((), cfg, counts=(Counter(generated), Counter(received)))
+    batch = FlowBatch()
+    counts = tuple(
+        Counter({(batch.intern(ip), index): n for (ip, index), n in table.items()})
+        for table in (generated, received)
+    )
+    return detect(batch, cfg, counts=counts)
 
 
 def test_join_null_fill() -> None:
@@ -318,7 +332,7 @@ def test_detect_accepts_any_iterable(rng: random.Random) -> None:
 
 def test_count_conservation(rng: random.Random) -> None:
     flows = random_flows(rng, 1234)
-    generated, received = count_flows(flows, CFG)
+    generated, received = count_flows(as_batch(flows), CFG)
     assert sum(generated.values()) == len(flows)
     assert sum(received.values()) == len(flows)
 

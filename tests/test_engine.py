@@ -77,15 +77,16 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
         received[SliceKey(flow.dst, index)] += 1
     batch = as_batch(flows)
     for workers in (1, 2, 3):
-        counts = count_slices(flows, CFG.slices, EngineConfig(workers=workers))
-        assert counts == (generated, received)
-        # A batch's tables are keyed by dense ids into batch.ips.
-        by_id = count_slices(batch, CFG.slices, EngineConfig(workers=workers))
+        engine = EngineConfig(workers=workers)
+        # The tables are keyed by dense ids into batch.ips.
+        by_id = count_slices(batch, CFG.slices, engine)
         assert tuple(
             Counter({(batch.ips[i], index): n for (i, index), n in table.items()})
             for table in by_id
         ) == (generated, received)
         assert all(isinstance(i, int) for table in by_id for i, _ in table)
+        # A record list is counted as the batch it converts to.
+        assert count_slices(flows, CFG.slices, engine) == by_id
 
 
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
@@ -114,15 +115,15 @@ def test_batch_stats_duration() -> None:
 
 def test_worker_failure_wrapped_with_progress(monkeypatch) -> None:
     parent = os.getpid()
-    count_columns = flowscan.engine.count_columns
+    count_flows = flowscan.engine.count_flows
 
-    def broken_in_workers(*columns):
+    def broken_in_workers(*args):
         if os.getpid() != parent:
             raise RuntimeError("worker crashed")
-        return count_columns(*columns)
+        return count_flows(*args)
 
     # The forked workers inherit the patched module global.
-    monkeypatch.setattr(flowscan.engine, "count_columns", broken_in_workers)
+    monkeypatch.setattr(flowscan.engine, "count_flows", broken_in_workers)
     flows = [mk_flow(first=i) for i in range(6)]
     with pytest.raises(EngineError, match=r"0 of 2 partitions: worker crashed"):
         run_batch(flows, CFG, EngineConfig(workers=3))
@@ -133,6 +134,19 @@ def test_pre_start_flow_rejected_before_fork() -> None:
     flows = [mk_flow(first=5), mk_flow(first=6), mk_flow(src="10.0.0.9", first=-3)]
     with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
         run_batch(flows, CFG, EngineConfig(workers=2))
+
+
+def test_count_slices_pre_start_flow_raises_without_forking(monkeypatch) -> None:
+    import multiprocessing
+
+    def no_fork(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    # The pre-start flow sits in the second range, a worker's.
+    batch = as_batch([mk_flow(first=5), mk_flow(first=6), mk_flow(first=-3)])
+    with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
+        count_slices(batch, CFG.slices, EngineConfig(workers=2))
 
 
 def test_fallback_without_fork_matches(rng, monkeypatch) -> None:
