@@ -25,12 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import (
-    AppConfig,
-    format_port_set,
-    load_config,
-    parse_thresholds,
-)
+from .config import AppConfig, format_port_set, load_config
 from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
 from .engine import (
@@ -98,11 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p.add_argument("flows", help="flow file to analyze")
     detect_p.add_argument("-o", "--out", required=True, help="verdict file to write")
     _add_common_flags(detect_p)
-    detect_p.add_argument("--threshold", type=float, help="ratio cut, must be > 0")
-    detect_p.add_argument("--workers", type=int, help="worker processes for counting")
-    detect_p.add_argument(
-        "--mode", choices=[m.value for m in Mode], help="batch or stream execution"
-    )
+    _config_flag(detect_p, "--threshold", "detector.threshold", "ratio cut (> 0)")
+    _config_flag(detect_p, "--workers", "engine.workers", "worker processes")
+    _config_flag(detect_p, "--mode", "engine.mode", "batch or stream execution")
     detect_p.set_defaults(func=cmd_detect)
 
     eval_p = sub.add_parser("evaluate", help="score detections against ground truth")
@@ -118,10 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument(
         "--case", type=int, choices=[c.value for c in EvalCase], default=1
     )
-    eval_p.add_argument(
-        "--thresholds", help="comma-separated ratio cuts, e.g. 50,100,200"
+    _config_flag(
+        eval_p,
+        "--thresholds",
+        "evaluation.thresholds",
+        "comma-separated ratio cuts, e.g. 50,100,200",
     )
-    eval_p.add_argument("--workers", type=int)
+    _config_flag(eval_p, "--workers", "engine.workers")
     eval_p.add_argument(
         "--directional",
         action="store_true",
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("flows")
     bench_p.add_argument("-o", "--out", required=True, help="timing table to write")
     _add_common_flags(bench_p)
-    bench_p.add_argument("--threshold", type=float)
+    _config_flag(bench_p, "--threshold", "detector.threshold")
     bench_p.add_argument(
         "--workers", default="1,2,4", help="comma-separated worker counts to sweep"
     )
@@ -152,38 +148,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="INI config file (else $FLOWSCAN_CONFIG)")
-    parser.add_argument("--slice-seconds", type=float, dest="slice_seconds")
-    parser.add_argument("--trace-start-us", type=int, dest="trace_start_us")
+    _config_flag(parser, "--slice-seconds", "detector.slice_seconds")
+    _config_flag(parser, "--trace-start-us", "detector.trace_start_us")
     parser.add_argument(
         "--strict",
-        action="store_true",
-        default=None,
+        dest="io.strict",
+        action="store_const",
+        const="yes",
         help="abort on the first malformed input line",
     )
 
 
+def _config_flag(
+    parser: argparse.ArgumentParser, flag: str, key: str, help: Optional[str] = None
+) -> None:
+    """A flag that sets the INI key `key` (`section.key`). Its text is kept
+    as given and parsed with the config file by load_config."""
+    parser.add_argument(flag, dest=key, metavar=key.split(".")[1].upper(), help=help)
+
+
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
-    cfg = load_config(getattr(args, "config", None))
-    changes: dict = {}
-    for attr in ("threshold", "slice_seconds", "trace_start_us", "strict"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            changes[attr] = value
-    workers = getattr(args, "workers", None)
-    if isinstance(workers, int):
-        changes["workers"] = workers
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        changes["mode"] = Mode(mode)
-    thresholds = getattr(args, "thresholds", None)
-    if thresholds is not None:
-        try:
-            changes["thresholds"] = parse_thresholds(thresholds)
-        except ValueError as exc:
-            raise ConfigError(f"evaluation.thresholds: {exc}") from exc
-    cfg = dataclasses.replace(cfg, **changes)
-    cfg.validate()
-    return cfg
+    """The config file, with each config flag given laid over it."""
+    flags = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    return load_config(args.config, flags)
 
 
 def _snapshot(name: str, value):
@@ -471,10 +458,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _parse_worker_sweep(raw: str) -> list[int]:
     try:
-        workers = [int(chunk) for chunk in raw.split(",") if chunk.strip()]
+        workers = [EngineConfig(int(c)).workers for c in raw.split(",") if c.strip()]
     except ValueError as exc:
         raise ConfigError(f"engine.workers: {exc}") from exc
-    if not workers or any(w < 1 for w in workers):
+    if not workers:
         raise ConfigError(f"engine.workers sweep must be counts >= 1, got {raw!r}")
     return workers
 

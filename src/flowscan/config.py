@@ -2,29 +2,28 @@
 
 The config file path comes from --config when given, else from the
 FLOWSCAN_CONFIG environment variable, else everything stays at the
-defaults below. Unknown sections or keys are errors; so is any value
-out of range. Both report the offending field by name.
+defaults below. CLI flags name INI keys and are laid over the file, so
+one parse reads both. Unknown sections or keys are errors; so is any
+value out of range. Both report the offending field by name.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
-from .core import ConfigError
-from .detector import DEFAULT_THRESHOLD
-from .engine import DEFAULT_WATERMARK_LAG_S, Mode
+from .core import DEFAULT_SLICE_SECONDS, ConfigError, SliceConfig
+from .detector import DEFAULT_THRESHOLD, DetectorConfig
+from .engine import DEFAULT_WATERMARK_LAG_S, EngineConfig, Mode
 from .evaluation import DEFAULT_SCAN_EXCLUDE, DEFAULT_SCAN_WHITELIST
 from .rules import RuleConfig
 
 ENV_CONFIG = "FLOWSCAN_CONFIG"
 
 DEFAULT_THRESHOLD_SWEEP = (50.0, 100.0, 200.0)
-DEFAULT_SLICE_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -42,34 +41,26 @@ class AppConfig:
     strict: bool = False
 
     def validate(self) -> None:
-        if self.slice_seconds <= 0:
-            raise ConfigError(
-                f"detector.slice_seconds must be > 0, got {self.slice_seconds}"
-            )
-        if not _valid_threshold(self.threshold):
-            raise ConfigError(
-                f"detector.threshold must be finite and > 0, got {self.threshold}"
-            )
+        """Check each value with the config class that takes it. Raises
+        ConfigError naming the INI key of the first bad value."""
+        slices = checked("detector.", SliceConfig, 0, self.slice_seconds)
+        checked("detector.", DetectorConfig, slices, self.threshold)
         if not self.thresholds:
             raise ConfigError("evaluation.thresholds must not be empty")
         for i, value in enumerate(self.thresholds):
-            if not _valid_threshold(value):
-                raise ConfigError(
-                    f"evaluation.thresholds entries must be finite and > 0, got {value}"
-                )
+            checked("evaluation.thresholds: ", DetectorConfig, slices, value)
             if value in self.thresholds[:i]:
                 raise ConfigError(f"evaluation.thresholds repeats {value}")
-        if self.workers < 1:
-            raise ConfigError(f"engine.workers must be >= 1, got {self.workers}")
-        if self.watermark_lag_seconds < 0:
-            raise ConfigError(
-                "engine.watermark_lag_seconds must be >= 0, "
-                f"got {self.watermark_lag_seconds}"
-            )
+        checked("engine.", EngineConfig, self.workers, self.watermark_lag_seconds)
 
 
-def _valid_threshold(value: float) -> bool:
-    return math.isfinite(value) and value > 0
+def checked(prefix: str, cls, *args, **kwargs):
+    """`cls(*args, **kwargs)`, its ValueError raised again as a ConfigError
+    whose message starts with `prefix`."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def parse_port_set(text: str) -> frozenset[int]:
@@ -160,50 +151,60 @@ _PARSERS = {
 }
 
 
-def load_config(path: Optional[str | Path] = None) -> AppConfig:
-    """Build an AppConfig from the file at `path`, the FLOWSCAN_CONFIG
-    file, or pure defaults. Raises ConfigError for anything invalid."""
-    if path is None:
-        env_path = os.environ.get(ENV_CONFIG)
-        if not env_path:
-            return AppConfig()
-        path = env_path
-    path = Path(path)
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+def read_ini(path: str | Path) -> configparser.ConfigParser:
+    """The INI file at `path`, its values taken literally (no `%`
+    interpolation). Raises ConfigError naming the file for text that is
+    not INI or not UTF-8; OSError is left to the caller."""
+    parser = configparser.ConfigParser(interpolation=None)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    try:
-        cfg = _config_from_parser(parser)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    cfg.validate()
-    return cfg
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return parser
 
 
-def _config_from_parser(parser: configparser.ConfigParser) -> AppConfig:
+def section_values(
+    parser: configparser.ConfigParser, section: str, parsers: Mapping, what="config"
+) -> dict:
+    """The keys of `section`, each parsed by its entry in `parsers`. Raises
+    ConfigError naming `section.key` for an unknown key or a bad value."""
+    values = {}
+    for key, text in parser[section].items():
+        parse = parsers.get(key)
+        if parse is None:
+            raise ConfigError(f"unknown {what} key {section}.{key}")
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+    return values
+
+
+def load_config(
+    path: Optional[str | Path] = None, overrides: Optional[Mapping[str, str]] = None
+) -> AppConfig:
+    """Build an AppConfig from the file at `path`, else the FLOWSCAN_CONFIG
+    file, if any, with `overrides` (`section.key` -> value text) laid over
+    it. Raises ConfigError for anything invalid."""
+    if path is None:
+        path = os.environ.get(ENV_CONFIG) or None
+    parser = configparser.ConfigParser(interpolation=None)
+    if path is not None:
+        try:
+            parser = read_ini(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for name, text in (overrides or {}).items():
+        section, key = name.split(".")
+        parser.read_dict({section: {key: text}})
     changes: dict = {}
     rules: dict = {}
     for section in parser.sections():
-        parsers = _PARSERS.get(section)
-        if parsers is None:
+        if section not in _PARSERS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, text in parser[section].items():
-            parse = parsers.get(key)
-            if parse is None:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            try:
-                value = parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}") from exc
-            (rules if section == "rules" else changes)[key] = value
-    try:
-        return AppConfig(rules=RuleConfig(**rules), **changes)
-    except ValueError as exc:
-        raise ConfigError(f"rules: {exc}") from exc
+        values = section_values(parser, section, _PARSERS[section])
+        (rules if section == "rules" else changes).update(values)
+    cfg = AppConfig(rules=checked("rules.", RuleConfig, **rules), **changes)
+    cfg.validate()
+    return cfg

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ipaddress
+import math
 from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -10,6 +11,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 US_PER_SECOND = 1_000_000
+
+DEFAULT_SLICE_SECONDS = 30.0
 
 # Timestamps and packet/byte counts are signed 64-bit ints.
 INT64_MIN = -(1 << 63)
@@ -135,11 +138,13 @@ class SliceConfig:
     """Fixed-duration half-open windows [k*d, (k+1)*d) aligned to trace start."""
 
     trace_start_us: int
-    slice_seconds: float = 30.0
+    slice_seconds: float = DEFAULT_SLICE_SECONDS
 
     def __post_init__(self) -> None:
-        if self.slice_seconds <= 0:
-            raise ConfigError(f"slice_seconds must be > 0, got {self.slice_seconds}")
+        if not 1 <= self.slice_seconds * US_PER_SECOND < math.inf:
+            raise ConfigError(
+                f"slice_seconds must be finite and >= 1e-06, got {self.slice_seconds}"
+            )
 
     @property
     def duration_us(self) -> int:

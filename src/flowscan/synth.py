@@ -19,9 +19,10 @@ from pathlib import Path
 from typing import Iterable, Optional
 from xml.sax.saxutils import quoteattr
 
-from .config import parse_boolean
+from .config import checked, parse_boolean, read_ini, section_values
 from .core import (
-    PROTO_TCP, US_PER_SECOND, ConfigError, FlowRecord, IpAddress, ip_sort_key, parse_ip
+    DEFAULT_SLICE_SECONDS, PROTO_TCP, US_PER_SECOND, ConfigError, FlowRecord, IpAddress,
+    SliceConfig, ip_sort_key, parse_ip,
 )
 from .ingest import (
     Category,
@@ -40,7 +41,7 @@ _DEFAULT_LABELS = {KIND_NETSCAN: "ntscSYN", KIND_PORTSCAN: "ptscSYN"}
 @dataclass(frozen=True)
 class TraceSpec:
     start_us: int = 0
-    slice_seconds: float = 30.0
+    slice_seconds: float = DEFAULT_SLICE_SECONDS
     slices: int = 10
 
 
@@ -123,38 +124,19 @@ def _require_positive(value: int, name: str) -> None:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
-def load_spec(path: str | Path) -> SynthSpec:
-    parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return _spec_from_parser(parser)
-
-
 def _fields(parser: configparser.ConfigParser, section: str) -> dict:
-    """The parsed keys of `section` (none if it is absent). Raises
-    ConfigError naming `section.key` for an unknown key or a bad value."""
+    """The parsed keys of `section`, none if it is absent."""
     if not parser.has_section(section):
         return {}
     parsers = _SPEC_PARSERS[section.split(":", 1)[0]]
-    fields = {}
-    for key, text in parser[section].items():
-        if key not in parsers:
-            raise ConfigError(f"unknown spec key {section}.{key}")
-        try:
-            fields[key] = parsers[key](text)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: {exc}") from exc
-    return fields
+    return section_values(parser, section, parsers, what="spec")
 
 
-def _spec_from_parser(parser: configparser.ConfigParser) -> SynthSpec:
+def load_spec(path: str | Path) -> SynthSpec:
+    parser = read_ini(path)
     trace = TraceSpec(**_fields(parser, "trace"))
     _require_positive(trace.slices, "trace.slices")
-    if trace.slice_seconds <= 0:
-        raise ConfigError("trace.slice_seconds must be > 0")
+    checked("trace.", SliceConfig, trace.start_us, trace.slice_seconds)
 
     background = None
     if parser.has_section("background"):

@@ -14,9 +14,12 @@ from flowscan.cli import (
     EXIT_IO,
     EXIT_OK,
     VERDICT_HEADER,
+    _resolve_config,
+    build_parser,
     main,
     manifest_path_for,
 )
+from flowscan.config import AppConfig
 from flowscan.ingest import write_flow_file
 
 from helpers import mk_flow
@@ -619,6 +622,37 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys) -> None:
     assert "kind=config exit=2" in capsys.readouterr().err
 
 
+def _one_config_error(capsys) -> str:
+    """The single stderr line of a run that exited on a config error."""
+    err = capsys.readouterr().err
+    assert err.startswith("flowscan: error kind=config exit=2 detail=")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "usage:" not in err
+    return err
+
+
+def test_synth_spec_with_non_utf8_byte_exits_2(tmp_path, capsys) -> None:
+    spec = tmp_path / "s.ini"
+    spec.write_bytes(b"[trace]\nslices = 2\xff\n")
+    assert main(["synth", str(spec), "-o", str(tmp_path / "t")]) == EXIT_CONFIG
+    assert str(spec) in _one_config_error(capsys)
+    assert not (tmp_path / "t.flows.csv").exists()
+
+
+def test_synth_spec_values_are_literal(tmp_path, capsys) -> None:
+    spec = tmp_path / "s.ini"
+    spec.write_text(
+        "[trace]\nslices = 1\n[scanner:x]\nkind = portscan\nip = 192.0.2.1\n"
+        "target = 10.0.0.1\nlabel = 100%scan\n",
+        encoding="utf-8",
+    )
+    base = tmp_path / "t"
+    assert main(["synth", str(spec), "-o", str(base)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    anomalous = base.with_name("t.anomalous.xml").read_text(encoding="utf-8")
+    assert 'value="100%scan"' in anomalous
+
+
 CONFIG_INI = """\
 [detector]
 threshold = 75
@@ -684,3 +718,81 @@ def test_unknown_config_key_rejected(scan_trace, tmp_path, capsys) -> None:
     )
     assert code == EXIT_CONFIG
     assert "thresold" in capsys.readouterr().err
+
+
+def test_config_value_with_percent_exits_2(scan_trace, tmp_path, capsys) -> None:
+    cfg = tmp_path / "pct.ini"
+    cfg.write_text("[detector]\nthreshold = 5%\n", encoding="utf-8")
+    out = tmp_path / "v.csv"
+    code = main(["detect", str(scan_trace), "-o", str(out), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert "detail=detector.threshold: " in _one_config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, key",
+    [
+        ("detect", "--threshold", "abc", "detector.threshold"),
+        ("detect", "--workers", "two", "engine.workers"),
+        ("detect", "--slice-seconds", "x", "detector.slice_seconds"),
+        ("detect", "--slice-seconds", "nan", "detector.slice_seconds"),
+        ("detect", "--slice-seconds", "1e-9", "detector.slice_seconds"),
+        ("detect", "--trace-start-us", "1.5", "detector.trace_start_us"),
+        ("detect", "--mode", "turbo", "engine.mode"),
+        ("evaluate", "--thresholds", "5,abc", "evaluation.thresholds"),
+    ],
+)
+def test_bad_flag_value_exits_2_naming_its_key(
+    scan_trace, gt_path, tmp_path, capsys, command, flag, value, key
+) -> None:
+    out = tmp_path / "o.csv"
+    if command == "detect":
+        args = ["detect", str(scan_trace), "-o", str(out), flag, value]
+    else:
+        args = _eval_args(scan_trace, gt_path, out, flag, value)
+    assert main(args) == EXIT_CONFIG
+    assert f"detail={key}" in _one_config_error(capsys)
+    assert not out.exists()
+
+
+_COMMAND_ARGS = {
+    "detect": ["detect", "f.csv", "-o", "v.csv"],
+    "evaluate": ["evaluate", "--trace", "f.csv,a.xml", "-o", "r.csv"],
+    "bench": ["bench", "f.csv", "-o", "b.csv"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, ini, other",
+    [
+        ("detect", "--threshold", "75", "[detector]\nthreshold = 75", "90"),
+        ("bench", "--threshold", "75", "[detector]\nthreshold = 75", "90"),
+        ("detect", "--slice-seconds", "20", "[detector]\nslice_seconds = 20", "10"),
+        ("evaluate", "--trace-start-us", "5", "[detector]\ntrace_start_us = 5", "7"),
+        ("detect", "--workers", "3", "[engine]\nworkers = 3", "2"),
+        ("evaluate", "--workers", "3", "[engine]\nworkers = 3", "2"),
+        ("detect", "--mode", "stream", "[engine]\nmode = stream", "batch"),
+        ("evaluate", "--thresholds", "25,50", "[evaluation]\nthresholds = 25,50", "9"),
+        ("bench", "--strict", None, "[io]\nstrict = yes", "no"),
+    ],
+)
+def test_config_flag_matches_its_ini_key(
+    tmp_path, monkeypatch, command, flag, value, ini, other
+) -> None:
+    monkeypatch.delenv("FLOWSCAN_CONFIG", raising=False)
+
+    def resolve(*extra: str) -> AppConfig:
+        args = build_parser().parse_args([*_COMMAND_ARGS[command], *extra])
+        return _resolve_config(args)
+
+    flag_args = [flag] if value is None else [flag, value]
+    from_flag = resolve(*flag_args)
+    assert from_flag != AppConfig()
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(ini + "\n", encoding="utf-8")
+    assert resolve("--config", str(cfg)) == from_flag
+    # the same key with another value in the file: the flag wins
+    cfg.write_text(ini.rsplit("= ", 1)[0] + f"= {other}\n", encoding="utf-8")
+    assert resolve("--config", str(cfg)) != from_flag
+    assert resolve("--config", str(cfg), *flag_args) == from_flag

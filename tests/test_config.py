@@ -105,6 +105,12 @@ def test_bad_values_name_their_field(tmp_path, text: str, fragment: str) -> None
     assert fragment in str(info.value)
 
 
+def test_rule_error_names_its_key(tmp_path) -> None:
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, "[rules]\nsubnet_prefix = 200\n")
+    assert str(info.value) == "rules.subnet_prefix out of range: 200"
+
+
 @pytest.mark.parametrize(
     "changes, fragment",
     [

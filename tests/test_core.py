@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ipaddress
+import math
 
 import pytest
 from hypothesis import given
@@ -46,10 +47,9 @@ def test_flow_before_trace_start_rejected() -> None:
 
 
 def test_slice_duration_must_be_positive() -> None:
-    with pytest.raises(ConfigError):
-        SliceConfig(trace_start_us=0, slice_seconds=0)
-    with pytest.raises(ConfigError):
-        SliceConfig(trace_start_us=0, slice_seconds=-1.5)
+    for seconds in (0, -1.5, 1e-9, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            SliceConfig(trace_start_us=0, slice_seconds=seconds)
 
 
 @given(

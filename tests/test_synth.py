@@ -89,6 +89,10 @@ def test_load_spec_fields(spec: SynthSpec) -> None:
     [
         ("[bogus]\nx = 1\n", "unknown section"),
         ("[trace]\nslices = 0\n", "trace.slices"),
+        (
+            "[trace]\nslice_seconds = 0\n",
+            "trace.slice_seconds must be finite and >= 1e-06, got 0.0",
+        ),
         ("[scanner:x]\nkind = dos\nip = 192.0.2.1\n", "kind"),
         (
             "[scanner:x]\nkind = netscan\nip = 10.0.0.1\ntarget_subnet = 10.99.0.0/24\n"
