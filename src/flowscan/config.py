@@ -40,7 +40,7 @@ class AppConfig:
     exclude: frozenset[str] = DEFAULT_SCAN_EXCLUDE
     strict: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Check each value with the config class that takes it. Raises
         ConfigError naming the INI key of the first bad value."""
         slices = checked("detector.", SliceConfig, 0, self.slice_seconds)
@@ -102,10 +102,7 @@ def format_port_set(ports: frozenset[int]) -> str:
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:
-    values = tuple(float(chunk) for chunk in text.split(",") if chunk.strip())
-    if not values:
-        raise ValueError("no thresholds given")
-    return values
+    return tuple(float(chunk) for chunk in text.split(",") if chunk.strip())
 
 
 def _parse_terms(text: str) -> frozenset[str]:
@@ -205,6 +202,4 @@ def load_config(
             raise ConfigError(f"unknown config section [{section}]")
         values = section_values(parser, section, _PARSERS[section])
         (rules if section == "rules" else changes).update(values)
-    cfg = AppConfig(rules=checked("rules.", RuleConfig, **rules), **changes)
-    cfg.validate()
-    return cfg
+    return AppConfig(rules=checked("rules.", RuleConfig, **rules), **changes)

@@ -58,8 +58,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.watermark_lag_seconds < 0:
-            raise ValueError("watermark_lag_seconds must be >= 0")
+        lag = self.watermark_lag_seconds
+        if not 0 <= lag < math.inf:
+            raise ValueError(f"watermark_lag_seconds must be finite and >= 0, got {lag}")
 
 
 @dataclass(frozen=True, slots=True)

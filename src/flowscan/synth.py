@@ -7,16 +7,19 @@ send many flows and receive none. Decoy entries add ground truth labels
 (a DoS entry, say) without any matching traffic.
 
 Given the same spec and seed the outputs are byte-identical.
+
+Each spec class checks its own values when it is built and raises
+ValueError naming the field; load_spec puts the section in front of
+that name.
 """
 
 from __future__ import annotations
 
-import configparser
 import ipaddress
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 from xml.sax.saxutils import quoteattr
 
 from .config import checked, parse_boolean, read_ini, section_values
@@ -38,11 +41,20 @@ KIND_PORTSCAN = "portscan"
 _DEFAULT_LABELS = {KIND_NETSCAN: "ntscSYN", KIND_PORTSCAN: "ptscSYN"}
 
 
+def _require_positive(value: int, name: str) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     start_us: int = 0
     slice_seconds: float = DEFAULT_SLICE_SECONDS
     slices: int = 10
+
+    def __post_init__(self) -> None:
+        _require_positive(self.slices, "slices")
+        SliceConfig(self.start_us, self.slice_seconds)
 
 
 @dataclass(frozen=True)
@@ -53,11 +65,17 @@ class BackgroundSpec:
         "10.0.0.0/16"
     )
 
+    def __post_init__(self) -> None:
+        _require_positive(self.hosts, "hosts")
+        if self.hosts > self.subnet.num_addresses - 2:
+            raise ValueError(f"hosts {self.hosts} does not fit in {self.subnet}")
+        _require_positive(self.flows_per_host_per_slice, "flows_per_host_per_slice")
+
 
 @dataclass(frozen=True)
 class ScannerSpec:
     name: str
-    ip: IpAddress
+    ip: Optional[IpAddress] = None
     kind: str = KIND_NETSCAN
     flows_per_slice: int = 120
     target_subnet: Optional[ipaddress.IPv4Network | ipaddress.IPv6Network] = None
@@ -66,6 +84,18 @@ class ScannerSpec:
     port_start: int = 1
     labeled: bool = True
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind not in (KIND_NETSCAN, KIND_PORTSCAN):
+            raise ValueError(f"kind must be netscan or portscan, got {self.kind!r}")
+        for key in ("ip", "target_subnet" if self.kind == KIND_NETSCAN else "target"):
+            if getattr(self, key) is None:
+                raise ValueError(f"{key} is required")
+        _require_positive(self.flows_per_slice, "flows_per_slice")
+        if self.kind == KIND_NETSCAN and self.target_subnet.num_addresses < 4:
+            raise ValueError("target_subnet too small")
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
 
     def taxonomy_label(self) -> str:
         return self.label or _DEFAULT_LABELS[self.kind]
@@ -80,6 +110,10 @@ class DecoySpec:
     category: Category = Category.ANOMALOUS
     file: SourceFile = SourceFile.ANOMALOUS
 
+    def __post_init__(self) -> None:
+        if self.src_ip is None and self.dst_ip is None:
+            raise ValueError("src_ip or dst_ip is required")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -88,122 +122,80 @@ class SynthSpec:
     scanners: tuple[ScannerSpec, ...] = ()
     decoys: tuple[DecoySpec, ...] = ()
 
+    def __post_init__(self) -> None:
+        seen: set[IpAddress] = set()
+        for scanner in self.scanners:
+            if scanner.ip in seen:
+                raise ValueError(f"duplicate scanner ip {scanner.ip}")
+            if self.background is not None and scanner.ip in self.background.subnet:
+                raise ValueError(
+                    f"scanner ip {scanner.ip} collides with background subnet "
+                    f"{self.background.subnet}"
+                )
+            seen.add(scanner.ip)
 
-# section kind -> key -> parser of the value text. Each key names a field of
-# that section's spec class; the class default stands for a key left out.
-_SPEC_PARSERS = {
-    "trace": {"start_us": int, "slice_seconds": float, "slices": int},
-    "background": {
-        "hosts": int,
-        "flows_per_host_per_slice": int,
-        "subnet": ipaddress.ip_network,
-    },
-    "scanner": {
-        "kind": str,
-        "ip": parse_ip,
-        "flows_per_slice": int,
-        "target_subnet": ipaddress.ip_network,
-        "target": parse_ip,
-        "port": int,
-        "port_start": int,
-        "labeled": parse_boolean,
-        "label": str,
-    },
-    "decoy": {
-        "label": str,
-        "src_ip": parse_ip,
-        "dst_ip": parse_ip,
-        "category": Category,
-        "file": SourceFile,
-    },
+
+# section head -> (SynthSpec field, spec class, key -> parser of the value
+# text). A head ending in `:` takes a name after it, which becomes the
+# spec's name, and may repeat. Each key names a field of the spec class;
+# the class default stands for a key left out.
+_SPEC_SECTIONS = {
+    "trace": (
+        "trace",
+        TraceSpec,
+        {"start_us": int, "slice_seconds": float, "slices": int},
+    ),
+    "background": (
+        "background",
+        BackgroundSpec,
+        {"hosts": int, "flows_per_host_per_slice": int, "subnet": ipaddress.ip_network},
+    ),
+    "scanner:": (
+        "scanners",
+        ScannerSpec,
+        {
+            "kind": str,
+            "ip": parse_ip,
+            "flows_per_slice": int,
+            "target_subnet": ipaddress.ip_network,
+            "target": parse_ip,
+            "port": int,
+            "port_start": int,
+            "labeled": parse_boolean,
+            "label": str,
+        },
+    ),
+    "decoy:": (
+        "decoys",
+        DecoySpec,
+        {
+            "label": str,
+            "src_ip": parse_ip,
+            "dst_ip": parse_ip,
+            "category": Category,
+            "file": SourceFile,
+        },
+    ),
 }
 
 
-def _require_positive(value: int, name: str) -> None:
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-
-
-def _fields(parser: configparser.ConfigParser, section: str) -> dict:
-    """The parsed keys of `section`, none if it is absent."""
-    if not parser.has_section(section):
-        return {}
-    parsers = _SPEC_PARSERS[section.split(":", 1)[0]]
-    return section_values(parser, section, parsers, what="spec")
-
-
 def load_spec(path: str | Path) -> SynthSpec:
+    """The spec in the INI file at `path`. Raises ConfigError naming the
+    first bad section, key or value in file order."""
     parser = read_ini(path)
-    trace = TraceSpec(**_fields(parser, "trace"))
-    _require_positive(trace.slices, "trace.slices")
-    checked("trace.", SliceConfig, trace.start_us, trace.slice_seconds)
-
-    background = None
-    if parser.has_section("background"):
-        background = BackgroundSpec(**_fields(parser, "background"))
-        hosts, subnet = background.hosts, background.subnet
-        _require_positive(hosts, "background.hosts")
-        if hosts > subnet.num_addresses - 2:
-            raise ConfigError(f"background.hosts {hosts} does not fit in {subnet}")
-        _require_positive(
-            background.flows_per_host_per_slice, "background.flows_per_host_per_slice"
-        )
-
-    scanners = []
-    decoys = []
+    found: dict = {}
     for section in parser.sections():
-        if section.startswith("scanner:"):
-            scanners.append(_scanner_from(parser, section))
-        elif section.startswith("decoy:"):
-            decoys.append(_decoy_from(parser, section))
-        elif section not in ("trace", "background"):
+        head, colon, name = section.partition(":")
+        if head + colon not in _SPEC_SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    _check_distinct_sources(background, scanners)
-    return SynthSpec(
-        trace=trace,
-        background=background,
-        scanners=tuple(scanners),
-        decoys=tuple(decoys),
-    )
-
-
-def _scanner_from(parser: configparser.ConfigParser, section: str) -> ScannerSpec:
-    fields = _fields(parser, section)
-    kind = fields.get("kind", KIND_NETSCAN)
-    if kind not in (KIND_NETSCAN, KIND_PORTSCAN):
-        raise ConfigError(f"{section}.kind must be netscan or portscan, got {kind!r}")
-    for key in ("ip", "target_subnet" if kind == KIND_NETSCAN else "target"):
-        if key not in fields:
-            raise ConfigError(f"{section}.{key} is required")
-    scanner = ScannerSpec(name=section[len("scanner:"):], **fields)
-    _require_positive(scanner.flows_per_slice, f"{section}.flows_per_slice")
-    if kind == KIND_NETSCAN and fields["target_subnet"].num_addresses < 4:
-        raise ConfigError(f"{section}.target_subnet too small")
-    if not 0 <= scanner.port <= 65535:
-        raise ConfigError(f"{section}.port must be in 0-65535, got {scanner.port}")
-    return scanner
-
-
-def _decoy_from(parser: configparser.ConfigParser, section: str) -> DecoySpec:
-    fields = _fields(parser, section)
-    if "src_ip" not in fields and "dst_ip" not in fields:
-        raise ConfigError(f"{section} needs src_ip or dst_ip")
-    return DecoySpec(name=section[len("decoy:"):], **fields)
-
-
-def _check_distinct_sources(
-    background: Optional[BackgroundSpec], scanners: Iterable[ScannerSpec]
-) -> None:
-    seen: set[IpAddress] = set()
-    for scanner in scanners:
-        if scanner.ip in seen:
-            raise ConfigError(f"duplicate scanner ip {scanner.ip}")
-        if background is not None and scanner.ip in background.subnet:
-            raise ConfigError(
-                f"scanner ip {scanner.ip} collides with background subnet "
-                f"{background.subnet}"
-            )
-        seen.add(scanner.ip)
+        field, cls, parsers = _SPEC_SECTIONS[head + colon]
+        values = section_values(parser, section, parsers, what="spec")
+        if colon:
+            spec = checked(f"{section}.", cls, name=name, **values)
+            found[field] = found.get(field, ()) + (spec,)
+        else:
+            found[field] = checked(f"{section}.", cls, **values)
+    return checked("", SynthSpec, **found)
 
 
 def _background_hosts(background: BackgroundSpec) -> list[IpAddress]:
@@ -217,7 +209,7 @@ def generate(
     """Materialize the trace and its ground truth, flows sorted by start
     time so the file reads back as an in-order stream."""
     rng = random.Random(seed)
-    duration_us = round(spec.trace.slice_seconds * US_PER_SECOND)
+    duration_us = SliceConfig(spec.trace.start_us, spec.trace.slice_seconds).duration_us
     flows: list[FlowRecord] = []
     hosts = _background_hosts(spec.background) if spec.background else []
 

@@ -730,6 +730,21 @@ def test_config_value_with_percent_exits_2(scan_trace, tmp_path, capsys) -> None
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+@pytest.mark.parametrize("lag", ["nan", "inf"])
+def test_non_finite_watermark_lag_exits_2(scan_trace, tmp_path, capsys, lag, mode) -> None:
+    cfg = tmp_path / "lag.ini"
+    cfg.write_text(
+        f"[engine]\nwatermark_lag_seconds = {lag}\nmode = {mode}\n", encoding="utf-8"
+    )
+    out = tmp_path / "v.csv"
+    code = main(["detect", str(scan_trace), "-o", str(out), "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    err = _one_config_error(capsys)
+    assert "detail=engine.watermark_lag_seconds must be finite and >= 0, got " in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, flag, value, key",
     [

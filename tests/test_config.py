@@ -97,6 +97,8 @@ def test_partial_sections_keep_other_defaults(tmp_path) -> None:
         ("[io]\nstrict = maybe\n", "io.strict"),
         ("[detector]\nthreshold = 0\n", "detector.threshold"),
         ("[engine]\nworkers = 0\n", "engine.workers"),
+        ("[engine]\nwatermark_lag_seconds = nan\n", "engine.watermark_lag_seconds"),
+        ("[engine]\nwatermark_lag_seconds = inf\n", "engine.watermark_lag_seconds"),
     ],
 )
 def test_bad_values_name_their_field(tmp_path, text: str, fragment: str) -> None:
@@ -124,4 +126,4 @@ def test_rule_error_names_its_key(tmp_path) -> None:
 )
 def test_validate_rejects_bad_thresholds(changes: dict, fragment: str) -> None:
     with pytest.raises(ConfigError, match=fragment):
-        dataclasses.replace(AppConfig(), **changes).validate()
+        dataclasses.replace(AppConfig(), **changes)

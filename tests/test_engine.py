@@ -30,8 +30,9 @@ CFG = DetectorConfig(slices=SliceConfig(trace_start_us=0, slice_seconds=30.0), t
 def test_engine_config_validation() -> None:
     with pytest.raises(ValueError, match="workers"):
         EngineConfig(workers=0)
-    with pytest.raises(ValueError, match="watermark"):
-        EngineConfig(watermark_lag_seconds=-1.0)
+    for lag in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="watermark_lag_seconds must be finite and >= 0"):
+            EngineConfig(watermark_lag_seconds=lag)
 
 
 def test_batch_single_worker_matches_detect(rng: random.Random) -> None:

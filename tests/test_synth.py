@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+from ipaddress import ip_network
+
 import pytest
 
 from flowscan.core import ConfigError, PROTO_TCP, SliceConfig
@@ -157,6 +161,78 @@ def test_load_spec_rejects_bad_input(tmp_path, mutation: str, message: str) -> N
     path.write_text(mutation, encoding="utf-8")
     with pytest.raises(ConfigError, match=message):
         load_spec(path)
+
+
+NETSCAN = ScannerSpec(name="x", ip=ip("192.0.2.1"), target_subnet=ip_network("10.99.0.0/24"))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TraceSpec(slices=0), "slices must be >= 1, got 0"),
+        (
+            lambda: TraceSpec(slice_seconds=0),
+            "slice_seconds must be finite and >= 1e-06, got 0",
+        ),
+        (
+            lambda: BackgroundSpec(hosts=300, subnet=ip_network("10.0.0.0/24")),
+            "hosts 300 does not fit in 10.0.0.0/24",
+        ),
+        (
+            lambda: ScannerSpec(name="x", ip=ip("192.0.2.1")),
+            "target_subnet is required",
+        ),
+        (
+            lambda: dataclasses.replace(NETSCAN, port=70000),
+            "port must be in 0-65535, got 70000",
+        ),
+        (
+            lambda: dataclasses.replace(NETSCAN, flows_per_slice=0),
+            "flows_per_slice must be >= 1, got 0",
+        ),
+        (
+            lambda: dataclasses.replace(NETSCAN, kind="dos"),
+            "kind must be netscan or portscan, got 'dos'",
+        ),
+        (lambda: DecoySpec(name="d"), "src_ip or dst_ip is required"),
+        (
+            lambda: SynthSpec(scanners=(NETSCAN, dataclasses.replace(NETSCAN, name="y"))),
+            "duplicate scanner ip 192.0.2.1",
+        ),
+    ],
+    ids=[
+        "trace-slices",
+        "trace-slice_seconds",
+        "background-hosts",
+        "scanner-target_subnet",
+        "scanner-port",
+        "scanner-flows_per_slice",
+        "scanner-kind",
+        "decoy-ips",
+        "synth-duplicate-ip",
+    ],
+)
+def test_spec_built_in_code_checks_itself(build, message: str) -> None:
+    # The same rule and wording as load_spec, which puts `section.` first.
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+# sha256 of the files write_outputs writes for SPEC_TEXT at seed 5: any
+# change to the trace or ground-truth bytes shows here.
+SYNTH_GOLDEN = {
+    "g.flows.csv": "8582f702c5184ab4e279e84987a752c57f27381ec21c772134f34ef555a9d299",
+    "g.anomalous.xml": "24742dc5ed2cca2e1cb840aab8d382741a2c4e593dd6bd46d61adc40ede86ba3",
+    "g.notice.xml": "1007ba078efa077a182eb64cd8fc9946bfbf33133c92a2861ebe66d3316b98ab",
+}
+
+
+def test_write_outputs_match_golden(tmp_path, spec: SynthSpec) -> None:
+    outputs = write_outputs(spec, seed=5, out_base=tmp_path / "g")
+    paths = (outputs.flow_path, outputs.anomalous_path, outputs.notice_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == SYNTH_GOLDEN
 
 
 def test_generate_is_deterministic(spec: SynthSpec) -> None:
