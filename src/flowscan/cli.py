@@ -347,14 +347,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
-    parts = [Path(p) for p in raw.split(",") if p]
-    if len(parts) not in (2, 3):
+    fields = raw.split(",")
+    if len(fields) not in (2, 3) or not all(fields):
         raise ConfigError(
             f"--trace expects FLOWS,ANOMALOUS_XML[,NOTICE_XML], got {raw!r}"
         )
-    flows, anomalous = parts[0], parts[1]
-    notice = parts[2] if len(parts) == 3 else None
-    return flows, anomalous, notice
+    flows, anomalous, *notice = map(Path, fields)
+    return flows, anomalous, notice[0] if notice else None
 
 
 def _trace_id(flow_path: Path) -> str:
@@ -409,7 +408,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
         # The rules depend on neither threshold nor source: classify every
         # IP that case 3 could reintegrate at any threshold, once.
-        classifications = None
+        classifications = {}
         if case is EvalCase.FILTERED_PLUS_RULES:
             candidates = set().union(*detected_at)
             if args.directional:
@@ -421,10 +420,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     case,
                     detected,
                     sub_gt,
-                    flows=flows,
-                    rule_cfg=cfg.rules,
-                    slice_cfg=slices,
-                    universe=universe,
+                    universe,
                     whitelist=cfg.whitelist,
                     exclude=cfg.exclude,
                     directional=args.directional,

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, TextIO, TypeVar
 
-from .core import FlowBatch, FlowRecord, IpAddress, SliceConfig, as_batch
+from .core import FlowBatch, FlowRecord, IpAddress, as_batch
 from .detector import Direction
 from .ingest import GroundTruthSet
-from .rules import Classification, RuleConfig, classify_all, reintegrate
+# classify_all is unused here; perfbench/tracing.py wraps it on this module.
+from .rules import Classification, classify_all, reintegrate  # noqa: F401
 
 DEFAULT_SCAN_WHITELIST = frozenset(
     {"ntsc", "ptsc", "posc", "netscan", "portscan", "scan"}
@@ -60,8 +62,8 @@ class PRScore:
 
 @dataclass(frozen=True, slots=True)
 class AggregateScore:
-    mean: float
-    variance: float
+    mean: Optional[float]
+    variance: Optional[float]
     n_traces: int
     excluded: int = 0
 
@@ -151,29 +153,21 @@ def evaluate_case(
     case: EvalCase,
     detected: set,
     gt: GroundTruthSet,
-    flows: Iterable[FlowRecord] | FlowBatch | None = None,
-    rule_cfg: Optional[RuleConfig] = None,
-    slice_cfg: Optional[SliceConfig] = None,
-    universe: Optional[set[IpAddress]] = None,
+    universe: set[IpAddress],
     whitelist: frozenset[str] = DEFAULT_SCAN_WHITELIST,
     exclude: frozenset[str] = DEFAULT_SCAN_EXCLUDE,
     directional: bool = False,
-    classifications: Optional[Mapping[IpAddress, Classification]] = None,
+    classifications: Mapping[IpAddress, Classification] = MappingProxyType({}),
 ) -> CaseResult:
     """Score one detector run under the chosen case.
 
     `detected` holds IP addresses, or (IP, Direction) pairs when
-    directional is set. The universe is derived from the flows unless
-    passed in. Case 3 additionally needs rule and slice configuration
-    to classify false positives; only sender-side false positives can
-    be rule-confirmed since the rules judge outbound flows. Case 3 looks
-    candidates up in `classifications` when given, which must then
-    cover every one of them, instead of classifying them here.
+    directional is set; `universe` is every IP of the trace, as
+    `trace_universe` gives it. Case 3 looks its candidates, the false
+    positives, up in `classifications`, which must cover every one of
+    them; only sender-side false positives can be rule-confirmed since
+    the rules judge outbound flows.
     """
-    if universe is None:
-        if flows is None:
-            raise ValueError("need flows or an explicit universe")
-        universe = trace_universe(flows)
     truth_entries = (
         gt if case is EvalCase.RAW else filter_scan_labels(gt, whitelist, exclude)
     )
@@ -193,17 +187,12 @@ def evaluate_case(
             candidates = {ip for ip, d in fp_set if d is Direction.SENDER}
         else:
             candidates = set(fp_set)
-        if classifications is None:
-            if flows is None or rule_cfg is None or slice_cfg is None:
-                raise ValueError("case 3 requires flows, rule_cfg and slice_cfg")
-            classifications = classify_all(candidates, flows, rule_cfg, slice_cfg)
-        else:
-            missing = candidates - classifications.keys()
-            if missing:
-                raise ValueError(
-                    f"{len(missing)} case 3 candidates are not classified, "
-                    f"e.g. {next(iter(missing))}"
-                )
+        missing = candidates - classifications.keys()
+        if missing:
+            raise ValueError(
+                f"{len(missing)} case 3 candidates are not classified, "
+                f"e.g. {next(iter(missing))}"
+            )
         reintegrated = len(reintegrate(candidates, classifications))
     matrix = ConfusionMatrix(
         tp=len(tp_set) + reintegrated,
@@ -217,14 +206,14 @@ def evaluate_case(
 
 
 def _aggregate_values(values: Sequence[Optional[float]]) -> AggregateScore:
+    """Mean and population variance of the defined values; both are None
+    when no value is defined."""
     import statistics  # here, so that detect does not pay for the import
 
     included = [v for v in values if v is not None]
-    if not included:
-        raise ValueError("no defined values to aggregate")
     return AggregateScore(
-        mean=statistics.fmean(included),
-        variance=statistics.pvariance(included),
+        mean=statistics.fmean(included) if included else None,
+        variance=statistics.pvariance(included) if included else None,
         n_traces=len(included),
         excluded=len(values) - len(included),
     )
@@ -237,6 +226,8 @@ def aggregate(
     traces, skipping undefined values per metric."""
     recall = _aggregate_values([s.recall for s in scores])
     precision = _aggregate_values([s.precision for s in scores])
+    if not recall.n_traces or not precision.n_traces:
+        raise ValueError("no defined values to aggregate")
     return recall, precision
 
 
@@ -307,13 +298,7 @@ def write_report(
             ("recall", [s.recall for s in scores]),
             ("precision", [s.precision for s in scores]),
         ):
-            defined = [v for v in values if v is not None]
-            excluded = len(values) - len(defined)
-            if defined:
-                agg = _aggregate_values(values)
-                mean, variance = repr(agg.mean), repr(agg.variance)
-            else:
-                mean = variance = "undefined"
+            agg = _aggregate_values(values)
             fh.write(
                 ",".join(
                     (
@@ -321,10 +306,10 @@ def write_report(
                         _fmt_threshold(threshold),
                         source,
                         metric,
-                        mean,
-                        variance,
-                        str(len(defined)),
-                        str(excluded),
+                        _fmt_metric(agg.mean),
+                        _fmt_metric(agg.variance),
+                        str(agg.n_traces),
+                        str(agg.excluded),
                     )
                 )
                 + "\n"

@@ -10,7 +10,7 @@ from enum import Enum
 from itertools import chain, repeat
 from operator import gt
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     FlowBatch,
@@ -284,8 +284,9 @@ def parse_ground_truth(
     Any element whose `type` attribute names a known category is an
     anomaly entry; its descendants are searched for src_ip/dst_ip (and
     port) attributes. Unknown attributes are ignored. An element tagged
-    `anomaly` with an unrecognized category is rejected with a warning,
-    or aborts the parse in strict mode.
+    `anomaly` with an unrecognized category, an unparseable address and
+    a port outside 0-65535 are each skipped with a warning naming the
+    file, or abort the parse in strict mode.
     """
     try:
         root = ET.parse(path).getroot()
@@ -305,7 +306,7 @@ def parse_ground_truth(
                     )
                 logger.warning("%s: skipping anomaly with category %r", path, type_attr)
             continue
-        entry = _read_entry(elem, category, source_file)
+        entry = _read_entry(elem, category, source_file, path, strict)
         if not entry.ip_set():
             if strict:
                 raise GroundTruthError(f"{path}: anomaly entry without any IP address")
@@ -316,46 +317,39 @@ def parse_ground_truth(
 
 
 def _read_entry(
-    elem: ET.Element, category: Category, source_file: SourceFile
+    elem: ET.Element,
+    category: Category,
+    source_file: SourceFile,
+    path: str | Path,
+    strict: bool,
 ) -> GroundTruthEntry:
-    src_ips: set[IpAddress] = set()
-    dst_ips: set[IpAddress] = set()
-    src_ports: set[int] = set()
-    dst_ports: set[int] = set()
-    for node in elem.iter():
-        _collect_ip(node.get("src_ip"), src_ips)
-        _collect_ip(node.get("dst_ip"), dst_ips)
-        _collect_port(node.get("src_port"), src_ports)
-        _collect_port(node.get("dst_port"), dst_ports)
+    def collect(attr: str, parse: Callable[[str], object], bad: str) -> frozenset:
+        found = set()
+        for text in filter(None, (node.get(attr) for node in elem.iter())):
+            try:
+                found.add(parse(text))
+            except ValueError:
+                if strict:
+                    raise GroundTruthError(f"{path}: {bad.format(text)}") from None
+                logger.warning("%s: ignoring %s", path, bad.format(text))
+        return frozenset(found)
+
     return GroundTruthEntry(
         category=category,
         taxonomy_label=elem.get("value", ""),
-        src_ips=frozenset(src_ips),
-        dst_ips=frozenset(dst_ips),
+        src_ips=collect("src_ip", parse_ip, "unparseable address {!r}"),
+        dst_ips=collect("dst_ip", parse_ip, "unparseable address {!r}"),
         source_file=source_file,
-        src_ports=frozenset(src_ports),
-        dst_ports=frozenset(dst_ports),
+        src_ports=collect("src_port", _parse_port, "port {!r} not in 0-65535"),
+        dst_ports=collect("dst_port", _parse_port, "port {!r} not in 0-65535"),
     )
 
 
-def _collect_ip(text: Optional[str], into: set[IpAddress]) -> None:
-    if not text:
-        return
-    try:
-        into.add(parse_ip(text))
-    except ValueError:
-        logger.warning("ignoring unparseable address %r", text)
-
-
-def _collect_port(text: Optional[str], into: set[int]) -> None:
-    if not text:
-        return
-    try:
-        port = int(text)
-    except ValueError:
-        return
-    if 0 <= port <= 65535:
-        into.add(port)
+def _parse_port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise ValueError(text)
+    return port
 
 
 def read_ground_truth(

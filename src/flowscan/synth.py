@@ -24,8 +24,8 @@ from xml.sax.saxutils import quoteattr
 
 from .config import checked, parse_boolean, read_ini, section_values
 from .core import (
-    DEFAULT_SLICE_SECONDS, PROTO_TCP, US_PER_SECOND, ConfigError, FlowRecord, IpAddress,
-    SliceConfig, ip_sort_key, parse_ip,
+    DEFAULT_SLICE_SECONDS, INT64_MAX, INT64_MIN, PROTO_TCP, US_PER_SECOND, ConfigError,
+    FlowRecord, IpAddress, SliceConfig, ip_sort_key, parse_ip,
 )
 from .ingest import (
     Category,
@@ -54,7 +54,14 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         _require_positive(self.slices, "slices")
-        SliceConfig(self.start_us, self.slice_seconds)
+        duration_us = SliceConfig(self.start_us, self.slice_seconds).duration_us
+        # a flow may last up to 1 s past the end of the last slice
+        end_us = self.start_us + self.slices * duration_us + US_PER_SECOND
+        if self.start_us < INT64_MIN or end_us > INT64_MAX:
+            raise ValueError(
+                f"start_us {self.start_us} + {self.slices} slices of slice_seconds "
+                f"{self.slice_seconds} runs past the signed 64-bit microsecond range"
+            )
 
 
 @dataclass(frozen=True)

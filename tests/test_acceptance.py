@@ -29,6 +29,7 @@ from flowscan.evaluation import (
     evaluate_case,
     filter_scan_labels,
     precision_recall,
+    trace_universe,
 )
 from flowscan.ingest import (
     Category,
@@ -37,7 +38,7 @@ from flowscan.ingest import (
     read_flow_file,
     read_ground_truth,
 )
-from flowscan.rules import RuleConfig
+from flowscan.rules import RuleConfig, classify_all
 from flowscan.synth import (
     BackgroundSpec,
     DecoySpec,
@@ -164,7 +165,9 @@ def test_c2_planted_scan_recovery(tmp_path, crit) -> None:
             cfg = DetectorConfig(slices=_slices(), threshold=threshold)
             flagged = {addr for addr, _ in anomalous_ips(detect(flows, cfg))}
             assert flagged == C2_SCANNERS
-            result = evaluate_case(EvalCase.FILTERED, flagged, gt, flows=flows)
+            result = evaluate_case(
+                EvalCase.FILTERED, flagged, gt, trace_universe(flows)
+            )
             assert result.score.recall == 1.0
             assert result.score.precision == 1.0
         assert time.perf_counter() - started < 10.0
@@ -256,14 +259,16 @@ def test_c4_case3_improvement(crit) -> None:
             flows, gt = generate(spec, seed=seed)
             cfg = DetectorConfig(slices=_slices(), threshold=100.0)
             detected = {addr for addr, _ in anomalous_ips(detect(flows, cfg))}
-            case2 = evaluate_case(EvalCase.FILTERED, detected, gt, flows=flows)
+            universe = trace_universe(flows)
+            case2 = evaluate_case(EvalCase.FILTERED, detected, gt, universe)
             case3 = evaluate_case(
                 EvalCase.FILTERED_PLUS_RULES,
                 detected,
                 gt,
-                flows=flows,
-                rule_cfg=RuleConfig(),
-                slice_cfg=_slices(),
+                universe,
+                classifications=classify_all(
+                    detected, flows, RuleConfig(), _slices()
+                ),
             )
             assert case3.reintegrated == len(spec.scanners) - 1
             assert case3.score.precision >= case2.score.precision

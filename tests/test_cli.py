@@ -530,6 +530,47 @@ def test_evaluate_malformed_trace_arg(tmp_path, capsys) -> None:
     assert "kind=config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", ["{flows},,{gt}", "{flows},{gt},"])
+def test_evaluate_empty_trace_field_exits_2(
+    scan_trace, gt_path, tmp_path, capsys, fields
+) -> None:
+    trace = fields.format(flows=scan_trace, gt=gt_path)
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--trace", trace, "-o", str(out)]) == EXIT_CONFIG
+    err = _one_error(capsys)
+    assert f"--trace expects FLOWS,ANOMALOUS_XML[,NOTICE_XML], got {trace!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "attr, value", [("src_ip", "10.0.0.300"), ("dst_port", "99999"), ("src_port", "x")]
+)
+def test_ground_truth_bad_value_obeys_strict(
+    scan_trace, gt_path, tmp_path, capsys, caplog, attr, value
+) -> None:
+    bad = tmp_path / "bad.anomalous.xml"
+    bad.write_text(
+        GT_XML.replace("</anomaly>", f'  <filter {attr}="{value}"/>\n  </anomaly>'),
+        encoding="utf-8",
+    )
+    out = tmp_path / "r.csv"
+    assert main(_eval_args(scan_trace, bad, out, "--strict")) == EXIT_GROUND_TRUTH
+    err = _one_error(capsys, "ground-truth", EXIT_GROUND_TRUTH)
+    assert f"detail={bad}: " in err and repr(value) in err
+    assert not out.exists()
+
+    # lenient: one warning naming the file, and the report of the clean file
+    assert main(_eval_args(scan_trace, bad, out)) == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{bad}: ignoring ") and repr(value) in warnings[0]
+    clean = tmp_path / "clean.csv"
+    assert main(_eval_args(scan_trace, gt_path, clean)) == EXIT_OK
+    # the first line names each report's own manifest
+    reports = [p.read_text(encoding="utf-8").splitlines()[1:] for p in (out, clean)]
+    assert reports[0] == reports[1]
+
+
 def test_bench_table_shape(scan_trace, tmp_path) -> None:
     out = tmp_path / "bench.csv"
     code = main(
@@ -622,10 +663,10 @@ def test_synth_bad_spec_exits_2(tmp_path, capsys) -> None:
     assert "kind=config exit=2" in capsys.readouterr().err
 
 
-def _one_config_error(capsys) -> str:
-    """The single stderr line of a run that exited on a config error."""
+def _one_error(capsys, kind: str = "config", code: int = EXIT_CONFIG) -> str:
+    """The single stderr line of a run that exited on an error."""
     err = capsys.readouterr().err
-    assert err.startswith("flowscan: error kind=config exit=2 detail=")
+    assert err.startswith(f"flowscan: error kind={kind} exit={code} detail=")
     assert err.count("\n") == 1
     assert "Traceback" not in err and "usage:" not in err
     return err
@@ -635,7 +676,24 @@ def test_synth_spec_with_non_utf8_byte_exits_2(tmp_path, capsys) -> None:
     spec = tmp_path / "s.ini"
     spec.write_bytes(b"[trace]\nslices = 2\xff\n")
     assert main(["synth", str(spec), "-o", str(tmp_path / "t")]) == EXIT_CONFIG
-    assert str(spec) in _one_config_error(capsys)
+    assert str(spec) in _one_error(capsys)
+    assert not (tmp_path / "t.flows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("start_us = 9223372036854775000", "trace.start_us 9223372036854775000 "),
+        ("slice_seconds = 1e13", "slice_seconds 10000000000000.0 "),
+    ],
+)
+def test_synth_trace_past_int64_exits_2(tmp_path, capsys, line, key) -> None:
+    spec = tmp_path / "s.ini"
+    spec.write_text(f"[trace]\n{line}\n[background]\nhosts = 10\n", encoding="utf-8")
+    assert main(["synth", str(spec), "-o", str(tmp_path / "t")]) == EXIT_CONFIG
+    err = _one_error(capsys)
+    assert "detail=trace.start_us " in err and key in err
+    assert "signed 64-bit" in err
     assert not (tmp_path / "t.flows.csv").exists()
 
 
@@ -726,7 +784,7 @@ def test_config_value_with_percent_exits_2(scan_trace, tmp_path, capsys) -> None
     out = tmp_path / "v.csv"
     code = main(["detect", str(scan_trace), "-o", str(out), "--config", str(cfg)])
     assert code == EXIT_CONFIG
-    assert "detail=detector.threshold: " in _one_config_error(capsys)
+    assert "detail=detector.threshold: " in _one_error(capsys)
     assert not out.exists()
 
 
@@ -740,7 +798,7 @@ def test_non_finite_watermark_lag_exits_2(scan_trace, tmp_path, capsys, lag, mod
     out = tmp_path / "v.csv"
     code = main(["detect", str(scan_trace), "-o", str(out), "--config", str(cfg)])
     assert code == EXIT_CONFIG
-    err = _one_config_error(capsys)
+    err = _one_error(capsys)
     assert "detail=engine.watermark_lag_seconds must be finite and >= 0, got " in err
     assert not out.exists()
 
@@ -767,7 +825,7 @@ def test_bad_flag_value_exits_2_naming_its_key(
     else:
         args = _eval_args(scan_trace, gt_path, out, flag, value)
     assert main(args) == EXIT_CONFIG
-    assert f"detail={key}" in _one_config_error(capsys)
+    assert f"detail={key}" in _one_error(capsys)
     assert not out.exists()
 
 

@@ -3,7 +3,7 @@
 `flowscan evaluate` counts each trace once, cuts that one table at every
 threshold and classifies the case 3 candidates of all thresholds once.
 Its report must equal one built the uncached way: a full `run_batch`
-per threshold, and `evaluate_case` classifying its own candidates.
+per threshold, and the candidates classified again for every report row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from flowscan.cli import EXIT_OK, main
 from flowscan.core import SliceConfig
-from flowscan.detector import DetectorConfig, anomalous_ips
+from flowscan.detector import DetectorConfig, Direction, anomalous_ips
 from flowscan.engine import EngineConfig, run_batch
 from flowscan.evaluation import (
     EvalCase,
@@ -36,7 +36,7 @@ from flowscan.ingest import (
     read_ground_truth,
     write_flow_file,
 )
-from flowscan.rules import RuleConfig
+from flowscan.rules import RuleConfig, classify_all
 from flowscan.synth import render_ground_truth_xml
 
 from helpers import random_flows
@@ -101,16 +101,17 @@ def _reference_report(
             verdicts, _ = run_batch(flows, DetectorConfig(slices, threshold), engine)
             pairs = anomalous_ips(verdicts)
             detected = pairs if directional else {ip for ip, _ in pairs}
+            senders = {ip for ip, d in pairs if not directional or d is Direction.SENDER}
             for name, wanted in sources:
                 result = evaluate_case(
                     case,
                     detected,
                     GroundTruthSet([e for e in gt.entries if e.source_file in wanted]),
-                    flows=flows,
-                    rule_cfg=rules,
-                    slice_cfg=slices,
-                    universe=universe,
+                    universe,
                     directional=directional,
+                    classifications=classify_all(senders, flows, rules, slices)
+                    if case is EvalCase.FILTERED_PLUS_RULES
+                    else {},
                 )
                 trace_id = flow_path.name[: -len(".flows.csv")]
                 rows.append(EvalRow(trace_id, case, threshold, name, result))

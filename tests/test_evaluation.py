@@ -211,9 +211,13 @@ def test_fixture_detects_both_scanners() -> None:
     assert _fixture_detected() == {ip(A), ip(B)}
 
 
+def _fixture_universe() -> set:
+    return trace_universe(_fixture_flows())
+
+
 def test_case1_hand_computed() -> None:
     result = evaluate_case(
-        EvalCase.RAW, _fixture_detected(), _fixture_gt(), flows=_fixture_flows()
+        EvalCase.RAW, _fixture_detected(), _fixture_gt(), _fixture_universe()
     )
     # universe: 2 scanners + 2 chatting hosts + 150 + 150 victims = 304
     assert result.matrix == ConfusionMatrix(tp=1, fp=1, fn=1, tn=301)
@@ -223,20 +227,20 @@ def test_case1_hand_computed() -> None:
 
 def test_case2_hand_computed() -> None:
     result = evaluate_case(
-        EvalCase.FILTERED, _fixture_detected(), _fixture_gt(), flows=_fixture_flows()
+        EvalCase.FILTERED, _fixture_detected(), _fixture_gt(), _fixture_universe()
     )
     assert result.matrix == ConfusionMatrix(tp=1, fp=1, fn=0, tn=302)
     assert result.score == PRScore(recall=1.0, precision=0.5)
 
 
 def test_case3_hand_computed() -> None:
+    detected = _fixture_detected()
     result = evaluate_case(
         EvalCase.FILTERED_PLUS_RULES,
-        _fixture_detected(),
+        detected,
         _fixture_gt(),
-        flows=_fixture_flows(),
-        rule_cfg=RULES,
-        slice_cfg=SLICES,
+        _fixture_universe(),
+        classifications=classify_all(detected, _fixture_flows(), RULES, SLICES),
     )
     assert result.reintegrated == 1
     assert result.matrix == ConfusionMatrix(tp=2, fp=0, fn=0, tn=302)
@@ -245,10 +249,10 @@ def test_case3_hand_computed() -> None:
 
 def test_case2_recall_at_least_case1_with_nonscan_truth() -> None:
     case1 = evaluate_case(
-        EvalCase.RAW, _fixture_detected(), _fixture_gt(), flows=_fixture_flows()
+        EvalCase.RAW, _fixture_detected(), _fixture_gt(), _fixture_universe()
     )
     case2 = evaluate_case(
-        EvalCase.FILTERED, _fixture_detected(), _fixture_gt(), flows=_fixture_flows()
+        EvalCase.FILTERED, _fixture_detected(), _fixture_gt(), _fixture_universe()
     )
     assert case2.score.recall >= case1.score.recall
 
@@ -259,17 +263,13 @@ def test_case3_never_worse_than_case2(rng: random.Random) -> None:
     gt = _fixture_gt()
     for _ in range(10):
         detected = {a for a in universe if rng.random() < 0.05} | {ip(A)}
-        case2 = evaluate_case(
-            EvalCase.FILTERED, detected, gt, flows=flows, universe=universe
-        )
+        case2 = evaluate_case(EvalCase.FILTERED, detected, gt, universe)
         case3 = evaluate_case(
             EvalCase.FILTERED_PLUS_RULES,
             detected,
             gt,
-            flows=flows,
-            rule_cfg=RULES,
-            slice_cfg=SLICES,
-            universe=universe,
+            universe,
+            classifications=classify_all(detected, flows, RULES, SLICES),
         )
         if case2.score.precision is not None:
             assert case3.score.precision >= case2.score.precision
@@ -284,84 +284,57 @@ def test_case3_all_fps_confirmed_gives_perfect_precision() -> None:
         EvalCase.FILTERED_PLUS_RULES,
         detected,
         gt,
-        flows=_fixture_flows(),
-        rule_cfg=RULES,
-        slice_cfg=SLICES,
+        _fixture_universe(),
+        classifications=classify_all(detected, _fixture_flows(), RULES, SLICES),
     )
     assert result.reintegrated == 2
     assert result.score.precision == 1.0
 
 
 def test_case3_requires_rule_inputs() -> None:
-    with pytest.raises(ValueError, match="case 3"):
+    with pytest.raises(ValueError, match="case 3 candidates are not classified"):
         evaluate_case(
             EvalCase.FILTERED_PLUS_RULES,
             _fixture_detected(),
             _fixture_gt(),
-            flows=_fixture_flows(),
+            _fixture_universe(),
         )
 
 
-def test_case3_uses_given_classifications() -> None:
-    detected = _fixture_detected()
-    flows = _fixture_flows()
-    classifications = classify_all(detected, flows, RULES, SLICES)
-    given_result = evaluate_case(
-        EvalCase.FILTERED_PLUS_RULES,
-        detected,
-        _fixture_gt(),
-        universe=trace_universe(flows),
-        classifications=classifications,
-    )
-    assert given_result == evaluate_case(
-        EvalCase.FILTERED_PLUS_RULES,
-        detected,
-        _fixture_gt(),
-        flows=flows,
-        rule_cfg=RULES,
-        slice_cfg=SLICES,
-    )
-    assert given_result.reintegrated == 1
-
-
 def test_case3_classifications_missing_a_candidate_raise() -> None:
-    detected = _fixture_detected()
-    flows = _fixture_flows()
     # B is the only false positive; classify A alone
-    classifications = classify_all({ip(A)}, flows, RULES, SLICES)
-    with pytest.raises(ValueError, match="not classified"):
+    partial = classify_all({ip(A)}, _fixture_flows(), RULES, SLICES)
+    with pytest.raises(ValueError, match="1 case 3 candidates are not classified"):
         evaluate_case(
             EvalCase.FILTERED_PLUS_RULES,
-            detected,
+            _fixture_detected(),
             _fixture_gt(),
-            flows=flows,
-            rule_cfg=RULES,
-            slice_cfg=SLICES,
-            classifications=classifications,
+            _fixture_universe(),
+            classifications=partial,
         )
 
 
 def test_directional_mode_distinguishes_sides() -> None:
-    flows = _fixture_flows()
+    universe = _fixture_universe()
     gt = GroundTruthSet([_entry("ntscSYN", dst=(A,))])  # wrong side on purpose
     detected_pairs = {(ip(A), Direction.SENDER)}
     result = evaluate_case(
-        EvalCase.FILTERED, detected_pairs, gt, flows=flows, directional=True
+        EvalCase.FILTERED, detected_pairs, gt, universe, directional=True
     )
     assert result.matrix.tp == 0
     assert result.matrix.fp == 1
     right_side = GroundTruthSet([_entry("ntscSYN", src=(A,))])
     result = evaluate_case(
-        EvalCase.FILTERED, detected_pairs, right_side, flows=flows, directional=True
+        EvalCase.FILTERED, detected_pairs, right_side, universe, directional=True
     )
     assert result.matrix.tp == 1
     assert result.matrix.fp == 0
 
 
 def test_directional_universe_doubles() -> None:
-    flows = [mk_flow(src=C, dst=D)]
+    universe = trace_universe([mk_flow(src=C, dst=D)])
     result = evaluate_case(
-        EvalCase.RAW, set(), GroundTruthSet([]), flows=flows, directional=True
+        EvalCase.RAW, set(), GroundTruthSet([]), universe, directional=True
     )
     assert result.matrix.total == 4
 
