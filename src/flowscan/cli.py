@@ -22,11 +22,11 @@ import time
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
-from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
+from .core import ConfigError, FlowBatch, IpAddress, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
 from .engine import (
     MAX_LATE_RATIO, EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _config_flag(detect_p, "--threshold", "detector.threshold", "ratio cut (> 0)")
     _config_flag(detect_p, "--workers", "engine.workers", "worker processes")
     _config_flag(detect_p, "--mode", "engine.mode", "batch or stream execution")
-    detect_p.set_defaults(func=cmd_detect)
+    detect_p.set_defaults(func=_framed, body=cmd_detect)
 
     eval_p = sub.add_parser("evaluate", help="score detections against ground truth")
     eval_p.add_argument(
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="match verdict direction against ground truth src/dst sides",
     )
-    eval_p.set_defaults(func=cmd_evaluate)
+    eval_p.set_defaults(func=_framed, body=cmd_evaluate)
 
     bench_p = sub.add_parser("bench", help="time repeated detector runs")
     bench_p.add_argument("flows")
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", default="1,2,4", help="comma-separated worker counts to sweep"
     )
     bench_p.add_argument("--reps", type=int, default=5, help="runs per worker count")
-    bench_p.set_defaults(func=cmd_bench)
+    bench_p.set_defaults(func=_framed, body=cmd_bench)
 
     synth_p = sub.add_parser("synth", help="generate a trace with known ground truth")
     synth_p.add_argument("spec", help="INI trace spec")
@@ -231,24 +231,21 @@ def _write_manifest(
     return path
 
 
-def _read_flows(path: Path, strict: bool) -> tuple[FlowBatch, dict]:
-    """All flows of one file, and its row counts for the manifest."""
-    reader = read_flow_file(path, strict=strict)
+def _read_trace(
+    path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = False
+) -> tuple[FlowBatch, SliceConfig]:
+    """All flows of one file and the slices they are cut into. The file's
+    row counts go to `ingest` under its path, for the manifest."""
+    reader = read_flow_file(path, strict=cfg.strict)
     # read_flow_file may be wrapped to hand back the rows alone.
     flows = reader.read() if isinstance(reader, FlowFileReader) else as_batch(reader)
-    return flows, {
+    ingest[str(path)] = {
         "rows_read": len(flows),
         "rows_skipped": getattr(reader, "errors", 0),
         "first_skipped_lines": getattr(reader, "skipped_lines", []),
     }
-
-
-def _skipped_note(ingest: dict) -> str:
-    skipped = sum(counts["rows_skipped"] for counts in ingest.values())
-    return f", {skipped} malformed rows skipped" if skipped else ""
-
-
-def _slice_config(cfg: AppConfig, flows: FlowBatch) -> SliceConfig:
+    if not (len(flows) or empty_ok):
+        raise FlowFileError(f"{path}: no accepted flow rows")
     earliest = min(flows.first_seen_us, default=0)
     start = cfg.trace_start_us
     if start is None:
@@ -258,7 +255,43 @@ def _slice_config(cfg: AppConfig, flows: FlowBatch) -> SliceConfig:
             f"detector.trace_start_us {start} is after the earliest flow "
             f"first_seen_us {earliest}"
         )
-    return SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
+    return flows, SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
+
+
+def _skipped_note(ingest: dict) -> str:
+    skipped = sum(counts["rows_skipped"] for counts in ingest.values())
+    return f", {skipped} malformed rows skipped" if skipped else ""
+
+
+# What a command body hands its frame: its input paths, a writer for the
+# output below the manifest line, its extra manifest fields, and its
+# summary line.
+Outcome = tuple[list[Path], Callable[[TextIO], None], dict, str]
+
+
+def _framed(args: argparse.Namespace) -> int:
+    """Run the body of detect, evaluate or bench, then write what it made:
+    the output file under its `# manifest=` line, the manifest, and the
+    summary line."""
+    cfg = _resolve_config(args)
+    started = time.time()
+    out_path = Path(args.out)
+    ingest: dict[str, dict] = {}
+    inputs, write_body, extra, summary = args.body(args, cfg, ingest)
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
+        write_body(fh)
+    _write_manifest(
+        out_path,
+        args.command,
+        _snapshot("config", cfg),
+        inputs,
+        [out_path],
+        started,
+        extra={**extra, "ingest": ingest},
+    )
+    print(f"{summary} -> {out_path}")
+    return EXIT_OK
 
 
 def format_verdict_row(verdict: RatioVerdict, labels: str = "") -> str:
@@ -276,28 +309,20 @@ def format_verdict_row(verdict: RatioVerdict, labels: str = "") -> str:
 
 
 def _verdict_labels(
-    verdicts: Sequence[RatioVerdict],
-    classifications: dict,
+    verdicts: Sequence[RatioVerdict], classifications: dict[IpAddress, Classification]
 ) -> list[str]:
-    rendered = []
-    for verdict in verdicts:
-        if verdict.direction is Direction.SENDER:
-            cls: Optional[Classification] = classifications.get(verdict.key.ip)
-            labels = ";".join(sorted(l.value for l in cls.labels)) if cls else ""
-        else:
-            labels = ""
-        rendered.append(labels)
-    return rendered
+    """The rule labels of each verdict's IP; only senders carry labels."""
+    return [
+        ";".join(sorted(l.value for l in cls.labels))
+        if v.direction is Direction.SENDER and (cls := classifications.get(v.key.ip))
+        else ""
+        for v in verdicts
+    ]
 
 
-def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
-    started = time.time()
+def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
     flow_path = Path(args.flows)
-    out_path = Path(args.out)
-    flows, read_counts = _read_flows(flow_path, cfg.strict)
-    ingest = {str(flow_path): read_counts}
-    slices = _slice_config(cfg, flows)
+    flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok=True)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
         workers=cfg.workers, watermark_lag_seconds=cfg.watermark_lag_seconds
@@ -323,27 +348,17 @@ def cmd_detect(args: argparse.Namespace) -> int:
     classifications = classify_all(sender_ips, flows, cfg.rules, slices)
     labels = _verdict_labels(verdicts, classifications)
 
-    manifest_name = manifest_path_for(out_path).name
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest={manifest_name}\n")
+    def write(fh: TextIO) -> None:
         fh.write(VERDICT_HEADER + "\n")
         for verdict, label_text in zip(verdicts, labels):
             fh.write(format_verdict_row(verdict, label_text) + "\n")
-    _write_manifest(
-        out_path,
-        "detect",
-        _snapshot("config", cfg),
-        [flow_path],
-        [out_path],
-        started,
-        extra={"stats": dataclasses.asdict(stats), "ingest": ingest},
-    )
+
     late = f", {stats.late_dropped} late flows dropped" if stats.late_dropped else ""
-    print(
+    summary = (
         f"{len(verdicts)} verdicts from {stats.records_in} flows"
-        f"{_skipped_note(ingest)}{late} -> {out_path}"
+        f"{_skipped_note(ingest)}{late}"
     )
-    return EXIT_OK
+    return [flow_path], write, {"stats": dataclasses.asdict(stats)}, summary
 
 
 def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
@@ -371,28 +386,25 @@ _SOURCES = (
 )
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
     case = EvalCase(args.case)
-    started = time.time()
-    out_path = Path(args.out)
     traces = [_parse_trace_arg(raw) for raw in args.trace]
+    trace_ids = [_trace_id(flow_path) for flow_path, _, _ in traces]
+    for i, trace_id in enumerate(trace_ids):
+        if trace_id in trace_ids[:i]:
+            raise ConfigError(f"--trace: trace id {trace_id!r} is given more than once")
     engine_cfg = EngineConfig(workers=cfg.workers)
 
     rows: list[EvalRow] = []
     inputs: list[Path] = []
-    ingest: dict[str, dict] = {}
-    for flow_path, anomalous_path, notice_path in traces:
+    for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
         inputs.append(flow_path)
         inputs.append(anomalous_path)
         if notice_path is not None:
             inputs.append(notice_path)
-        flows, ingest[str(flow_path)] = _read_flows(flow_path, cfg.strict)
-        if not len(flows):
-            raise FlowFileError(f"{flow_path}: no accepted flow rows to evaluate")
+        flows, slices = _read_trace(flow_path, cfg, ingest)
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
-        slices = _slice_config(cfg, flows)
         source_gts = [
             (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))
             for name, wanted in (_SOURCES if notice_path else _SOURCES[:1])
@@ -428,7 +440,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 )
                 rows.append(
                     EvalRow(
-                        trace_id=_trace_id(flow_path),
+                        trace_id=trace_id,
                         case=case,
                         threshold=threshold,
                         source=source_name,
@@ -436,20 +448,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                     )
                 )
 
-    manifest_name = manifest_path_for(out_path).name
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        write_report(fh, rows, manifest_name=manifest_name)
-    _write_manifest(
-        out_path,
-        "evaluate",
-        _snapshot("config", cfg),
-        inputs,
-        [out_path],
-        started,
-        extra={"ingest": ingest},
-    )
-    print(f"{len(rows)} report rows{_skipped_note(ingest)} -> {out_path}")
-    return EXIT_OK
+    summary = f"{len(rows)} report rows{_skipped_note(ingest)}"
+    return inputs, lambda fh: write_report(fh, rows), {}, summary
 
 
 def _parse_worker_sweep(raw: str) -> list[int]:
@@ -472,17 +472,12 @@ def _quartiles(values: list[float]) -> tuple[float, float, float, float, float]:
     return min(values), q1, median, q3, max(values)
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
     if args.reps < 1:
         raise ConfigError(f"bench.reps must be >= 1, got {args.reps}")
     sweep = _parse_worker_sweep(args.workers)
-    started = time.time()
     flow_path = Path(args.flows)
-    out_path = Path(args.out)
-    flows, read_counts = _read_flows(flow_path, cfg.strict)
-    ingest = {str(flow_path): read_counts}
-    slices = _slice_config(cfg, flows)
+    flows, slices = _read_trace(flow_path, cfg, ingest)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
 
     runs: list[tuple[int, int, RunStats]] = []
@@ -492,9 +487,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             _verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
             runs.append((workers, rep, stats))
 
-    manifest_name = manifest_path_for(out_path).name
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest={manifest_name}\n")
+    def write(fh: TextIO) -> None:
         fh.write(BENCH_HEADER + "\n")
         for workers, rep, s in runs:
             row = (workers, rep, s.wall_time_s, s.trace_duration_s, s.time_ratio)
@@ -504,20 +497,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for workers in sweep:
             ratios = [s.time_ratio for w, _, s in runs if w == workers]
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
-    _write_manifest(
-        out_path,
-        "bench",
-        _snapshot("config", cfg),
-        [flow_path],
-        [out_path],
-        started,
-        extra={"ingest": ingest},
-    )
-    print(
-        f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
-        f" -> {out_path}"
-    )
-    return EXIT_OK
+
+    summary = f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
+    return [flow_path], write, {}, summary
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

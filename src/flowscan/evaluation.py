@@ -254,16 +254,12 @@ def _fmt_threshold(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(value)
 
 
-def write_report(
-    fh: TextIO, rows: Sequence[EvalRow], manifest_name: Optional[str] = None
-) -> None:
+def write_report(fh: TextIO, rows: Sequence[EvalRow]) -> None:
     """Emit the per-trace table followed by an aggregate block.
 
     Aggregates are grouped by (case, threshold, source) over the trace
     ids present; metrics undefined for a trace are excluded and counted.
     """
-    if manifest_name:
-        fh.write(f"# manifest={manifest_name}\n")
     fh.write(_REPORT_HEADER + "\n")
     for row in rows:
         m = row.result.matrix

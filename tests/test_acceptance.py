@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from flowscan.cli import main
-from flowscan.core import SliceConfig
+from flowscan.core import SliceConfig, as_batch
 from flowscan.detector import DetectorConfig, anomalous_ips, detect
 from flowscan.engine import EngineConfig, run_batch, run_streaming
 from flowscan.evaluation import (
@@ -306,8 +306,10 @@ def test_c5_confusion_pr_correctness(crit) -> None:
 def test_c6_parallel_determinism(crit) -> None:
     with crit("C6 parallel determinism") as emit:
         rng = random.Random(0xC6)
-        flows = random_flows(
-            rng, 1_000_000, host_count=500, slice_count=20, scanners=3
+        # Built once: run_batch would otherwise convert the records on each
+        # of its 15 calls, outside the timed region but inside the test.
+        flows = as_batch(
+            random_flows(rng, 1_000_000, host_count=500, slice_count=20, scanners=3)
         )
         cfg = DetectorConfig(slices=_slices(), threshold=50.0)
         rendered: dict[int, bytes] = {}

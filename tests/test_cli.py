@@ -74,18 +74,33 @@ def test_detect_golden_output(scan_trace, tmp_path, capsys) -> None:
     assert "1 verdicts from 122 flows" in capsys.readouterr().out
 
 
-def test_detect_manifest_digests(scan_trace, tmp_path) -> None:
-    out = tmp_path / "v.csv"
-    assert main(["detect", str(scan_trace), "-o", str(out)]) == EXIT_OK
-    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
-    assert manifest["tool"] == "flowscan"
-    assert manifest["command"] == "detect"
-    assert manifest["config"]["threshold"] == 100.0
-    expected = hashlib.sha256(scan_trace.read_bytes()).hexdigest()
-    assert manifest["inputs"][str(scan_trace)] == expected
-    expected = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert manifest["outputs"][str(out)] == expected
-    assert manifest["stats"]["records_in"] == 122
+def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
+    """detect, evaluate and bench each name their manifest on the output's
+    first line, and the manifest digests every input and the output."""
+    keys = {"tool", "version", "command", "config", "inputs", "outputs"}
+    keys |= {"started_at", "finished_at", "ingest"}
+    sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    for command, flags, inputs, extra_keys in (
+        ("detect", [str(scan_trace)], [scan_trace], {"stats"}),
+        ("evaluate", ["--trace", f"{scan_trace},{gt_path}"], [scan_trace, gt_path], set()),
+        ("bench", [str(scan_trace), "--workers", "1", "--reps", "1"], [scan_trace], set()),
+    ):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *flags, "-o", str(out)]) == EXIT_OK
+        first_line = out.read_text(encoding="utf-8").splitlines()[0]
+        assert first_line == f"# manifest={command}.csv.manifest.json"
+        manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+        assert set(manifest) == keys | extra_keys
+        assert manifest["tool"] == "flowscan"
+        assert manifest["command"] == command
+        assert manifest["config"]["threshold"] == 100.0
+        assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
+        assert manifest["outputs"] == {str(out): sha256(out)}
+        assert manifest["ingest"] == {
+            str(scan_trace): {"rows_read": 122, "rows_skipped": 0, "first_skipped_lines": []}
+        }
+        if command == "detect":
+            assert manifest["stats"]["records_in"] == 122
 
 
 def test_detect_is_idempotent(scan_trace, tmp_path) -> None:
@@ -502,16 +517,33 @@ def test_evaluate_without_flow_rows_exits_1(gt_path, tmp_path, capsys) -> None:
     empty = tmp_path / "empty.flows.csv"
     write_flow_file(empty, [])
     out = tmp_path / "r.csv"
-    assert main(_eval_args(empty, gt_path, out)) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err == (
-        f"flowscan: error kind=io exit=1 detail={empty}: "
-        "no accepted flow rows to evaluate\n"
-    )
-    assert not out.exists()
+    bench = ["bench", str(empty), "-o", str(out), "--workers", "1", "--reps", "1"]
+    for args in (_eval_args(empty, gt_path, out), bench):
+        assert main(args) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == (
+            f"flowscan: error kind=io exit=1 detail={empty}: no accepted flow rows\n"
+        )
+        assert not out.exists()
     # detect has nothing to flag in it, which is no error
     assert main(["detect", str(empty), "-o", str(out)]) == EXIT_OK
     assert f"0 verdicts from 0 flows -> {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("second", ["same path", "copy elsewhere"])
+def test_evaluate_repeated_trace_exits_2(
+    scan_trace, gt_path, tmp_path, capsys, second
+) -> None:
+    flows = scan_trace
+    if second == "copy elsewhere":
+        flows = tmp_path / "copy" / scan_trace.name
+        flows.parent.mkdir()
+        flows.write_bytes(scan_trace.read_bytes())
+    out = tmp_path / "r.csv"
+    args = ["--trace", f"{scan_trace},{gt_path}", "--trace", f"{flows},{gt_path}"]
+    assert main(["evaluate", *args, "-o", str(out)]) == EXIT_CONFIG
+    assert "trace id 'scan' is given more than once" in _one_error(capsys)
+    assert not out.exists()
 
 
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:

@@ -394,18 +394,15 @@ def test_report_layout_golden() -> None:
         ),
     ]
     buffer = io.StringIO()
-    write_report(buffer, rows, manifest_name="r.manifest.json")
-    text = buffer.getvalue()
-    lines = text.splitlines()
-    assert lines[0] == "# manifest=r.manifest.json"
-    assert lines[1] == (
-        "trace_id,case,threshold,source,tp,fp,fn,tn,reintegrated,recall,precision"
-    )
-    assert lines[2] == "t1,2,50,anomalous,2,1,1,6,0,0.6666666666666666,0.6666666666666666"
-    assert lines[3] == "# aggregate"
-    assert lines[4] == "case,threshold,source,metric,mean,variance,traces,excluded"
-    assert lines[5] == "2,50,anomalous,recall,0.6666666666666666,0.0,1,0"
-    assert lines[6] == "2,50,anomalous,precision,0.6666666666666666,0.0,1,0"
+    write_report(buffer, rows)
+    assert buffer.getvalue().splitlines() == [
+        "trace_id,case,threshold,source,tp,fp,fn,tn,reintegrated,recall,precision",
+        "t1,2,50,anomalous,2,1,1,6,0,0.6666666666666666,0.6666666666666666",
+        "# aggregate",
+        "case,threshold,source,metric,mean,variance,traces,excluded",
+        "2,50,anomalous,recall,0.6666666666666666,0.0,1,0",
+        "2,50,anomalous,precision,0.6666666666666666,0.0,1,0",
+    ]
 
 
 def test_report_renders_undefined() -> None:
