@@ -246,11 +246,11 @@ def _read_trace(
     }
     if not (len(flows) or empty_ok):
         raise FlowFileError(f"{path}: no accepted flow rows")
-    earliest = min(flows.first_seen_us, default=0)
+    earliest = min(flows.first_seen_us, default=None)
     start = cfg.trace_start_us
     if start is None:
-        start = earliest
-    elif earliest < start:
+        start = 0 if earliest is None else earliest
+    elif earliest is not None and earliest < start:
         raise ConfigError(
             f"detector.trace_start_us {start} is after the earliest flow "
             f"first_seen_us {earliest}"

@@ -6,6 +6,7 @@ import ipaddress
 import math
 from array import array
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
@@ -90,6 +91,16 @@ def check_flow_fields(
         or byte_count > INT64_MAX
     ):
         raise ValueError("a timestamp or count does not fit a signed 64-bit int")
+
+
+def valid_flow_columns(first: array, last: array, packets: array, sizes: array) -> bool:
+    """Whether FlowBatch timestamp and count columns hold valid flows. The
+    column types already bound ports, protocol and 64-bit values."""
+    return (
+        min(packets, default=1) >= 1
+        and min(sizes, default=0) >= 0
+        and not any(map(gt, first, last))
+    )
 
 
 @dataclass(frozen=True, slots=True)

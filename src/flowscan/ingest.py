@@ -8,7 +8,6 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
-from operator import gt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -16,11 +15,13 @@ from .core import (
     FlowBatch,
     FlowRecord,
     IpAddress,
+    as_batch,
     check_flow_fields,
     format_ip,
     format_protocol,
     parse_ip,
     parse_protocol,
+    valid_flow_columns,
 )
 
 logger = logging.getLogger(__name__)
@@ -184,7 +185,7 @@ def _append_columns(
     except (ValueError, OverflowError):
         # OverflowError: a port or a 64-bit value out of its column's range
         return False
-    if min(packets) < 1 or min(sizes) < 0 or any(map(gt, first, last)):
+    if not valid_flow_columns(first, last, packets, sizes):
         return False
     if parsed:
         # Intern in first-appearance order, a row's source before its
@@ -209,31 +210,25 @@ def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:
     return FlowFileReader(path, strict=strict)
 
 
-def format_flow(flow: FlowRecord) -> str:
-    return ",".join(
-        (
-            str(flow.first_seen_us),
-            str(flow.last_seen_us),
-            format_ip(flow.src),
-            format_ip(flow.dst),
-            str(flow.src_port),
-            str(flow.dst_port),
-            format_protocol(flow.protocol),
-            str(flow.packet_count),
-            str(flow.byte_count),
-        )
+def write_flow_file(path: str | Path, flows: Iterable[FlowRecord] | FlowBatch) -> int:
+    """Write flows in canonical form: a FlowBatch as it is, FlowRecords
+    through as_batch, with the same bytes for the same rows. Returns the
+    number of rows written."""
+    batch = as_batch(flows)
+    ips = list(map(format_ip, batch.ips))
+    protocols = list(map(format_protocol, range(256)))
+    columns = zip(
+        batch.first_seen_us, batch.last_seen_us, batch.src, batch.dst, batch.src_port,
+        batch.dst_port, batch.protocol, batch.packet_count, batch.byte_count,
     )
-
-
-def write_flow_file(path: str | Path, flows: Iterable[FlowRecord]) -> int:
-    """Write flows in canonical form. Returns the number of rows written."""
-    count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(FLOW_HEADER + "\n")
-        for flow in flows:
-            fh.write(format_flow(flow) + "\n")
-            count += 1
-    return count
+        fh.writelines(
+            f"{first},{last},{ips[src]},{ips[dst]},{sport},{dport},"
+            f"{protocols[proto]},{packets},{size}\n"
+            for first, last, src, dst, sport, dport, proto, packets, size in columns
+        )
+    return len(batch)
 
 
 class Category(Enum):

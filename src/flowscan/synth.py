@@ -18,6 +18,7 @@ from __future__ import annotations
 import ipaddress
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 from xml.sax.saxutils import quoteattr
@@ -25,7 +26,7 @@ from xml.sax.saxutils import quoteattr
 from .config import checked, parse_boolean, read_ini, section_values
 from .core import (
     DEFAULT_SLICE_SECONDS, INT64_MAX, INT64_MIN, PROTO_TCP, US_PER_SECOND, ConfigError,
-    FlowRecord, IpAddress, SliceConfig, ip_sort_key, parse_ip,
+    FlowBatch, IpAddress, SliceConfig, ip_sort_key, parse_ip, valid_flow_columns,
 )
 from .ingest import (
     Category,
@@ -205,89 +206,80 @@ def load_spec(path: str | Path) -> SynthSpec:
     return checked("", SynthSpec, **found)
 
 
-def _background_hosts(background: BackgroundSpec) -> list[IpAddress]:
-    base = background.subnet.network_address
-    return [base + (1 + i) for i in range(background.hosts)]
+def _slice_plan(spec: SynthSpec) -> tuple[list[IpAddress], list[tuple[int, int, int]]]:
+    """The addresses of the trace in ip_sort_key order, and the (src, dst,
+    dst_port) of each flow of a slice in draw order, every slice alike.
+    An address is named by its position in that order, so comparing two
+    names compares the addresses."""
+    found: dict[tuple[int, int], IpAddress] = {}
+    plan: list[tuple[tuple[int, int], tuple[int, int], int]] = []
+
+    def name(ip: IpAddress) -> tuple[int, int]:
+        key = ip_sort_key(ip)
+        found[key] = ip
+        return key
+
+    if spec.background:
+        base = spec.background.subnet.network_address
+        hosts = [name(base + (1 + i)) for i in range(spec.background.hosts)]
+        per_host = spec.background.flows_per_host_per_slice
+        for i, src in enumerate(hosts):
+            plan += [(src, hosts[(i + 1) % len(hosts)], 80)] * per_host
+    for scanner in spec.scanners:
+        src = name(scanner.ip)
+        count = scanner.flows_per_slice
+        if scanner.kind == KIND_NETSCAN:
+            base = scanner.target_subnet.network_address
+            capacity = min(count, scanner.target_subnet.num_addresses - 2)
+            targets = [name(base + (1 + j)) for j in range(capacity)]
+            plan += [(src, targets[j % capacity], scanner.port) for j in range(count)]
+        else:
+            dst = name(scanner.target)
+            start = scanner.port_start - 1
+            plan += [(src, dst, (start + j) % 65535 + 1) for j in range(count)]
+    keys = sorted(found)
+    rank = {key: i for i, key in enumerate(keys)}
+    return [found[k] for k in keys], [(rank[s], rank[d], port) for s, d, port in plan]
 
 
-def generate(
-    spec: SynthSpec, seed: int = 0
-) -> tuple[list[FlowRecord], GroundTruthSet]:
-    """Materialize the trace and its ground truth, flows sorted by start
-    time so the file reads back as an in-order stream."""
-    rng = random.Random(seed)
+def generate(spec: SynthSpec, seed: int = 0) -> tuple[FlowBatch, GroundTruthSet]:
+    """The trace as a FlowBatch, and its ground truth. Flows are sorted by
+    start time so the file reads back as an in-order stream; ties go by
+    source, destination, source port, destination port, then draw order.
+    Addresses are interned in the order rows first name them."""
+    randrange = random.Random(seed).randrange
     duration_us = SliceConfig(spec.trace.start_us, spec.trace.slice_seconds).duration_us
-    flows: list[FlowRecord] = []
-    hosts = _background_hosts(spec.background) if spec.background else []
-
-    for slice_index in range(spec.trace.slices):
+    addresses, plan = _slice_plan(spec)
+    batch = FlowBatch()
+    for slice_index in range(spec.trace.slices if plan else 0):
         slice_start = spec.trace.start_us + slice_index * duration_us
-        if spec.background:
-            per_host = spec.background.flows_per_host_per_slice
-            count = len(hosts)
-            for i, src in enumerate(hosts):
-                dst = hosts[(i + 1) % count]
-                for _ in range(per_host):
-                    flows.append(_mk_flow(rng, src, dst, 80, slice_start, duration_us))
-        for scanner in spec.scanners:
-            flows.extend(_scanner_flows(rng, scanner, slice_start, duration_us))
-
-    flows.sort(
-        key=lambda f: (
-            f.first_seen_us,
-            ip_sort_key(f.src),
-            ip_sort_key(f.dst),
-            f.src_port,
-            f.dst_port,
+        # A row's fields are drawn left to right: start, source port, end,
+        # packets, bytes. Slices do not overlap in time, so sorting each
+        # one on its own gives the order of the whole trace.
+        rows = sorted(
+            (first := slice_start + randrange(duration_us), src, dst,
+             randrange(1024, 65536), dst_port, seq, first + randrange(US_PER_SECOND),
+             1 + randrange(4), 40 + randrange(1460))
+            for seq, (src, dst, dst_port) in enumerate(plan)
         )
-    )
-    return flows, _ground_truth(spec)
-
-
-def _mk_flow(
-    rng: random.Random,
-    src: IpAddress,
-    dst: IpAddress,
-    dst_port: int,
-    slice_start: int,
-    duration_us: int,
-) -> FlowRecord:
-    first = slice_start + rng.randrange(duration_us)
-    return FlowRecord(
-        src=src,
-        dst=dst,
-        src_port=rng.randrange(1024, 65536),
-        dst_port=dst_port,
-        protocol=PROTO_TCP,
-        first_seen_us=first,
-        last_seen_us=first + rng.randrange(US_PER_SECOND),
-        packet_count=1 + rng.randrange(4),
-        byte_count=40 + rng.randrange(1460),
-    )
-
-
-def _scanner_flows(
-    rng: random.Random, scanner: ScannerSpec, slice_start: int, duration_us: int
-) -> list[FlowRecord]:
-    out = []
-    if scanner.kind == KIND_NETSCAN:
-        subnet = scanner.target_subnet
-        assert subnet is not None
-        base = subnet.network_address
-        capacity = subnet.num_addresses - 2
-        for j in range(scanner.flows_per_slice):
-            dst = base + (1 + j % capacity)
-            out.append(
-                _mk_flow(rng, scanner.ip, dst, scanner.port, slice_start, duration_us)
-            )
-    else:
-        assert scanner.target is not None
-        for j in range(scanner.flows_per_slice):
-            port = (scanner.port_start + j - 1) % 65535 + 1
-            out.append(
-                _mk_flow(rng, scanner.ip, scanner.target, port, slice_start, duration_us)
-            )
-    return out
+        first, src, dst, src_port, dst_port, _, last, packets, size = zip(*rows)
+        if slice_index == 0:
+            # Every address of the trace is named in every slice.
+            order = dict.fromkeys(chain.from_iterable(zip(src, dst)))
+            ids = {name: batch.intern(addresses[name]) for name in order}
+        batch.src.extend(map(ids.__getitem__, src))
+        batch.dst.extend(map(ids.__getitem__, dst))
+        batch.src_port.extend(src_port)
+        batch.dst_port.extend(dst_port)
+        batch.protocol.extend(repeat(PROTO_TCP, len(rows)))
+        batch.first_seen_us.extend(first)
+        batch.last_seen_us.extend(last)
+        batch.packet_count.extend(packets)
+        batch.byte_count.extend(size)
+    columns = batch.first_seen_us, batch.last_seen_us, batch.packet_count, batch.byte_count
+    if not valid_flow_columns(*columns):
+        raise ValueError("generated flows break the flow file's column rules")
+    return batch, _ground_truth(spec)
 
 
 def _ground_truth(spec: SynthSpec) -> GroundTruthSet:

@@ -530,6 +530,16 @@ def test_evaluate_without_flow_rows_exits_1(gt_path, tmp_path, capsys) -> None:
     assert f"0 verdicts from 0 flows -> {out}" in capsys.readouterr().out
 
 
+def test_detect_without_flow_rows_accepts_trace_start(tmp_path, capsys) -> None:
+    # No flow precedes the given start when there is no flow at all.
+    empty = tmp_path / "empty.flows.csv"
+    write_flow_file(empty, [])
+    out = tmp_path / "v.csv"
+    args = ["detect", str(empty), "-o", str(out), "--trace-start-us", "5"]
+    assert main(args) == EXIT_OK
+    assert f"0 verdicts from 0 flows -> {out}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("second", ["same path", "copy elsewhere"])
 def test_evaluate_repeated_trace_exits_2(
     scan_trace, gt_path, tmp_path, capsys, second

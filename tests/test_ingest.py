@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowscan.core import FlowRecord
+from flowscan.core import FlowRecord, as_batch
 from flowscan.ingest import (
     FLOW_HEADER,
     Category,
@@ -109,6 +109,23 @@ def test_round_trip_is_bit_identical(tmp_path: Path) -> None:
     write_flow_file(canonical, flows)
     assert out.read_bytes() == canonical.read_bytes()
     assert list(read_flow_file(out)) == flows
+
+
+def test_writer_same_bytes_for_records_and_batch(tmp_path: Path) -> None:
+    flows = [
+        FlowRecord(ip("2001:db8::1"), ip("10.0.0.3"), 5353, 53, 17, 3, 4, 2, 240),
+        FlowRecord(ip("10.0.0.3"), ip("2001:db8::1"), 0, 0, 1, -5, -5, 1, 0),
+        FlowRecord(ip("10.0.0.1"), ip("10.0.0.3"), 40000, 80, 6, 1, 2, 3, 1800),
+    ]
+    records, batch = tmp_path / "records.csv", tmp_path / "batch.csv"
+    assert write_flow_file(records, flows) == 3
+    assert write_flow_file(batch, as_batch(flows)) == 3
+    assert records.read_bytes() == batch.read_bytes()
+    assert records.read_text(encoding="utf-8").splitlines()[1:] == [
+        "3,4,2001:db8::1,10.0.0.3,5353,53,UDP,2,240",
+        "-5,-5,10.0.0.3,2001:db8::1,0,0,1,1,0",
+        "1,2,10.0.0.1,10.0.0.3,40000,80,TCP,3,1800",
+    ]
 
 
 _flow_strategy = st.builds(

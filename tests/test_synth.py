@@ -235,13 +235,67 @@ def test_write_outputs_match_golden(tmp_path, spec: SynthSpec) -> None:
     assert digests == SYNTH_GOLDEN
 
 
+# A spec that forces the sort's ties and edges: 1 us slices make every
+# flow of a slice share first_seen_us, an IPv6 ring, a netscan of more
+# flows than its /30 has hosts, and a portscan wrapping past 65535.
+EDGE_SPEC_TEXT = """\
+[trace]
+slices = 3
+slice_seconds = 0.000001
+start_us = 7
+
+[background]
+subnet = 2001:db8::/64
+hosts = 30
+flows_per_host_per_slice = 3
+
+[scanner:net]
+kind = netscan
+ip = 192.0.2.1
+target_subnet = 172.16.0.0/30
+flows_per_slice = 9
+port = 443
+
+[scanner:port]
+kind = portscan
+ip = 2001:db8:1::1
+target = 2001:db8::5
+port_start = 65533
+flows_per_slice = 6
+"""
+
+# sha256 of the files write_outputs writes for EDGE_SPEC_TEXT at seed 2
+# (315 flows).
+EDGE_GOLDEN = {
+    "e.flows.csv": "bc47351959d14aca3276c4fd87731f4f5a89cd963dd813b829ac47f32da9026e",
+    "e.anomalous.xml": "5a077d1613a5e13a9c67c7e82e1aae857d7612ba371771b1734723d063bb5ec1",
+    "e.notice.xml": "83f8672697d55cc2db73407a4e81f1daeac078e2cb0ad369e6e7f88c3437f2b2",
+}
+
+
+@pytest.fixture
+def edge_spec(tmp_path):
+    path = tmp_path / "edge.ini"
+    path.write_text(EDGE_SPEC_TEXT, encoding="utf-8")
+    return load_spec(path)
+
+
+def test_write_outputs_match_edge_golden(tmp_path, edge_spec: SynthSpec) -> None:
+    outputs = write_outputs(edge_spec, seed=2, out_base=tmp_path / "e")
+    assert outputs.flow_count == 315
+    paths = (outputs.flow_path, outputs.anomalous_path, outputs.notice_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+    assert digests == EDGE_GOLDEN
+
+
 def test_generate_is_deterministic(spec: SynthSpec) -> None:
+    # generate returns a FlowBatch, which compares by identity: compare rows.
     first_flows, first_gt = generate(spec, seed=7)
     second_flows, second_gt = generate(spec, seed=7)
-    assert first_flows == second_flows
+    assert list(first_flows) == list(second_flows)
     assert first_gt == second_gt
     other_flows, _ = generate(spec, seed=8)
-    assert other_flows != first_flows
+    assert list(other_flows) != list(first_flows)
 
 
 def test_generate_counts(spec: SynthSpec) -> None:
@@ -332,12 +386,30 @@ def test_write_outputs_round_trip(tmp_path, spec: SynthSpec) -> None:
 
     flows, _ = generate(spec, seed=5)
     read_back = list(read_flow_file(outputs.flow_path))
-    assert read_back == flows
+    assert read_back == list(flows)
     assert outputs.flow_count == len(flows)
 
     gt = read_ground_truth(outputs.anomalous_path, outputs.notice_path, strict=True)
     _, expected = generate(spec, seed=5)
     assert list(gt.entries) == list(expected.entries)
+
+
+BATCH_COLUMNS = (
+    "src", "dst", "src_port", "dst_port", "protocol",
+    "first_seen_us", "last_seen_us", "packet_count", "byte_count",
+)
+
+
+@pytest.mark.parametrize("fixture", ["spec", "edge_spec"])
+def test_read_back_batch_equals_generated_batch(tmp_path, request, fixture) -> None:
+    spec = request.getfixturevalue(fixture)
+    generated, _ = generate(spec, seed=2)
+    outputs = write_outputs(spec, seed=2, out_base=tmp_path / "r")
+    read_back = read_flow_file(outputs.flow_path).read()
+    # the reader interns addresses in file order, as generate does
+    assert read_back.ips == generated.ips
+    for column in BATCH_COLUMNS:
+        assert getattr(read_back, column) == getattr(generated, column), column
 
 
 def test_write_outputs_byte_identical_across_runs(tmp_path, spec: SynthSpec) -> None:
