@@ -108,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eval_p.add_argument("-o", "--out", required=True, help="report file to write")
     _add_common_flags(eval_p)
-    eval_p.add_argument(
-        "--case", type=int, choices=[c.value for c in EvalCase], default=1
-    )
+    eval_p.add_argument("--case", default="1", help="evaluation case: 1, 2 or 3")
     _config_flag(
         eval_p,
         "--thresholds",
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--workers", default="1,2,4", help="comma-separated worker counts to sweep"
     )
-    bench_p.add_argument("--reps", type=int, default=5, help="runs per worker count")
+    bench_p.add_argument("--reps", default="5", help="runs per worker count")
     bench_p.set_defaults(func=_framed, body=cmd_bench)
 
     synth_p = sub.add_parser("synth", help="generate a trace with known ground truth")
@@ -141,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument(
         "-o", "--out", required=True, help="output base path (suffixes are added)"
     )
-    synth_p.add_argument("--seed", type=int, default=0)
+    synth_p.add_argument("--seed", default="0")
     synth_p.set_defaults(func=cmd_synth)
     return parser
 
@@ -165,6 +163,18 @@ def _config_flag(
     """A flag that sets the INI key `key` (`section.key`). Its text is kept
     as given and parsed with the config file by load_config."""
     parser.add_argument(flag, dest=key, metavar=key.split(".")[1].upper(), help=help)
+
+
+def _int_flag(flag: str, text: str, valid=lambda n: True, wanted="an integer") -> int:
+    """The value of a flag that argparse keeps as text, so that a bad value
+    exits 2 with one kind=config line naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not valid(value):
+        raise ConfigError(f"{flag} must be {wanted}, got {text!r}")
+    return value
 
 
 def _resolve_config(args: argparse.Namespace) -> AppConfig:
@@ -387,7 +397,8 @@ _SOURCES = (
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
-    case = EvalCase(args.case)
+    cases = [c.value for c in EvalCase]
+    case = EvalCase(_int_flag("--case", args.case, cases.__contains__, "1, 2 or 3"))
     traces = [_parse_trace_arg(raw) for raw in args.trace]
     trace_ids = [_trace_id(flow_path) for flow_path, _, _ in traces]
     for i, trace_id in enumerate(trace_ids):
@@ -473,8 +484,7 @@ def _quartiles(values: list[float]) -> tuple[float, float, float, float, float]:
 
 
 def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
-    if args.reps < 1:
-        raise ConfigError(f"bench.reps must be >= 1, got {args.reps}")
+    reps = _int_flag("--reps", args.reps, lambda n: n >= 1, "an integer >= 1")
     sweep = _parse_worker_sweep(args.workers)
     flow_path = Path(args.flows)
     flows, slices = _read_trace(flow_path, cfg, ingest)
@@ -483,7 +493,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
     runs: list[tuple[int, int, RunStats]] = []
     for workers in sweep:
         engine_cfg = EngineConfig(workers=workers)
-        for rep in range(1, args.reps + 1):
+        for rep in range(1, reps + 1):
             _verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
             runs.append((workers, rep, stats))
 
@@ -506,17 +516,18 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here: synth's imports are slow, and no other command needs it.
     from .synth import load_spec, write_outputs
 
+    seed = _int_flag("--seed", args.seed)
     started = time.time()
     spec_path = Path(args.spec)
     out_base = Path(args.out)
     spec = load_spec(spec_path)
     manifest_name = manifest_path_for(out_base).name
-    outputs = write_outputs(spec, args.seed, out_base, manifest_name=manifest_name)
+    outputs = write_outputs(spec, seed, out_base, manifest_name=manifest_name)
     produced = [outputs.flow_path, outputs.anomalous_path, outputs.notice_path]
     _write_manifest(
         out_base,
         "synth",
-        {"seed": args.seed},
+        {"seed": seed},
         [spec_path],
         produced,
         started,

@@ -6,8 +6,9 @@ import ipaddress
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from operator import gt
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -93,16 +94,6 @@ def check_flow_fields(
         raise ValueError("a timestamp or count does not fit a signed 64-bit int")
 
 
-def valid_flow_columns(first: array, last: array, packets: array, sizes: array) -> bool:
-    """Whether FlowBatch timestamp and count columns hold valid flows. The
-    column types already bound ports, protocol and 64-bit values."""
-    return (
-        min(packets, default=1) >= 1
-        and min(sizes, default=0) >= 0
-        and not any(map(gt, first, last))
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
     """One unidirectional flow summary keyed by its 5-tuple.
@@ -180,7 +171,8 @@ class FlowBatch:
     next id when the first row holding it is appended; ids are keyed by
     the address value, so two spellings of one address share an id and
     `ips` holds each address of the batch's rows exactly once.
-    Timestamps and packet/byte counts are signed 64-bit. Indexing or
+    Timestamps and packet/byte counts are signed 64-bit. Rows enter
+    through `extend` (columns) or `append` (one record). Indexing or
     iterating the batch yields FlowRecord rows.
     """
 
@@ -221,6 +213,45 @@ class FlowBatch:
         self.packet_count.append(flow.packet_count)
         self.byte_count.append(flow.byte_count)
         return len(self.src) - 1
+
+    def columns(self) -> tuple[array, ...]:
+        """The nine columns in flow-file field order (ingest.FLOW_HEADER)."""
+        return (
+            self.first_seen_us, self.last_seen_us, self.src, self.dst, self.src_port,
+            self.dst_port, self.protocol, self.packet_count, self.byte_count,
+        )
+
+    def extend(self, columns: Iterable[Sequence], ids: dict, new: Mapping) -> bool:
+        """Append rows given as nine columns in the order of columns(),
+        whose src and dst hold names of addresses. `ids` maps a name to its
+        id in this batch; each name it lacks is added, with the address
+        `new` gives it, in first-appearance order, a row's source before its
+        destination. Returns False and changes nothing, `ids` included, if a
+        value does not fit its column or a row is not a valid flow."""
+        first, last, srcs, dsts, *numbers = columns
+        try:
+            # An array built from a list or tuple is sized once.
+            first, last, src_port, dst_port, protocol, packets, sizes = map(
+                array, "qqHHBqq", (first, last, *numbers)
+            )
+        except OverflowError:
+            return False
+        # The column types bound ports, protocol and 64-bit values.
+        if (
+            min(packets, default=1) < 1
+            or min(sizes, default=0) < 0
+            or any(map(gt, first, last))
+        ):
+            return False
+        if new:
+            for name in dict.fromkeys(chain.from_iterable(zip(srcs, dsts))):
+                if name not in ids:
+                    ids[name] = self.intern(new[name])
+        src, dst = (array("I", map(ids.__getitem__, names)) for names in (srcs, dsts))
+        added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes
+        for column, values in zip(self.columns(), added):
+            column.extend(values)
+        return True
 
     def __len__(self) -> int:
         return len(self.src)

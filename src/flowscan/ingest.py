@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -21,7 +20,6 @@ from .core import (
     format_protocol,
     parse_ip,
     parse_protocol,
-    valid_flow_columns,
 )
 
 logger = logging.getLogger(__name__)
@@ -107,14 +105,13 @@ class FlowFileReader:
         ids: dict[str, int],
         protocols: dict[str, int],
     ) -> None:
-        """Append the valid lines, numbered from `first_lineno`, one row at
-        a time. Malformed lines are skipped or abort, by mode."""
-        intern = batch.intern
-        src_ids, dst_ids = batch.src.append, batch.dst.append
-        src_ports, dst_ports = batch.src_port.append, batch.dst_port.append
-        protocol_codes = batch.protocol.append
-        firsts, lasts = batch.first_seen_us.append, batch.last_seen_us.append
-        packet_counts, byte_counts = batch.packet_count.append, batch.byte_count.append
+        """Append the valid lines, numbered from `first_lineno`, checking
+        one row at a time. Malformed lines are skipped or abort, by mode;
+        the rest go to the batch in one extend, whose column check each
+        has already passed."""
+        rows = []
+        # text -> address, for texts of this chunk that `ids` lacks
+        parsed: dict[str, IpAddress] = {}
         for lineno, line in enumerate(lines, first_lineno):
             line = line.rstrip("\r\n")
             if not line:
@@ -123,11 +120,10 @@ class FlowFileReader:
             try:
                 if len(parts) != 9:
                     raise ValueError(f"expected 9 fields, got {len(parts)}")
-                first, last, src_text, dst_text, sport, dport, proto, packets, size = parts
-                src = ids.get(src_text)
-                src_ip = parse_ip(src_text) if src is None else None
-                dst = ids.get(dst_text)
-                dst_ip = parse_ip(dst_text) if dst is None else None
+                first, last, src, dst, sport, dport, proto, packets, size = parts
+                for text in (src, dst):
+                    if text not in ids and text not in parsed:
+                        parsed[text] = parse_ip(text)
                 sport = int(sport)
                 dport = int(dport)
                 protocol = protocols.get(proto)
@@ -145,19 +141,9 @@ class FlowFileReader:
                 if len(self.skipped_lines) < SKIPPED_LINES_KEPT:
                     self.skipped_lines.append(lineno)
                 continue
-            if src is None:
-                src = ids[src_text] = intern(src_ip)
-            if dst is None:
-                dst = ids[dst_text] = intern(dst_ip)
-            src_ids(src)
-            dst_ids(dst)
-            src_ports(sport)
-            dst_ports(dport)
-            protocol_codes(protocol)
-            firsts(first)
-            lasts(last)
-            packet_counts(packets)
-            byte_counts(size)
+            rows.append((first, last, src, dst, sport, dport, protocol, packets, size))
+        if rows:
+            batch.extend(zip(*rows), ids, parsed)
 
 
 def _append_columns(
@@ -172,37 +158,17 @@ def _append_columns(
     fields = ",".join(lines).split(",")
     srcs, dsts, protocol_texts = fields[2::9], fields[3::9], fields[6::9]
     try:
-        # An array built from a list is sized once; from an iterator it grows.
-        first = array("q", list(map(int, fields[0::9])))
-        last = array("q", list(map(int, fields[1::9])))
-        src_port = array("H", list(map(int, fields[4::9])))
-        dst_port = array("H", list(map(int, fields[5::9])))
-        packets = array("q", list(map(int, fields[7::9])))
-        sizes = array("q", list(map(int, fields[8::9])))
+        first, last, src_port, dst_port, packets, sizes = (
+            list(map(int, fields[k::9])) for k in (0, 1, 4, 5, 7, 8)
+        )
         for text in {*protocol_texts}.difference(protocols):
             protocols[text] = parse_protocol(text)
         parsed = {text: parse_ip(text) for text in {*srcs, *dsts}.difference(ids)}
-    except (ValueError, OverflowError):
-        # OverflowError: a port or a 64-bit value out of its column's range
+    except ValueError:
         return False
-    if not valid_flow_columns(first, last, packets, sizes):
-        return False
-    if parsed:
-        # Intern in first-appearance order, a row's source before its
-        # destination, as the row loop does.
-        for text in dict.fromkeys(chain.from_iterable(zip(srcs, dsts))):
-            if text in parsed:
-                ids[text] = batch.intern(parsed[text])
-    batch.src.extend(map(ids.__getitem__, srcs))
-    batch.dst.extend(map(ids.__getitem__, dsts))
-    batch.src_port += src_port
-    batch.dst_port += dst_port
-    batch.protocol.extend(map(protocols.__getitem__, protocol_texts))
-    batch.first_seen_us += first
-    batch.last_seen_us += last
-    batch.packet_count += packets
-    batch.byte_count += sizes
-    return True
+    protocol = list(map(protocols.__getitem__, protocol_texts))
+    columns = first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes
+    return batch.extend(columns, ids, parsed)
 
 
 def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:
@@ -217,16 +183,13 @@ def write_flow_file(path: str | Path, flows: Iterable[FlowRecord] | FlowBatch) -
     batch = as_batch(flows)
     ips = list(map(format_ip, batch.ips))
     protocols = list(map(format_protocol, range(256)))
-    columns = zip(
-        batch.first_seen_us, batch.last_seen_us, batch.src, batch.dst, batch.src_port,
-        batch.dst_port, batch.protocol, batch.packet_count, batch.byte_count,
-    )
+    rows = zip(*batch.columns())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(FLOW_HEADER + "\n")
         fh.writelines(
             f"{first},{last},{ips[src]},{ips[dst]},{sport},{dport},"
             f"{protocols[proto]},{packets},{size}\n"
-            for first, last, src, dst, sport, dport, proto, packets, size in columns
+            for first, last, src, dst, sport, dport, proto, packets, size in rows
         )
     return len(batch)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ipaddress
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 from xml.sax.saxutils import quoteattr
@@ -26,7 +25,7 @@ from xml.sax.saxutils import quoteattr
 from .config import checked, parse_boolean, read_ini, section_values
 from .core import (
     DEFAULT_SLICE_SECONDS, INT64_MAX, INT64_MIN, PROTO_TCP, US_PER_SECOND, ConfigError,
-    FlowBatch, IpAddress, SliceConfig, ip_sort_key, parse_ip, valid_flow_columns,
+    FlowBatch, IpAddress, SliceConfig, ip_sort_key, parse_ip,
 )
 from .ingest import (
     Category,
@@ -251,6 +250,10 @@ def generate(spec: SynthSpec, seed: int = 0) -> tuple[FlowBatch, GroundTruthSet]
     duration_us = SliceConfig(spec.trace.start_us, spec.trace.slice_seconds).duration_us
     addresses, plan = _slice_plan(spec)
     batch = FlowBatch()
+    # rank -> id. Every address of the trace is named in every slice, so
+    # the first slice interns them all.
+    ids: dict[int, int] = {}
+    new = dict(enumerate(addresses))
     for slice_index in range(spec.trace.slices if plan else 0):
         slice_start = spec.trace.start_us + slice_index * duration_us
         # A row's fields are drawn left to right: start, source port, end,
@@ -263,22 +266,11 @@ def generate(spec: SynthSpec, seed: int = 0) -> tuple[FlowBatch, GroundTruthSet]
             for seq, (src, dst, dst_port) in enumerate(plan)
         )
         first, src, dst, src_port, dst_port, _, last, packets, size = zip(*rows)
-        if slice_index == 0:
-            # Every address of the trace is named in every slice.
-            order = dict.fromkeys(chain.from_iterable(zip(src, dst)))
-            ids = {name: batch.intern(addresses[name]) for name in order}
-        batch.src.extend(map(ids.__getitem__, src))
-        batch.dst.extend(map(ids.__getitem__, dst))
-        batch.src_port.extend(src_port)
-        batch.dst_port.extend(dst_port)
-        batch.protocol.extend(repeat(PROTO_TCP, len(rows)))
-        batch.first_seen_us.extend(first)
-        batch.last_seen_us.extend(last)
-        batch.packet_count.extend(packets)
-        batch.byte_count.extend(size)
-    columns = batch.first_seen_us, batch.last_seen_us, batch.packet_count, batch.byte_count
-    if not valid_flow_columns(*columns):
-        raise ValueError("generated flows break the flow file's column rules")
+        protocol = (PROTO_TCP,) * len(rows)
+        columns = first, last, src, dst, src_port, dst_port, protocol, packets, size
+        if not batch.extend(columns, ids, new):
+            raise ValueError("generated flows break the flow file's column rules")
+        new = {}
     return batch, _ground_truth(spec)
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowscan import ingest
-from flowscan.core import FlowRecord, SliceConfig, as_batch
+from flowscan.core import FlowBatch, FlowRecord, SliceConfig, as_batch
 from flowscan.detector import DetectorConfig, detect
 from flowscan.engine import EngineConfig, run_batch, run_streaming
 from flowscan.evaluation import trace_universe
@@ -182,6 +182,52 @@ def test_chunked_read_matches_reference_parse(
         ingest, "CHUNK_BYTES", chunk_bytes
     ):
         _check_read(_write_lines(tmp, lines, newline, final_newline))
+
+
+def _read_lenient(path: Path) -> tuple[FlowBatch, int]:
+    reader = FlowFileReader(path)
+    return reader.read(), reader.errors
+
+
+_V6 = "0,1,2001:db8::1,10.0.0.2,4000,80,TCP,1,60"
+_V6_EXPLODED = "0,1,2001:0DB8:0:0:0:0:0:1,10.0.0.2,4000,80,TCP,1,60"
+
+
+@st.composite
+def _cut_file(draw) -> tuple[list[str], int]:
+    lines = draw(_flow_file_lines())
+    return lines, draw(st.integers(0, len(lines)))
+
+
+@settings(max_examples=80)
+@given(_cut_file(), st.integers(1, 160))
+# One address spelled two ways on either side of the cut, with a blank
+# and a malformed line next to it.
+@example(
+    cut_file=(
+        [_GOOD, _V6, "", f"0,1,{_NOVEL},10.0.0.256,4000,80,TCP,1,60", _V6_EXPLODED, _GOOD],
+        3,
+    ),
+    chunk_bytes=100,
+)
+def test_merged_halves_equal_one_read(
+    cut_file: tuple[list[str], int], chunk_bytes: int
+) -> None:
+    """Two reads of a file cut at a line, merged with FlowBatch.extend,
+    give the one-file read: the merge primitive of a partitioned read."""
+    lines, cut = cut_file
+    # The error budget is applied per read, and one half can exceed it
+    # when the whole file does not, so it is lifted here.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        ingest, "CHUNK_BYTES", chunk_bytes
+    ), mock.patch.object(ingest, "MAX_ERROR_RATIO", 1.0):
+        whole, errors = _read_lenient(_write_lines(tmp, lines))
+        head, head_errors = _read_lenient(_write_lines(tmp, lines[:cut]))
+        tail, tail_errors = _read_lenient(_write_lines(tmp, lines[cut:]))
+    assert head.extend(tail.columns(), {}, dict(enumerate(tail.ips)))
+    assert head.ips == whole.ips
+    assert head.columns() == whole.columns()
+    assert head_errors + tail_errors == errors
 
 
 def test_two_spellings_share_one_id(tmp_path: Path) -> None:

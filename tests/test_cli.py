@@ -714,6 +714,27 @@ def _one_error(capsys, kind: str = "config", code: int = EXIT_CONFIG) -> str:
     return err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("bench", "--reps", "x"), ("synth", "--seed", "x"), ("evaluate", "--case", "7")],
+)
+def test_bad_integer_flag_is_one_config_error(
+    scan_trace, gt_path, tmp_path, capsys, command, flag, value
+) -> None:
+    out = tmp_path / "out.csv"
+    spec = tmp_path / "s.ini"
+    spec.write_text(SYNTH_SPEC, encoding="utf-8")
+    argv = {
+        "bench": ["bench", str(scan_trace), "-o", str(out), "--workers", "1"],
+        "synth": ["synth", str(spec), "-o", str(out)],
+        "evaluate": _eval_args(scan_trace, gt_path, out),
+    }[command]
+    assert main([*argv, flag, value]) == EXIT_CONFIG
+    err = _one_error(capsys)
+    assert f"detail={flag} must be " in err and repr(value) in err
+    assert not out.exists() and not list(tmp_path.glob("out*"))
+
+
 def test_synth_spec_with_non_utf8_byte_exits_2(tmp_path, capsys) -> None:
     spec = tmp_path / "s.ini"
     spec.write_bytes(b"[trace]\nslices = 2\xff\n")

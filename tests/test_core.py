@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from flowscan.core import (
     ConfigError,
+    FlowBatch,
     FlowRecord,
     SliceConfig,
     format_ip,
@@ -19,7 +20,7 @@ from flowscan.core import (
     slice_at,
 )
 
-from helpers import mk_flow
+from helpers import ip, mk_flow
 
 S = 1_000_000  # microseconds per second
 
@@ -134,3 +135,51 @@ def test_flow_record_is_frozen() -> None:
     flow = mk_flow()
     with pytest.raises(AttributeError):
         flow.src_port = 1  # type: ignore[misc]
+
+
+def _columns(*rows: tuple) -> list[tuple]:
+    """Rows in flow-file field order, as nine columns."""
+    return list(zip(*rows))
+
+
+def test_extend_interns_new_names_in_first_appearance_order() -> None:
+    batch = FlowBatch()
+    batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2"))
+    ids = {"a": batch.id_of(ip("10.0.0.2"))}
+    new = {"b": ip("2001:db8::1"), "c": ip("10.0.0.3"), "unused": ip("192.0.2.1")}
+    # a row's source gets its id before its destination
+    columns = _columns((5, 6, "c", "b", 1, 2, 17, 1, 0), (7, 7, "b", "a", 3, 4, 6, 2, 60))
+    assert batch.extend(columns, ids, new)
+    assert batch.ips == [ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3"), ip("2001:db8::1")]
+    assert ids == {"a": 1, "c": 2, "b": 3}
+    assert list(batch)[1:] == [
+        mk_flow("10.0.0.3", "2001:db8::1", 5, 6, 1, 2, 17, 1, 0),
+        mk_flow("2001:db8::1", "10.0.0.2", 7, 7, 3, 4, 6, 2, 60),
+    ]
+    assert [list(column) for column in batch.columns()] == [
+        [0, 5, 7], [0, 6, 7], [0, 2, 3], [1, 3, 1], [40000, 1, 3], [80, 2, 4],
+        [6, 17, 6], [1, 1, 2], [100, 0, 60],
+    ]
+
+
+@pytest.mark.parametrize(
+    "at, value",
+    [(7, 0), (8, -1), (0, 9), (4, 70000), (1, 2**63)],
+    ids=["no-packets", "negative-bytes", "first-after-last", "port", "beyond-int64"],
+)
+def test_extend_rejects_invalid_columns_and_changes_nothing(at: int, value: int) -> None:
+    batch = FlowBatch()
+    batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
+    before = [list(batch.ips), *map(list, batch.columns())]
+    good = [3, 4, "new", "old", 1, 2, 6, 1, 60]
+    bad = list(good)
+    bad[at] = value
+    ids = {"old": 0}
+    new = {"new": ip("2001:db8::9")}
+    assert not batch.extend(_columns(good, bad), ids, new)
+    assert [list(batch.ips), *map(list, batch.columns())] == before
+    assert ids == {"old": 0}
+    assert batch.id_of(ip("2001:db8::9")) is None
+    # the same rows without the bad one are accepted
+    assert batch.extend(_columns(good), ids, new)
+    assert batch.id_of(ip("2001:db8::9")) == 2
