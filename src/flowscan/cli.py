@@ -468,8 +468,8 @@ def _parse_worker_sweep(raw: str) -> list[int]:
         workers = [EngineConfig(int(c)).workers for c in raw.split(",") if c.strip()]
     except ValueError as exc:
         raise ConfigError(f"engine.workers: {exc}") from exc
-    if not workers:
-        raise ConfigError(f"engine.workers sweep must be counts >= 1, got {raw!r}")
+    if not workers or len(set(workers)) < len(workers):
+        raise ConfigError(f"engine.workers sweep must be distinct counts >= 1, got {raw!r}")
     return workers
 
 

@@ -10,7 +10,8 @@ over the smaller one clamped to at least 1.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -21,8 +22,9 @@ from .core import (
 
 DEFAULT_THRESHOLD = 100.0
 
-# Flow counts per (IP id, slice index), the id indexing the batch's `ips`.
-CountTable = Counter[tuple[int, int]]
+# Per slice index, the (generated, received) flow counts keyed by IP id.
+CountTable = Counter[int]
+SliceCounts = dict[int, tuple[CountTable, CountTable]]
 
 
 class Direction(Enum):
@@ -51,12 +53,10 @@ class DetectorConfig:
 
 def count_flows(
     batch: FlowBatch, slices: SliceConfig, low: int = 0, high: Optional[int] = None
-) -> tuple[CountTable, CountTable]:
-    """Flows generated per (source id, slice index) and received per
-    (destination id, slice index) among the batch's rows low..high: the
-    counting step of batch mode and its workers. Raises ValueError for a
-    flow that starts before the trace start.
-    """
+) -> SliceCounts:
+    """Flows generated per source id and received per destination id in
+    each slice among the batch's rows low..high, for batch mode and its
+    workers. Raises ValueError for a flow that starts before the trace start."""
     start = slices.trace_start_us
     duration = slices.duration_us
     # Views of the row range, alive only while iterated: a slice of an array
@@ -67,8 +67,13 @@ def count_flows(
     ]
     if index and min(index) < 0:
         slice_at(min(batch.first_seen_us[rows]), slices)  # raises
-    generated = Counter(zip(memoryview(batch.src)[rows], index))
-    return generated, Counter(zip(memoryview(batch.dst)[rows], index))
+    # Each slice's source and destination ids, counted once it holds them all.
+    buckets = defaultdict(lambda: (array("I"), array("I")))
+    for i, src, dst in zip(index, memoryview(batch.src)[rows], memoryview(batch.dst)[rows]):
+        srcs, dsts = buckets[i]
+        srcs.append(src)
+        dsts.append(dst)
+    return {i: (Counter(srcs), Counter(dsts)) for i, (srcs, dsts) in buckets.items()}
 
 
 def ratio_of(generated: int, received: int) -> float:
@@ -83,46 +88,38 @@ def ratio_of(generated: int, received: int) -> float:
 def detect(
     flows: Iterable[FlowRecord] | FlowBatch,
     cfg: DetectorConfig,
-    counts: Optional[tuple[CountTable, CountTable]] = None,
-    slice_index: Optional[int] = None,
+    counts: Optional[SliceCounts] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
-    by (slice index, IP). A precomputed (generated, received) pair of
-    count tables of the batch `flows`, as count_flows returns, may be
-    passed in; a key absent from one table counts zero on that side, and
-    the batch's `ips` names each id. Tables of the one slice
-    `slice_index` are keyed by id alone."""
+    by (slice index, IP). Precomputed per-slice count tables of the batch
+    `flows`, as count_flows returns them, may be passed in; an id absent
+    from one table of its slice counts zero on that side, and the batch's
+    `ips` names each id."""
     batch = as_batch(flows)
     if counts is None:
         counts = count_flows(batch, cfg.slices)
-    generated, received = counts
     threshold = cfg.threshold
     ips = batch.ips
-    if slice_index is None:
-        def make(key: tuple[int, int]) -> SliceKey:
-            return SliceKey(ips[key[0]], key[1])
-    else:
-        def make(key: int) -> SliceKey:
-            return SliceKey(ips[key], slice_index)
     verdicts = []
     # |ratio| <= the larger count and threshold > 0, so only a count above
     # the threshold can flag its key, and only in its own direction.
-    for key, gen in generated.items():
-        if gen > threshold:
-            recv = received.get(key, 0)
-            ratio = ratio_of(gen, recv)
-            if ratio > threshold:
-                verdicts.append(
-                    RatioVerdict(make(key), Direction.SENDER, gen, recv, ratio)
-                )
-    for key, recv in received.items():
-        if recv > threshold:
-            gen = generated.get(key, 0)
-            ratio = ratio_of(gen, recv)
-            if ratio < -threshold:
-                verdicts.append(
-                    RatioVerdict(make(key), Direction.RECEIVER, gen, recv, ratio)
-                )
+    for index, (generated, received) in counts.items():
+        for key, gen in generated.items():
+            if gen > threshold:
+                recv = received.get(key, 0)
+                ratio = ratio_of(gen, recv)
+                if ratio > threshold:
+                    verdicts.append(RatioVerdict(
+                        SliceKey(ips[key], index), Direction.SENDER, gen, recv, ratio
+                    ))
+        for key, recv in received.items():
+            if recv > threshold:
+                gen = generated.get(key, 0)
+                ratio = ratio_of(gen, recv)
+                if ratio < -threshold:
+                    verdicts.append(RatioVerdict(
+                        SliceKey(ips[key], index), Direction.RECEIVER, gen, recv, ratio
+                    ))
     verdicts.sort(key=lambda v: v.key.sort_key())
     return verdicts
 

@@ -1,8 +1,8 @@
 """Batch and streaming execution around the ratio detector.
 
-Both modes count a FlowBatch, keying every table by (IP id, slice
-index); an iterable of FlowRecords is read whole into a batch at the
-entry point first.
+Both modes count a FlowBatch into one shape: for each slice index, a
+(generated, received) pair of tables keyed by IP id. An iterable of
+FlowRecords is read whole into a batch at the entry point first.
 
 Batch mode optionally fans the counting stage out across forked worker
 processes. The batch and its slice config reach the workers through a
@@ -10,9 +10,9 @@ module global, so nothing is built before the fork; each worker counts
 one contiguous row range of the batch, computing that range's slice
 indices itself, and this process counts the first range. Only the range
 bounds and the per-range count tables are pickled. Counting is a per-key
-sum, which is associative and commutative, so the ranges merge to the
-same tables and the final output is byte-identical for every worker
-count.
+sum, which is associative and commutative, so the ranges merge slice by
+slice to the same tables and the final output is byte-identical for
+every worker count.
 
 Streaming mode walks the batch in row order with a watermark set to
 the newest timestamp seen minus a fixed lag. A slice closes, and its
@@ -20,7 +20,7 @@ verdicts are emitted exactly once, when the watermark reaches the
 slice's end; flows for already-closed slices are dropped and counted,
 and the CLI fails a run that drops more than MAX_LATE_RATIO of its
 flows. An open slice buffers the source ids and the destination ids of
-its flows, and counts each list by id when it closes.
+its flows; its close counts them into one slice's tables for `detect`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Callable, Iterable, Optional
 
 from .core import US_PER_SECOND, FlowBatch, FlowRecord, SliceConfig, as_batch, slice_at
-from .detector import CountTable, DetectorConfig, RatioVerdict, count_flows, detect
+from .detector import DetectorConfig, RatioVerdict, SliceCounts, count_flows, detect
 
 DEFAULT_WATERMARK_LAG_S = 5.0
 # The largest share of a stream's flows that may arrive after their slice
@@ -78,22 +78,22 @@ class RunStats:
 _WORKER_INPUT: Optional[tuple[FlowBatch, SliceConfig]] = None
 
 
-def _count_range(bounds: tuple[int, int]) -> tuple[CountTable, CountTable]:
+def _count_range(bounds: tuple[int, int]) -> SliceCounts:
     assert _WORKER_INPUT is not None
     return count_flows(*_WORKER_INPUT, *bounds)
 
 
 def _parallel_counts(
     batch: FlowBatch, slices: SliceConfig, workers: int
-) -> tuple[CountTable, CountTable]:
+) -> SliceCounts:
     global _WORKER_INPUT
     import multiprocessing
 
-    # A pre-start flow raises here, before any fork, wherever its range.
-    slice_at(min(batch.first_seen_us), slices)
+    step = -(-len(batch) // workers)
+    # Pre-start flows in workers' ranges raise before any fork; range 0 checks itself.
+    slice_at(min(memoryview(batch.first_seen_us)[step:]), slices)
     # Workers read the batch's arrays through copy-on-write memory.
     _WORKER_INPUT = batch, slices
-    step = -(-len(batch) // workers)
     ranges = [(low, min(low + step, len(batch))) for low in range(0, len(batch), step)]
     ctx = multiprocessing.get_context("fork")
     completed = 0
@@ -102,11 +102,14 @@ def _parallel_counts(
             parts = pool.imap(_count_range, ranges[1:])
             # This process counts the first range while the workers count
             # the rest.
-            generated, received = _count_range(ranges[0])
+            counts = _count_range(ranges[0])
             try:
-                for gen, recv in parts:
-                    generated.update(gen)
-                    received.update(recv)
+                for part in parts:
+                    for index, tables in part.items():
+                        mine = counts.setdefault(index, tables)
+                        if mine is not tables:
+                            mine[0].update(tables[0])
+                            mine[1].update(tables[1])
                     completed += 1
             except Exception as exc:
                 raise EngineError(
@@ -115,7 +118,7 @@ def _parallel_counts(
                 ) from exc
     finally:
         _WORKER_INPUT = None
-    return generated, received
+    return counts
 
 
 def _time_ratio(wall_s: float, duration_s: float) -> float:
@@ -126,12 +129,12 @@ def count_slices(
     flows: Iterable[FlowRecord] | FlowBatch,
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
-) -> tuple[CountTable, CountTable]:
-    """The (generated, received) count tables of a complete trace, as
-    count_flows returns them for the trace's batch, counted by forked
-    workers when workers > 1 and the platform can fork. The tables do not
-    depend on the detection threshold, so one pair serves any number of
-    `detect(batch, ..., counts=...)` cuts.
+) -> SliceCounts:
+    """The per-slice (generated, received) count tables of a complete
+    trace, as count_flows returns them for the trace's batch, counted by
+    forked workers when workers > 1 and the platform can fork. The tables
+    do not depend on the detection threshold, so one count serves any
+    number of `detect(batch, ..., counts=...)` cuts.
 
     Output is identical for every worker count.
     """
@@ -210,8 +213,8 @@ def run_streaming(
     started = time.perf_counter()
 
     def close_slice(index: int) -> int:
-        counts = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
-        verdicts = detect(batch, cfg, counts=counts, slice_index=index)
+        tables = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
+        verdicts = detect(batch, cfg, counts={index: tables})
         emit(index, verdicts)
         return len(verdicts)
 

@@ -662,6 +662,21 @@ def test_bench_rejects_zero_reps(scan_trace, tmp_path, capsys) -> None:
     assert "reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["1,1", "2,1,2"])
+def test_bench_repeated_worker_count_is_one_config_error(
+    scan_trace, tmp_path, capsys, workers
+) -> None:
+    # A repeated count would time its runs twice under one summary row.
+    out = tmp_path / "b.csv"
+    code = main(["bench", str(scan_trace), "-o", str(out), "--workers", workers])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("flowscan: error kind=config exit=2 ")
+    assert f"engine.workers sweep must be distinct counts >= 1, got {workers!r}" in err[0]
+    assert not out.exists()
+
+
 SYNTH_SPEC = """\
 [trace]
 slices = 2

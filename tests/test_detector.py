@@ -26,15 +26,18 @@ S = 1_000_000
 CFG = SliceConfig(trace_start_us=0, slice_seconds=30.0)
 
 
-# count_flows returns (generated, received): the tables counted by source
-# and by destination IP, keyed by (id, slice index). The helpers name each
-# id through the batch's `ips`.
+# count_flows returns {slice index: (generated, received)}: per slice, the
+# tables counted by source and by destination IP, keyed by id. The helpers
+# name each id through the batch's `ips`.
 
 
 def _by_address(flows, side: int) -> dict:
     batch = as_batch(flows)
-    table = count_flows(batch, CFG)[side]
-    return {SliceKey(batch.ips[i], index): n for (i, index), n in table.items()}
+    return {
+        SliceKey(batch.ips[i], index): n
+        for index, tables in count_flows(batch, CFG).items()
+        for i, n in tables[side].items()
+    }
 
 
 def _by_source(flows) -> dict:
@@ -46,7 +49,7 @@ def _by_destination(flows) -> dict:
 
 
 def test_count_by_source_empty() -> None:
-    assert count_flows(as_batch([]), CFG) == ({}, {})
+    assert count_flows(as_batch([]), CFG) == {}
 
 
 def test_count_by_source_hand_counted() -> None:
@@ -90,17 +93,19 @@ def test_count_flows_rejects_pre_start_flow() -> None:
 
 # The test_join_* tests cut a given (generated, received) pair with
 # detect(batch, ..., counts=...): a key missing from one table counts zero
-# there. The address-keyed tables are re-keyed by the ids of a batch that
+# there. The tables keyed by (address, slice index) are split into the
+# per-slice tables count_flows returns, keyed by the ids of a batch that
 # interns each address.
 
 
 def _cut(generated, received, threshold: float) -> list[RatioVerdict]:
     cfg = DetectorConfig(slices=CFG, threshold=threshold)
     batch = FlowBatch()
-    counts = tuple(
-        Counter({(batch.intern(ip), index): n for (ip, index), n in table.items()})
-        for table in (generated, received)
-    )
+    counts: dict[int, tuple[Counter, Counter]] = {}
+    for side, table in enumerate((generated, received)):
+        for (address, index), n in table.items():
+            tables = counts.setdefault(index, (Counter(), Counter()))
+            tables[side][batch.intern(address)] = n
     return detect(batch, cfg, counts=counts)
 
 
@@ -332,9 +337,9 @@ def test_detect_accepts_any_iterable(rng: random.Random) -> None:
 
 def test_count_conservation(rng: random.Random) -> None:
     flows = random_flows(rng, 1234)
-    generated, received = count_flows(as_batch(flows), CFG)
-    assert sum(generated.values()) == len(flows)
-    assert sum(received.values()) == len(flows)
+    counts = count_flows(as_batch(flows), CFG).values()
+    assert sum(sum(generated.values()) for generated, _ in counts) == len(flows)
+    assert sum(sum(received.values()) for _, received in counts) == len(flows)
 
 
 def test_anomalous_ips_dedup() -> None:

@@ -79,15 +79,40 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
     batch = as_batch(flows)
     for workers in (1, 2, 3):
         engine = EngineConfig(workers=workers)
-        # The tables are keyed by dense ids into batch.ips.
+        # Each slice's tables are keyed by dense ids into batch.ips.
         by_id = count_slices(batch, CFG.slices, engine)
         assert tuple(
-            Counter({(batch.ips[i], index): n for (i, index), n in table.items()})
-            for table in by_id
+            Counter({
+                (batch.ips[i], index): n
+                for index, tables in by_id.items()
+                for i, n in tables[side].items()
+            })
+            for side in (0, 1)
         ) == (generated, received)
-        assert all(isinstance(i, int) for table in by_id for i, _ in table)
+        assert all(
+            isinstance(i, int) for tables in by_id.values() for t in tables for i in t
+        )
         # A record list is counted as the batch it converts to.
         assert count_slices(flows, CFG.slices, engine) == by_id
+
+
+def test_time_sorted_slices_only_in_worker_ranges_are_merged() -> None:
+    # Sixty scan flows in each of four slices, in time order. At workers=3
+    # the ranges are rows 0-79, 80-159 and 160-239: this process counts
+    # slice 0 and part of slice 1, and slices 2 and 3 exist only in the
+    # workers' ranges.
+    flows = [
+        mk_flow(src="10.0.0.9", dst=f"10.0.1.{i + 1}", first=index * 30 * S + i)
+        for index in range(4)
+        for i in range(60)
+    ]
+    batch = as_batch(flows)
+    serial = count_slices(batch, CFG.slices)
+    assert sorted(serial) == [0, 1, 2, 3]
+    assert count_slices(batch, CFG.slices, EngineConfig(workers=3)) == serial
+    verdicts, _ = run_batch(batch, CFG, EngineConfig(workers=3))
+    assert verdicts == run_batch(batch, CFG)[0]
+    assert [v.key.slice_index for v in verdicts] == [0, 1, 2, 3]
 
 
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
@@ -133,6 +158,14 @@ def test_worker_failure_wrapped_with_progress(monkeypatch) -> None:
 def test_pre_start_flow_rejected_before_fork() -> None:
     # The pre-start flow sits in a worker's range, not in this process's.
     flows = [mk_flow(first=5), mk_flow(first=6), mk_flow(src="10.0.0.9", first=-3)]
+    with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
+        run_batch(flows, CFG, EngineConfig(workers=2))
+
+
+def test_pre_start_flow_in_first_range_raises_unwrapped() -> None:
+    # This process counts the first range itself: its own check raises, not
+    # a worker's, so the error is not an EngineError.
+    flows = [mk_flow(src="10.0.0.9", first=-3), mk_flow(first=5), mk_flow(first=6)]
     with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
         run_batch(flows, CFG, EngineConfig(workers=2))
 
