@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -184,7 +185,10 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
 
 
 def _snapshot(name: str, value):
-    """JSON form of a config value, nested dataclasses included."""
+    """JSON form of a config value or of run stats, nested dataclasses
+    included. JSON has no infinity: an undefined ratio becomes null."""
+    if value == math.inf:
+        return None
     if dataclasses.is_dataclass(value):
         return {
             f.name: _snapshot(f.name, getattr(value, f.name))
@@ -237,7 +241,8 @@ def _write_manifest(
     if extra:
         doc.update(extra)
     path = manifest_path_for(out_path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -256,14 +261,13 @@ def _read_trace(
     }
     if not (len(flows) or empty_ok):
         raise FlowFileError(f"{path}: no accepted flow rows")
-    earliest = min(flows.first_seen_us, default=None)
     start = cfg.trace_start_us
     if start is None:
-        start = 0 if earliest is None else earliest
-    elif earliest is not None and earliest < start:
+        start = flows.earliest_us if len(flows) else 0
+    elif flows.earliest_us < start:
         raise ConfigError(
             f"detector.trace_start_us {start} is after the earliest flow "
-            f"first_seen_us {earliest}"
+            f"first_seen_us {flows.earliest_us}"
         )
     return flows, SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
 
@@ -368,7 +372,7 @@ def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcom
         f"{len(verdicts)} verdicts from {stats.records_in} flows"
         f"{_skipped_note(ingest)}{late}"
     )
-    return [flow_path], write, {"stats": dataclasses.asdict(stats)}, summary
+    return [flow_path], write, {"stats": _snapshot("stats", stats)}, summary
 
 
 def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
@@ -488,6 +492,10 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
     sweep = _parse_worker_sweep(args.workers)
     flow_path = Path(args.flows)
     flows, slices = _read_trace(flow_path, cfg, ingest)
+    if flows.latest_us == flows.earliest_us:
+        raise FlowFileError(
+            f"{flow_path}: the flows span no time, so they have no time ratio"
+        )
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
 
     runs: list[tuple[int, int, RunStats]] = []

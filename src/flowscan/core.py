@@ -172,8 +172,10 @@ class FlowBatch:
     the address value, so two spellings of one address share an id and
     `ips` holds each address of the batch's rows exactly once.
     Timestamps and packet/byte counts are signed 64-bit. Rows enter
-    through `extend` (columns) or `append` (one record). Indexing or
-    iterating the batch yields FlowRecord rows.
+    through `extend` (columns) or `append` (one record), which keep the
+    trace bounds: `earliest_us`, the smallest first_seen_us, and
+    `latest_us`, the largest last_seen_us (inf and -inf while the batch
+    is empty). Indexing or iterating the batch yields FlowRecord rows.
     """
 
     def __init__(self) -> None:
@@ -188,6 +190,8 @@ class FlowBatch:
         self.last_seen_us = array("q")
         self.packet_count = array("q")
         self.byte_count = array("q")
+        self.earliest_us: int | float = math.inf
+        self.latest_us: int | float = -math.inf
 
     def intern(self, ip: IpAddress) -> int:
         """The id of an address, assigning the next one if it is new."""
@@ -212,6 +216,8 @@ class FlowBatch:
         self.last_seen_us.append(flow.last_seen_us)
         self.packet_count.append(flow.packet_count)
         self.byte_count.append(flow.byte_count)
+        self.earliest_us = min(self.earliest_us, flow.first_seen_us)
+        self.latest_us = max(self.latest_us, flow.last_seen_us)
         return len(self.src) - 1
 
     def columns(self) -> tuple[array, ...]:
@@ -251,6 +257,8 @@ class FlowBatch:
         added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes
         for column, values in zip(self.columns(), added):
             column.extend(values)
+        self.earliest_us = min(self.earliest_us, min(first, default=math.inf))
+        self.latest_us = max(self.latest_us, max(last, default=-math.inf))
         return True
 
     def __len__(self) -> int:

@@ -56,7 +56,10 @@ def count_flows(
 ) -> SliceCounts:
     """Flows generated per source id and received per destination id in
     each slice among the batch's rows low..high, for batch mode and its
-    workers. Raises ValueError for a flow that starts before the trace start."""
+    workers. Raises ValueError if any flow of the batch starts before the
+    trace start."""
+    if batch:  # the bounds of an empty batch are infinite
+        slice_at(batch.earliest_us, slices)
     start = slices.trace_start_us
     duration = slices.duration_us
     # Views of the row range, alive only while iterated: a slice of an array
@@ -65,8 +68,6 @@ def count_flows(
     index = [
         (first - start) // duration for first in memoryview(batch.first_seen_us)[rows]
     ]
-    if index and min(index) < 0:
-        slice_at(min(batch.first_seen_us[rows]), slices)  # raises
     # Each slice's source and destination ids, counted once it holds them all.
     buckets = defaultdict(lambda: (array("I"), array("I")))
     for i, src, dst in zip(index, memoryview(batch.src)[rows], memoryview(batch.dst)[rows]):

@@ -90,8 +90,8 @@ def _parallel_counts(
     import multiprocessing
 
     step = -(-len(batch) // workers)
-    # Pre-start flows in workers' ranges raise before any fork; range 0 checks itself.
-    slice_at(min(memoryview(batch.first_seen_us)[step:]), slices)
+    # A pre-start flow raises here, before any fork, not in a worker.
+    slice_at(batch.earliest_us, slices)
     # Workers read the batch's arrays through copy-on-write memory.
     _WORKER_INPUT = batch, slices
     ranges = [(low, min(low + step, len(batch))) for low in range(0, len(batch), step)]
@@ -119,10 +119,6 @@ def _parallel_counts(
     finally:
         _WORKER_INPUT = None
     return counts
-
-
-def _time_ratio(wall_s: float, duration_s: float) -> float:
-    return wall_s / duration_s if duration_s > 0 else math.inf
 
 
 def count_slices(
@@ -160,22 +156,17 @@ def run_batch(
     counts = count_slices(batch, cfg.slices, engine)
     verdicts = detect(batch, cfg, counts=counts)
     wall = time.perf_counter() - started
-    duration_s = _duration_s(batch)
-    stats = RunStats(
-        wall_time_s=wall,
-        trace_duration_s=duration_s,
-        time_ratio=_time_ratio(wall, duration_s),
-        records_in=len(batch),
-        verdicts_out=len(verdicts),
-    )
-    return verdicts, stats
+    return verdicts, _run_stats(batch, wall, len(verdicts))
 
 
-def _duration_s(batch: FlowBatch) -> float:
-    if not len(batch):
-        return 0.0
-    first, last = min(batch.first_seen_us), max(batch.last_seen_us)
-    return (last - first) / US_PER_SECOND
+def _run_stats(
+    batch: FlowBatch, wall: float, verdicts_out: int, late_dropped: int = 0
+) -> RunStats:
+    """The stats of a run over the batch, whose trace lasts from its
+    earliest to its latest timestamp."""
+    duration_s = (batch.latest_us - batch.earliest_us) / US_PER_SECOND if batch else 0.0
+    ratio = wall / duration_s if duration_s > 0 else math.inf
+    return RunStats(wall, duration_s, ratio, len(batch), verdicts_out, late_dropped)
 
 
 EmitFn = Callable[[int, list[RatioVerdict]], None]
@@ -191,7 +182,8 @@ def run_streaming(
     watermark passes its end.
 
     The stream is a FlowBatch read in row order. An iterable of
-    FlowRecords is read whole into a batch before the first emission.
+    FlowRecords is read whole into a batch before the first emission, and
+    a flow that starts before the trace start raises ValueError before it.
     `emit(slice_index, verdicts)` fires once per slice that saw any
     flows, in ascending slice order for everything still open at end of
     stream; its exceptions propagate. Flows whose slice already closed
@@ -200,6 +192,8 @@ def run_streaming(
     the batch result.
     """
     batch = as_batch(flows)
+    if batch:  # the bounds of an empty batch are infinite
+        slice_at(batch.earliest_us, cfg.slices)
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
@@ -219,11 +213,7 @@ def run_streaming(
         return len(verdicts)
 
     for ts, src, dst in zip(batch.first_seen_us, batch.src, batch.dst):
-        offset = ts - start
-        if offset < 0:
-            # Checked on arrival: past a closed slice it would count as late.
-            slice_at(ts, cfg.slices)  # raises
-        index = offset // duration
+        index = (ts - start) // duration
         if newest is None or ts > newest:
             newest = ts
             watermark = newest - lag_us
@@ -241,12 +231,4 @@ def run_streaming(
     for ready in sorted(open_srcs):
         emitted += close_slice(ready)
     wall = time.perf_counter() - started
-    duration_s = _duration_s(batch)
-    return RunStats(
-        wall_time_s=wall,
-        trace_duration_s=duration_s,
-        time_ratio=_time_ratio(wall, duration_s),
-        records_in=len(batch),
-        verdicts_out=emitted,
-        late_dropped=dropped,
-    )
+    return _run_stats(batch, wall, emitted, dropped)

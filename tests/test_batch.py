@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -23,6 +24,7 @@ from flowscan.ingest import (
     write_flow_file,
 )
 from flowscan.rules import RuleConfig, classify_all
+from flowscan.synth import BackgroundSpec, SynthSpec, TraceSpec, generate
 
 from helpers import ip, mk_flow
 from oracles import (
@@ -228,6 +230,68 @@ def test_merged_halves_equal_one_read(
     assert head.ips == whole.ips
     assert head.columns() == whole.columns()
     assert head_errors + tail_errors == errors
+    assert (head.earliest_us, head.latest_us) == (whole.earliest_us, whole.latest_us)
+    assert _bounds_hold(whole)
+
+
+def _bounds_hold(batch: FlowBatch) -> bool:
+    """The batch's kept bounds are those of its timestamp columns."""
+    return (batch.earliest_us, batch.latest_us) == (
+        min(batch.first_seen_us, default=math.inf),
+        max(batch.last_seen_us, default=-math.inf),
+    )
+
+
+_spans = st.lists(st.tuples(st.integers(-(10**9), 10**9), st.integers(0, 10**9)), max_size=6)
+# Rows that make extend reject its whole call: one that ends before it
+# starts, and one whose start does not fit 64 bits.
+_BAD_ROWS = [(5, 4, "a", "b", 1, 2, 6, 1, 60), (-(2**63) - 1, 0, "a", "b", 1, 2, 6, 1, 60)]
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["append", "extend", "rejected"]), _spans), max_size=10
+    ),
+    st.sampled_from(_BAD_ROWS),
+)
+def test_bounds_follow_every_way_rows_enter(calls: list, bad_row: tuple) -> None:
+    batch = FlowBatch()
+    ids: dict = {}
+    new = {"a": ip("10.0.0.1"), "b": ip("2001:db8::1")}
+    for how, spans in calls:
+        rows = [(first, first + span, "a", "b", 1, 2, 6, 1, 60) for first, span in spans]
+        before = batch.earliest_us, batch.latest_us
+        if how == "append":
+            for first, span in spans:
+                batch.append(mk_flow(first=first, last=first + span))
+        elif how == "extend":
+            assert batch.extend(tuple(zip(*rows)) or ((),) * 9, ids, new)
+        else:
+            assert not batch.extend(tuple(zip(*rows, bad_row)), ids, new)
+            assert (batch.earliest_us, batch.latest_us) == before
+        assert _bounds_hold(batch)
+
+
+def test_reader_and_synth_batches_keep_their_bounds(tmp_path: Path) -> None:
+    rows = [
+        f"{first},{last},10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
+        for first, last in ((7, 7), (3, 12), (-5, 6), (9, 10))
+    ]
+    path = _write_lines(str(tmp_path), rows)
+    with mock.patch.object(FlowFileReader, "_append_rows", side_effect=AssertionError):
+        fast = FlowFileReader(path).read()
+    with mock.patch.object(ingest, "_append_columns", return_value=False):
+        fallback = FlowFileReader(path).read()
+    for batch in (fast, fallback):
+        assert (batch.earliest_us, batch.latest_us) == (-5, 12)
+    spec = SynthSpec(
+        trace=TraceSpec(start_us=10**9, slices=3), background=BackgroundSpec(hosts=8)
+    )
+    generated, _ = generate(spec, seed=4)
+    assert generated.earliest_us >= 10**9
+    assert _bounds_hold(generated)
+    assert _bounds_hold(FlowBatch())
 
 
 def test_two_spellings_share_one_id(tmp_path: Path) -> None:

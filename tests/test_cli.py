@@ -677,6 +677,36 @@ def test_bench_repeated_worker_count_is_one_config_error(
     assert not out.exists()
 
 
+def test_bench_on_flows_of_one_instant_exits_1(tmp_path, capsys) -> None:
+    # Flows that start and end at one instant span no time: there is no
+    # time ratio to summarise.
+    instant = tmp_path / "instant.flows.csv"
+    write_flow_file(instant, [mk_flow(first=7 * S), mk_flow(dst="10.0.0.3", first=7 * S)])
+    out = tmp_path / "b.csv"
+    assert main(["bench", str(instant), "-o", str(out), "--workers", "1"]) == EXIT_IO
+    assert f"detail={instant}: the flows span no time" in _one_error(capsys, "io", EXIT_IO)
+    assert not out.exists()
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+@pytest.mark.parametrize("rows", [0, 2], ids=["header-only", "one-instant"])
+def test_detect_manifest_of_a_trace_without_duration_is_json(
+    tmp_path, capsys, mode: str, rows: int
+) -> None:
+    flows = tmp_path / "f.flows.csv"
+    write_flow_file(flows, [mk_flow(first=7 * S), mk_flow(dst="10.0.0.3", first=7 * S)][:rows])
+    out = tmp_path / "v.csv"
+    assert main(["detect", str(flows), "-o", str(out), "--mode", mode]) == EXIT_OK
+    text = manifest_path_for(out).read_text(encoding="utf-8")
+    stats = json.loads(text, parse_constant=_no_constant)["stats"]
+    assert (stats["trace_duration_s"], stats["time_ratio"]) == (0.0, None)
+    assert stats["records_in"] == rows
+
+
 SYNTH_SPEC = """\
 [trace]
 slices = 2

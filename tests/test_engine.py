@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import flowscan.engine
 from flowscan.core import FlowRecord, SliceConfig, SliceKey, as_batch
-from flowscan.detector import DetectorConfig, detect
+from flowscan.detector import DetectorConfig, count_flows, detect
 from flowscan.engine import (
     EngineConfig,
     EngineError,
@@ -132,6 +132,14 @@ def test_batch_empty_input() -> None:
     assert math.isinf(stats.time_ratio)
 
 
+@pytest.mark.parametrize("start", [-(10**400), 10**400], ids=["far-before", "far-after"])
+def test_empty_batch_fits_any_trace_start(start: int) -> None:
+    # No flow precedes the start when there is no flow at all.
+    cfg = DetectorConfig(slices=SliceConfig(trace_start_us=start), threshold=50)
+    assert run_batch([], cfg)[0] == []
+    assert run_streaming([], cfg, EngineConfig(), lambda i, v: None).records_in == 0
+
+
 def test_batch_stats_duration() -> None:
     flows = [mk_flow(first=0, last=90 * S), mk_flow(first=10 * S, last=20 * S)]
     _, stats = run_batch(flows, CFG)
@@ -163,8 +171,8 @@ def test_pre_start_flow_rejected_before_fork() -> None:
 
 
 def test_pre_start_flow_in_first_range_raises_unwrapped() -> None:
-    # This process counts the first range itself: its own check raises, not
-    # a worker's, so the error is not an EngineError.
+    # The batch's earliest flow is checked before the fork, in this process,
+    # so the error is not an EngineError.
     flows = [mk_flow(src="10.0.0.9", first=-3), mk_flow(first=5), mk_flow(first=6)]
     with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
         run_batch(flows, CFG, EngineConfig(workers=2))
@@ -177,10 +185,45 @@ def test_count_slices_pre_start_flow_raises_without_forking(monkeypatch) -> None
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    # The pre-start flow sits in the second range, a worker's.
-    batch = as_batch([mk_flow(first=5), mk_flow(first=6), mk_flow(first=-3)])
-    with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
-        count_slices(batch, CFG.slices, EngineConfig(workers=2))
+    # The pre-start flow sits in the second range, a worker's, then in the
+    # first, this process's.
+    for firsts in ((5, 6, -3), (-3, 5, 6)):
+        batch = as_batch([mk_flow(first=first) for first in firsts])
+        with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
+            count_slices(batch, CFG.slices, EngineConfig(workers=2))
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+def test_pre_start_flow_raises_before_any_fork_or_emission(monkeypatch, at: int) -> None:
+    import multiprocessing
+
+    def no_fork(*args):
+        raise AssertionError("a worker pool was started")
+
+    def no_emit(index: int, verdicts: list) -> None:
+        raise AssertionError(f"slice {index} was emitted")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    # With no lag, each flow after the first closes the slice before it.
+    flows = [mk_flow(first=k * 40 * S) for k in range(4)]
+    flows.insert(at, mk_flow(src="10.0.0.9", first=-3))
+    batch = as_batch(flows)
+    # A row range without the pre-start flow raises too: the rule is the batch's.
+    other = 1 if at == 0 else 0
+    calls = [
+        lambda: count_flows(batch, CFG.slices),
+        lambda: count_flows(batch, CFG.slices, other, other + 1),
+        lambda: count_slices(batch, CFG.slices),
+        lambda: count_slices(batch, CFG.slices, EngineConfig(workers=2)),
+        lambda: run_batch(batch, CFG),
+        lambda: run_batch(batch, CFG, EngineConfig(workers=2)),
+        lambda: run_streaming(
+            batch, CFG, EngineConfig(watermark_lag_seconds=0.0), no_emit
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="first_seen -3 precedes trace start 0"):
+            call()
 
 
 def test_fallback_without_fork_matches(rng, monkeypatch) -> None:
@@ -274,8 +317,8 @@ def test_streaming_pre_start_flow_rejected() -> None:
 
 
 def test_streaming_pre_start_flow_after_a_close_is_not_late() -> None:
-    # Slice 0 has closed by the time the pre-start flow arrives; it must
-    # raise rather than be dropped as late.
+    # Slice 0 would have closed by the time the pre-start flow arrives; it
+    # must raise rather than be dropped as late, and before any emission.
     flows = [mk_flow(first=0), mk_flow(first=40 * S), mk_flow(first=-1)]
     emissions: list[int] = []
     with pytest.raises(ValueError, match="precedes trace start"):
@@ -285,4 +328,4 @@ def test_streaming_pre_start_flow_after_a_close_is_not_late() -> None:
             EngineConfig(watermark_lag_seconds=0.0),
             lambda index, verdicts: emissions.append(index),
         )
-    assert emissions == [0]
+    assert emissions == []
