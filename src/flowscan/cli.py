@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
+import logging
 import sys
 import time
 from datetime import datetime, timezone
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
-from .core import ConfigError, FlowBatch, IpAddress, SliceConfig, as_batch, format_ip
+from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
 from .engine import (
     MAX_LATE_RATIO, EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
@@ -48,7 +48,7 @@ from .ingest import (
     read_flow_file,
     read_ground_truth,
 )
-from .rules import Classification, classify_all
+from .rules import classify_all
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -64,6 +64,7 @@ BENCH_SUMMARY_HEADER = "workers,min,q1,median,q3,max"
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    logging.getLogger("flowscan").addHandler(_WARNING_LINES)  # no-op if already added
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -78,6 +79,17 @@ def _fail(code: int, kind: str, exc: BaseException) -> int:
     detail = " ".join(str(exc).split())
     sys.stderr.write(f"flowscan: error kind={kind} exit={code} detail={detail}\n")
     return code
+
+
+class _WarningLines(logging.Handler):
+    """Each warning of the flowscan loggers as one stderr line, like `_fail`."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        detail = " ".join(record.getMessage().split())
+        sys.stderr.write(f"flowscan: warning detail={detail}\n")
+
+
+_WARNING_LINES = _WarningLines(logging.WARNING)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,10 +197,7 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
 
 
 def _snapshot(name: str, value):
-    """JSON form of a config value or of run stats, nested dataclasses
-    included. JSON has no infinity: an undefined ratio becomes null."""
-    if value == math.inf:
-        return None
+    """JSON form of a config value or of run stats, nested dataclasses included."""
     if dataclasses.is_dataclass(value):
         return {
             f.name: _snapshot(f.name, getattr(value, f.name))
@@ -322,21 +331,11 @@ def format_verdict_row(verdict: RatioVerdict, labels: str = "") -> str:
     )
 
 
-def _verdict_labels(
-    verdicts: Sequence[RatioVerdict], classifications: dict[IpAddress, Classification]
-) -> list[str]:
-    """The rule labels of each verdict's IP; only senders carry labels."""
-    return [
-        ";".join(sorted(l.value for l in cls.labels))
-        if v.direction is Direction.SENDER and (cls := classifications.get(v.key.ip))
-        else ""
-        for v in verdicts
-    ]
-
-
-def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
-    flow_path = Path(args.flows)
-    flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok=True)
+def _detect(
+    flow_path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = True
+) -> tuple[list[RatioVerdict], list[str], RunStats]:
+    """The detect job on one flow file, read to labels: verdicts, labels, stats."""
+    flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
         workers=cfg.workers, watermark_lag_seconds=cfg.watermark_lag_seconds
@@ -360,7 +359,19 @@ def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcom
 
     sender_ips = {v.key.ip for v in verdicts if v.direction is Direction.SENDER}
     classifications = classify_all(sender_ips, flows, cfg.rules, slices)
-    labels = _verdict_labels(verdicts, classifications)
+    # The rule labels of each verdict's IP; only senders carry labels.
+    labels = [
+        ";".join(sorted(l.value for l in cls.labels))
+        if v.direction is Direction.SENDER and (cls := classifications.get(v.key.ip))
+        else ""
+        for v in verdicts
+    ]
+    return verdicts, labels, stats
+
+
+def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
+    flow_path = Path(args.flows)
+    verdicts, labels, stats = _detect(flow_path, cfg, ingest)
 
     def write(fh: TextIO) -> None:
         fh.write(VERDICT_HEADER + "\n")
@@ -488,32 +499,32 @@ def _quartiles(values: list[float]) -> tuple[float, float, float, float, float]:
 
 
 def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
+    """Time the detect job, read to labels, per rep at each worker count."""
     reps = _int_flag("--reps", args.reps, lambda n: n >= 1, "an integer >= 1")
     sweep = _parse_worker_sweep(args.workers)
     flow_path = Path(args.flows)
-    flows, slices = _read_trace(flow_path, cfg, ingest)
-    if flows.latest_us == flows.earliest_us:
-        raise FlowFileError(
-            f"{flow_path}: the flows span no time, so they have no time ratio"
-        )
-    detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
-
-    runs: list[tuple[int, int, RunStats]] = []
+    runs: list[tuple] = []  # the rows of BENCH_HEADER
     for workers in sweep:
-        engine_cfg = EngineConfig(workers=workers)
+        run_cfg = dataclasses.replace(cfg, workers=workers)
         for rep in range(1, reps + 1):
-            _verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
-            runs.append((workers, rep, stats))
+            started = time.perf_counter()
+            *_, stats = _detect(flow_path, run_cfg, ingest, empty_ok=False)
+            wall = time.perf_counter() - started
+            if not (duration := stats.trace_duration_s):
+                raise FlowFileError(
+                    f"{flow_path}: the flows span no time, so they have no time ratio"
+                )
+            row = workers, rep, wall, duration, wall / duration
+            runs.append(row + (stats.records_in, stats.verdicts_out))
 
     def write(fh: TextIO) -> None:
         fh.write(BENCH_HEADER + "\n")
-        for workers, rep, s in runs:
-            row = (workers, rep, s.wall_time_s, s.trace_duration_s, s.time_ratio)
-            fh.write(",".join(map(repr, row + (s.records_in, s.verdicts_out))) + "\n")
+        for run in runs:
+            fh.write(",".join(map(repr, run)) + "\n")
         fh.write("# summary\n")
         fh.write(BENCH_SUMMARY_HEADER + "\n")
         for workers in sweep:
-            ratios = [s.time_ratio for w, _, s in runs if w == workers]
+            ratios = [run[4] for run in runs if run[0] == workers]
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
 
     summary = f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"

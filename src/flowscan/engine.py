@@ -26,7 +26,6 @@ its flows; its close counts them into one slice's tables for `detect`.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -65,9 +64,7 @@ class EngineConfig:
 
 @dataclass(frozen=True, slots=True)
 class RunStats:
-    wall_time_s: float
     trace_duration_s: float
-    time_ratio: float
     records_in: int
     verdicts_out: int
     late_dropped: int = 0
@@ -149,24 +146,18 @@ def run_batch(
     cfg: DetectorConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> tuple[list[RatioVerdict], RunStats]:
-    """Detect over a complete trace: count_slices, then one threshold cut.
-    The wall time covers both, not reading records into a batch."""
+    """Detect over a complete trace: count_slices, then one threshold cut."""
     batch = as_batch(flows)
-    started = time.perf_counter()
     counts = count_slices(batch, cfg.slices, engine)
     verdicts = detect(batch, cfg, counts=counts)
-    wall = time.perf_counter() - started
-    return verdicts, _run_stats(batch, wall, len(verdicts))
+    return verdicts, _run_stats(batch, len(verdicts))
 
 
-def _run_stats(
-    batch: FlowBatch, wall: float, verdicts_out: int, late_dropped: int = 0
-) -> RunStats:
+def _run_stats(batch: FlowBatch, verdicts_out: int, late_dropped: int = 0) -> RunStats:
     """The stats of a run over the batch, whose trace lasts from its
     earliest to its latest timestamp."""
     duration_s = (batch.latest_us - batch.earliest_us) / US_PER_SECOND if batch else 0.0
-    ratio = wall / duration_s if duration_s > 0 else math.inf
-    return RunStats(wall, duration_s, ratio, len(batch), verdicts_out, late_dropped)
+    return RunStats(duration_s, len(batch), verdicts_out, late_dropped)
 
 
 EmitFn = Callable[[int, list[RatioVerdict]], None]
@@ -204,8 +195,6 @@ def run_streaming(
     closed_max = -1
     dropped = emitted = 0
 
-    started = time.perf_counter()
-
     def close_slice(index: int) -> int:
         tables = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
         verdicts = detect(batch, cfg, counts={index: tables})
@@ -230,5 +219,4 @@ def run_streaming(
 
     for ready in sorted(open_srcs):
         emitted += close_slice(ready)
-    wall = time.perf_counter() - started
-    return _run_stats(batch, wall, emitted, dropped)
+    return _run_stats(batch, emitted, dropped)

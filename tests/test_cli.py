@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import random
 
 import pytest
 
+import flowscan.cli
 from flowscan.cli import (
     BENCH_HEADER,
     BENCH_SUMMARY_HEADER,
@@ -613,6 +615,26 @@ def test_ground_truth_bad_value_obeys_strict(
     assert reports[0] == reports[1]
 
 
+def test_lenient_ground_truth_warning_is_one_prefixed_line(
+    scan_trace, tmp_path, capfd, caplog
+) -> None:
+    bad = tmp_path / "bad.anomalous.xml"
+    bad.write_text(
+        GT_XML.replace("</anomaly>", '  <filter src_ip="10.0.0.999"/>\n  </anomaly>'),
+        encoding="utf-8",
+    )
+    want = f"flowscan: warning detail={bad}: ignoring unparseable address '10.0.0.999'\n"
+    # Three runs in one process: each prints its warning once, not once per
+    # earlier run.
+    for run in range(3):
+        assert main(_eval_args(scan_trace, bad, tmp_path / f"r{run}.csv")) == EXIT_OK
+        assert capfd.readouterr().err == want
+    # A record below warning level is no warning line, whatever the logger's level.
+    caplog.set_level(logging.DEBUG, logger="flowscan")
+    logging.getLogger("flowscan.ingest").info("not a warning")
+    assert capfd.readouterr().err == ""
+
+
 def test_bench_table_shape(scan_trace, tmp_path) -> None:
     out = tmp_path / "bench.csv"
     code = main(
@@ -688,6 +710,44 @@ def test_bench_on_flows_of_one_instant_exits_1(tmp_path, capsys) -> None:
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["batch", "stream"])
+def test_bench_times_what_detect_runs(scan_trace, tmp_path, monkeypatch, mode) -> None:
+    config = tmp_path / "c.ini"
+    config.write_text(f"[engine]\nmode = {mode}\n", encoding="utf-8")
+    common = ["--config", str(config), "--threshold", "20"]
+    reads = []
+    read_trace = flowscan.cli._read_trace
+
+    def counted_read(path, *args, **kwargs):
+        reads.append(path)
+        return read_trace(path, *args, **kwargs)
+
+    monkeypatch.setattr(flowscan.cli, "_read_trace", counted_read)
+    out = tmp_path / "bench.csv"
+    bench = ["bench", str(scan_trace), "-o", str(out), "--workers", "1,2", "--reps", "3"]
+    assert main([*bench, *common]) == EXIT_OK
+    assert reads == [scan_trace] * 6  # one whole detect job per rep and worker count
+    lines = out.read_text(encoding="utf-8").splitlines()
+    runs = [row.split(",") for row in lines[2 : lines.index("# summary")]]
+    assert len(runs) == 6
+
+    for workers in ("1", "2"):
+        verdicts = tmp_path / f"verdicts{workers}.csv"
+        detect = ["detect", str(scan_trace), "-o", str(verdicts), "--workers", workers]
+        assert main([*detect, *common]) == EXIT_OK
+        stats = json.loads(manifest_path_for(verdicts).read_text(encoding="utf-8"))["stats"]
+        # the manifest line and the header come before the verdicts
+        verdict_rows = len(verdicts.read_text(encoding="utf-8").splitlines()) - 2
+        assert verdict_rows > 0
+        timed = [run for run in runs if run[0] == workers]
+        assert len(timed) == 3
+        for _, _, wall, duration, ratio, records_in, verdicts_out in timed:
+            assert int(records_in) == stats["records_in"]
+            assert int(verdicts_out) == stats["verdicts_out"] == verdict_rows
+            assert float(duration) == stats["trace_duration_s"]
+            assert float(ratio) == float(wall) / float(duration)
+
+
 def _no_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
@@ -703,7 +763,8 @@ def test_detect_manifest_of_a_trace_without_duration_is_json(
     assert main(["detect", str(flows), "-o", str(out), "--mode", mode]) == EXIT_OK
     text = manifest_path_for(out).read_text(encoding="utf-8")
     stats = json.loads(text, parse_constant=_no_constant)["stats"]
-    assert (stats["trace_duration_s"], stats["time_ratio"]) == (0.0, None)
+    assert stats["trace_duration_s"] == 0.0
+    assert not {"wall_time_s", "time_ratio"} & stats.keys()
     assert stats["records_in"] == rows
 
 

@@ -129,7 +129,6 @@ def test_batch_empty_input() -> None:
     assert stats.records_in == 0
     assert stats.verdicts_out == 0
     assert stats.trace_duration_s == 0.0
-    assert math.isinf(stats.time_ratio)
 
 
 @pytest.mark.parametrize("start", [-(10**400), 10**400], ids=["far-before", "far-after"])
@@ -144,7 +143,6 @@ def test_batch_stats_duration() -> None:
     flows = [mk_flow(first=0, last=90 * S), mk_flow(first=10 * S, last=20 * S)]
     _, stats = run_batch(flows, CFG)
     assert stats.trace_duration_s == 90.0
-    assert stats.time_ratio == stats.wall_time_s / 90.0
 
 
 def test_worker_failure_wrapped_with_progress(monkeypatch) -> None:
@@ -308,7 +306,6 @@ def test_streaming_empty_stream() -> None:
     assert emissions == []
     assert stats.records_in == 0
     assert stats.verdicts_out == 0
-    assert math.isinf(stats.time_ratio)
 
 
 def test_streaming_pre_start_flow_rejected() -> None:
