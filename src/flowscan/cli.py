@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import sys
@@ -213,9 +212,13 @@ def _snapshot(name: str, value):
 
 
 def _sha256(path: Path) -> str:
+    # Imported here, after the job, so that OpenSSL's pages do not sit under
+    # the job's peak RSS; small blocks keep the hashing below it too.
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -528,7 +531,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
 
     summary = f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
-    return [flow_path], write, {}, summary
+    return [flow_path], write, {"bench": {"workers": sweep, "reps": reps}}, summary
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

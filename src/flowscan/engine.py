@@ -26,6 +26,7 @@ its flows; its close counts them into one slice's tables for `detect`.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -189,8 +190,8 @@ def run_streaming(
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
     # slice index -> the source ids, and the destination ids, of its flows
-    open_srcs: defaultdict[int, list[int]] = defaultdict(list)
-    open_dsts: defaultdict[int, list[int]] = defaultdict(list)
+    open_srcs: defaultdict[int, array] = defaultdict(lambda: array("I"))
+    open_dsts: defaultdict[int, array] = defaultdict(lambda: array("I"))
     newest: Optional[int] = None
     closed_max = -1
     dropped = emitted = 0

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import logging
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .core import (
     FlowBatch,
@@ -21,6 +20,9 @@ from .core import (
     parse_ip,
     parse_protocol,
 )
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 logger = logging.getLogger(__name__)
 
@@ -246,6 +248,8 @@ def parse_ground_truth(
     a port outside 0-65535 are each skipped with a warning naming the
     file, or abort the parse in strict mode.
     """
+    import xml.etree.ElementTree as ET  # here, so that detect does not load it
+
     try:
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:

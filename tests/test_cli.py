@@ -3,7 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,7 @@ from flowscan.cli import (
     EXIT_OK,
     VERDICT_HEADER,
     _resolve_config,
+    _sha256,
     build_parser,
     main,
     manifest_path_for,
@@ -85,7 +90,7 @@ def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
     for command, flags, inputs, extra_keys in (
         ("detect", [str(scan_trace)], [scan_trace], {"stats"}),
         ("evaluate", ["--trace", f"{scan_trace},{gt_path}"], [scan_trace, gt_path], set()),
-        ("bench", [str(scan_trace), "--workers", "1", "--reps", "1"], [scan_trace], set()),
+        ("bench", [str(scan_trace), "--workers", "2,1", "--reps", "2"], [scan_trace], {"bench"}),
     ):
         out = tmp_path / f"{command}.csv"
         assert main([command, *flags, "-o", str(out)]) == EXIT_OK
@@ -103,6 +108,58 @@ def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
         }
         if command == "detect":
             assert manifest["stats"]["records_in"] == 122
+        if command == "bench":
+            # The sweep as given, not the config's engine.workers.
+            assert manifest["bench"] == {"workers": [2, 1], "reps": 2}
+            assert manifest["config"]["workers"] == 1
+
+
+@pytest.mark.parametrize("size", [0, 3 * (1 << 16) + 5])
+def test_sha256_matches_one_read(tmp_path, size) -> None:
+    """The manifest digest, read in blocks, is the digest of the whole file."""
+    path = tmp_path / "data.bin"
+    path.write_bytes(random.Random(size).randbytes(size))
+    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# Run in a fresh interpreter: prints which of the late imports are loaded
+# after `import flowscan.cli` and when `cli._detect` returns, then runs
+# the command line on its arguments.
+_LATE_IMPORTS_SCRIPT = """
+import sys
+import flowscan.cli as cli
+late = ("_hashlib", "xml.etree.ElementTree")
+print([name for name in late if name in sys.modules])
+detect = cli._detect
+def checked(*args, **kwargs):
+    result = detect(*args, **kwargs)
+    print([name for name in late if name in sys.modules])
+    return result
+cli._detect = checked
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
+    """OpenSSL and the XML parser stay out of the detect job: the digest
+    code loads only after it, to write the manifest. A fresh process,
+    since this test module imports hashlib itself."""
+    out = tmp_path / "stream.csv"
+    src = Path(flowscan.cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _LATE_IMPORTS_SCRIPT, "detect", str(scan_trace),
+         "-o", str(out), "--mode", "stream"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    at_import, after_detect, summary = done.stdout.splitlines()
+    assert at_import == after_detect == "[]"
+    assert summary.startswith("1 verdicts from 122 flows")
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(scan_trace): _sha256(scan_trace)}
 
 
 def test_detect_is_idempotent(scan_trace, tmp_path) -> None:
