@@ -85,12 +85,7 @@ def check_flow_fields(
         raise ValueError(f"packet_count must be >= 1, got {packet_count}")
     if byte_count < 0:
         raise ValueError(f"byte_count must be >= 0, got {byte_count}")
-    if (
-        first_seen_us < INT64_MIN
-        or last_seen_us > INT64_MAX
-        or packet_count > INT64_MAX
-        or byte_count > INT64_MAX
-    ):
+    if first_seen_us < INT64_MIN or max(last_seen_us, packet_count, byte_count) > INT64_MAX:
         raise ValueError("a timestamp or count does not fit a signed 64-bit int")
 
 
@@ -233,32 +228,32 @@ class FlowBatch:
         id in this batch; each name it lacks is added, with the address
         `new` gives it, in first-appearance order, a row's source before its
         destination. Returns False and changes nothing, `ids` included, if a
-        value does not fit its column or a row is not a valid flow."""
-        first, last, srcs, dsts, *numbers = columns
+        value does not fit its column or a row is not a valid flow. Raises
+        KeyError and changes nothing for a name in neither `ids` nor `new`."""
+        first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes = columns
+        # Checked on the given ints, which is cheaper than on arrays; the
+        # column types then bound ports, protocol and 64-bit values.
+        if min(packets, default=1) < 1 or min(sizes, default=0) < 0 or any(map(gt, first, last)):
+            return False
+        earliest, latest = min(first, default=math.inf), max(last, default=-math.inf)
         try:
             # An array built from a list or tuple is sized once.
             first, last, src_port, dst_port, protocol, packets, sizes = map(
-                array, "qqHHBqq", (first, last, *numbers)
+                array, "qqHHBqq", (first, last, src_port, dst_port, protocol, packets, sizes)
             )
         except OverflowError:
             return False
-        # The column types bound ports, protocol and 64-bit values.
-        if (
-            min(packets, default=1) < 1
-            or min(sizes, default=0) < 0
-            or any(map(gt, first, last))
-        ):
-            return False
         if new:
-            for name in dict.fromkeys(chain.from_iterable(zip(srcs, dsts))):
-                if name not in ids:
-                    ids[name] = self.intern(new[name])
-        src, dst = (array("I", map(ids.__getitem__, names)) for names in (srcs, dsts))
+            # Every address is looked up before the first is interned.
+            fresh = {n: new[n] for n in chain.from_iterable(zip(srcs, dsts)) if n not in ids}
+            for name, address in fresh.items():
+                ids[name] = self.intern(address)
+        src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
         added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes
         for column, values in zip(self.columns(), added):
             column.extend(values)
-        self.earliest_us = min(self.earliest_us, min(first, default=math.inf))
-        self.latest_us = max(self.latest_us, max(last, default=-math.inf))
+        self.earliest_us = min(self.earliest_us, earliest)
+        self.latest_us = max(self.latest_us, latest)
         return True
 
     def __len__(self) -> int:

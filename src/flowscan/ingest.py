@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
 
 from .core import (
     FlowBatch,
@@ -34,11 +34,10 @@ MAX_ERROR_RATIO = 0.1
 # A lenient read keeps the line numbers of this many skipped lines.
 SKIPPED_LINES_KEPT = 5
 
-# The reader parses the file in chunks of about this many bytes of whole
-# lines, each as columns when all its lines are valid. A chunk with a bad
-# line is parsed again row by row, so larger chunks cost more per bad line
-# and hold more memory.
-CHUNK_BYTES = 8192
+# The reader reads this many characters at a time and parses each block of
+# whole lines as columns, or row by row if a line is bad, so a larger block
+# costs more per bad line and holds more memory.
+CHUNK_BYTES = 32768
 
 
 class FlowFileError(ValueError):
@@ -86,10 +85,9 @@ class FlowFileReader:
             if header != FLOW_HEADER:
                 raise FlowFileError(f"{self.path}: bad header {header!r}")
             lineno = 2
-            while lines := fh.readlines(CHUNK_BYTES):
-                if not _append_columns(batch, lines, ids, protocols):
-                    self._append_rows(batch, lines, lineno, ids, protocols)
-                lineno += len(lines)
+            for block in _blocks(fh):
+                added = _append_columns(batch, block, ids, protocols)
+                lineno += added or self._append_rows(batch, block, lineno, ids, protocols)
         self.rows = len(batch)
         seen = self.rows + self.errors
         if seen and self.errors / seen > MAX_ERROR_RATIO:
@@ -102,18 +100,20 @@ class FlowFileReader:
     def _append_rows(
         self,
         batch: FlowBatch,
-        lines: list[str],
+        block: str,
         first_lineno: int,
         ids: dict[str, int],
         protocols: dict[str, int],
-    ) -> None:
-        """Append the valid lines, numbered from `first_lineno`, checking
-        one row at a time. Malformed lines are skipped or abort, by mode;
-        the rest go to the batch in one extend, whose column check each
-        has already passed."""
+    ) -> int:
+        """Append the block's valid lines, numbered from `first_lineno`,
+        checking one row at a time, and return how many lines it holds.
+        Malformed lines are skipped or abort, by mode; the rest go to the
+        batch in one extend, whose column check each has already passed."""
         rows = []
-        # text -> address, for texts of this chunk that `ids` lacks
+        # text -> address, for texts of this block that `ids` lacks
         parsed: dict[str, IpAddress] = {}
+        # "\r", "\n" and "\r\n" each end a line, as they do in the file.
+        lines = io.StringIO(block, newline="").readlines()
         for lineno, line in enumerate(lines, first_lineno):
             line = line.rstrip("\r\n")
             if not line:
@@ -126,15 +126,11 @@ class FlowFileReader:
                 for text in (src, dst):
                     if text not in ids and text not in parsed:
                         parsed[text] = parse_ip(text)
-                sport = int(sport)
-                dport = int(dport)
+                sport, dport = int(sport), int(dport)
                 protocol = protocols.get(proto)
                 if protocol is None:
                     protocol = protocols[proto] = parse_protocol(proto)
-                first = int(first)
-                last = int(last)
-                packets = int(packets)
-                size = int(size)
+                first, last, packets, size = map(int, (first, last, packets, size))
                 check_flow_fields(sport, dport, protocol, first, last, packets, size)
             except ValueError as exc:
                 if self.strict:
@@ -146,31 +142,60 @@ class FlowFileReader:
             rows.append((first, last, src, dst, sport, dport, protocol, packets, size))
         if rows:
             batch.extend(zip(*rows), ids, parsed)
+        return len(lines)
+
+
+def _blocks(fh: TextIO) -> Iterator[str]:
+    """The rest of the file as blocks of whole lines, each ending in a line
+    end; a last line without one is given a "\n", which changes no field."""
+    pieces: list[str] = []  # the text after the last line end so far
+    while block := fh.read(CHUNK_BYTES):
+        # After the block's last "\n", or else after its last "\r" that
+        # cannot be the first half of a "\r\n".
+        cut = block.rfind("\n") + 1 or block.rfind("\r", 0, -1) + 1
+        if cut:
+            yield "".join([*pieces, block[:cut]])
+            pieces.clear()
+        pieces.append(block[cut:])
+    if tail := "".join(pieces):
+        yield tail + "\n"
 
 
 def _append_columns(
-    batch: FlowBatch, lines: list[str], ids: dict[str, int], protocols: dict[str, int]
-) -> bool:
-    """Append the lines to the batch a column at a time if every one of
-    them is a valid row, with the checks of FlowFileReader._append_rows;
-    otherwise change nothing and return False."""
-    if {*map(str.count, lines, repeat(","))} != {8}:
-        return False
-    # The lines end in their newline, which int() ignores in the last field.
-    fields = ",".join(lines).split(",")
+    batch: FlowBatch, block: str, ids: dict[str, int], protocols: dict[str, int]
+) -> int:
+    """Append the block's lines to the batch a column at a time if every
+    one of them is a valid row, with the checks of FlowFileReader._append_rows,
+    and return how many there are; otherwise change nothing and return 0.
+    A block with a lone "\r", which ends a line too, is left to the rows."""
+    if "\r" in block and block.count("\r") != block.count("\r\n"):
+        return 0
+    # The block now ends in "\n". One split: the last field of each line
+    # keeps its line end, which int() ignores, and one empty field follows.
+    lines = block.count("\n")
+    fields = block.replace("\n", "\n,").split(",")
+    fields.pop()
+    # Nine fields a line: every line end falls in a ninth field.
+    if len(fields) != 9 * lines or "".join(fields[8::9]).count("\n") != lines:
+        return 0
     srcs, dsts, protocol_texts = fields[2::9], fields[3::9], fields[6::9]
     try:
         first, last, src_port, dst_port, packets, sizes = (
             list(map(int, fields[k::9])) for k in (0, 1, 4, 5, 7, 8)
         )
-        for text in {*protocol_texts}.difference(protocols):
-            protocols[text] = parse_protocol(text)
-        parsed = {text: parse_ip(text) for text in {*srcs, *dsts}.difference(ids)}
+        for name in {*protocol_texts}.difference(protocols):
+            protocols[name] = parse_protocol(name)
+        protocol = list(map(protocols.__getitem__, protocol_texts))
+        columns = first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes
+        try:
+            # Past the first blocks nearly every address name is known.
+            added = batch.extend(columns, ids, {})
+        except KeyError:
+            parsed = {name: parse_ip(name) for name in {*srcs, *dsts}.difference(ids)}
+            added = batch.extend(columns, ids, parsed)
     except ValueError:
-        return False
-    protocol = list(map(protocols.__getitem__, protocol_texts))
-    columns = first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes
-    return batch.extend(columns, ids, parsed)
+        return 0
+    return lines if added else 0
 
 
 def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:

@@ -96,6 +96,7 @@ def _classify_rows(
     known = cfg.known_ports
     prefix = cfg.subnet_prefix
     ips, dsts, ports, first_seen = batch.ips, batch.dst, batch.dst_port, batch.first_seen_us
+    start, duration = slices.trace_start_us, slices.duration_us
     for row in rows:
         dst = dsts[row]
         port = ports[row]
@@ -105,7 +106,7 @@ def _classify_rows(
         by_subnet.setdefault(subnet, set()).add(dst)
         by_dst_ports.setdefault(dst, set()).add(port)
         if port in known:
-            by_slice_known.setdefault(slice_at(first_seen[row], slices), set()).add(dst)
+            by_slice_known.setdefault((first_seen[row] - start) // duration, set()).add(dst)
 
     netscan_hosts = max((len(v) for v in by_subnet.values()), default=0)
     portscan_ports = max((len(v) for v in by_dst_ports.values()), default=0)
@@ -133,8 +134,10 @@ def classify_all(
     cfg: RuleConfig,
     slices: SliceConfig,
 ) -> dict[IpAddress, Classification]:
-    """Classify several IPs in one pass over the flows' source column."""
+    """Classify several IPs in one pass over the flows' source column.
+    Raises ValueError if any flow starts before the trace start."""
     batch = as_batch(flows)
+    slice_at(batch.earliest_us, slices)  # passes the inf of an empty batch
     ids = {ip: batch.id_of(ip) for ip in ips}
     # source id -> the rows it generated; an IP no row holds has no id
     outbound: dict[int, list[int]] = {i: [] for i in ids.values() if i is not None}

@@ -154,11 +154,14 @@ def test_reader_matches_reference_parse(lines: list[str]) -> None:
 _GOOD = "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
 
 
+_ROWS = [f"{i},{i + 9},10.0.0.{i % 3 + 1},10.0.0.9,4000,80,TCP,1,60" for i in range(12)]
+
+
 @settings(max_examples=80)
 @given(
     _flow_file_lines(),
     st.integers(1, 160),
-    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
 )
 # Two spellings of one address, first seen in different chunks.
@@ -176,14 +179,52 @@ _GOOD = "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1,60"
     newline="\n",
     final_newline=True,
 )
+# In one block, a line of 8 fields and one of 10: 18 in all, but the first
+# line end falls in a first field. Taken as two rows of nine, both parse.
+@example(
+    lines=[*_ROWS, "0,1,10.0.0.1,10.0.0.2,4000,80,TCP,1", f"60,{_ROWS[0]}"],
+    chunk_bytes=32768,
+    newline="\n",
+    final_newline=True,
+)
+# In one block, a last line without a line end, of twice nine fields.
+@example(lines=[*_ROWS, ",".join(_ROWS[:2])], chunk_bytes=32768, newline="\n", final_newline=False)
+# A lone "\r" where int() would ignore it, in a block of nine-field lines.
+# It ends a line, so the malformed line of a later block is line 28, not 27.
+@example(
+    lines=[*_ROWS, "0,1,10.0.0.1,10.0.0.2,4000,80\r,TCP,1,60", *_ROWS, "0,1,10.0.0.1"],
+    chunk_bytes=100,
+    newline="\n",
+    final_newline=True,
+)
 def test_chunked_read_matches_reference_parse(
     lines: list[str], chunk_bytes: int, newline: str, final_newline: bool
 ) -> None:
-    # Chunks of a few lines each, so that every file spans many of them.
+    # Mostly blocks of a few lines each, so that a file spans many of them.
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         ingest, "CHUNK_BYTES", chunk_bytes
     ):
         _check_read(_write_lines(tmp, lines, newline, final_newline))
+
+
+@pytest.mark.parametrize("straddler", ["\r\n", "\u0661"], ids=["crlf", "utf8"])
+def test_block_boundary_inside_a_line_end_or_a_character(tmp_path: Path, straddler: str) -> None:
+    """A clean CRLF file whose first CHUNK_BYTES bytes end between the two
+    characters of a "\r\n", or between the two bytes of U+0661 (ARABIC-INDIC
+    DIGIT ONE, a packet count that int() reads as 1), is read a column at a
+    time throughout and agrees with reference_parse."""
+    rows = list(_ROWS)
+    rows[5] = rows[5][: -len("1,60")] + "\u0661,60"
+    text = "\r\n".join(rows) + "\r\n"
+    at = text.index(straddler, len(text) // 3)
+    assert text[:at].isascii()  # so the first block ends inside the straddler
+    chunk_bytes = len(text[:at].encode()) + 1
+    path = _write_lines(str(tmp_path), rows, "\r\n")
+    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), mock.patch.object(
+        FlowFileReader, "_append_rows", autospec=True, side_effect=FlowFileReader._append_rows
+    ) as row_loop:
+        _check_read(path)
+    assert row_loop.call_count == 0
 
 
 def _read_lenient(path: Path) -> tuple[FlowBatch, int]:

@@ -183,3 +183,23 @@ def test_extend_rejects_invalid_columns_and_changes_nothing(at: int, value: int)
     # the same rows without the bad one are accepted
     assert batch.extend(_columns(good), ids, new)
     assert batch.id_of(ip("2001:db8::9")) == 2
+
+
+@pytest.mark.parametrize("new", [{}, {"new": ip("2001:db8::9")}], ids=["no-new", "new"])
+def test_extend_with_a_name_it_cannot_map_raises_and_changes_nothing(new: dict) -> None:
+    """A name in neither `ids` nor `new` raises KeyError before anything
+    changes, so a caller may try `new={}` first and parse names only then."""
+    batch = FlowBatch()
+    batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
+    before = [list(batch.ips), *map(list, batch.columns())]
+    bounds = batch.earliest_us, batch.latest_us
+    ids = {"old": 0}
+    # "new" comes before "unknown", so with `new` given it would be
+    # interned first if the lookup were not done ahead.
+    rows = (0, 9, "new", "old", 1, 2, 6, 1, 60), (0, 9, "old", "unknown", 1, 2, 6, 1, 60)
+    with pytest.raises(KeyError, match="unknown" if new else "new"):
+        batch.extend(_columns(*rows), ids, new)
+    assert [list(batch.ips), *map(list, batch.columns())] == before
+    assert (batch.earliest_us, batch.latest_us) == bounds
+    assert ids == {"old": 0}
+    assert batch.id_of(ip("2001:db8::9")) is None

@@ -123,6 +123,17 @@ def test_combined_rule_does_not_span_slices() -> None:
     assert result.combined_hosts == 10
 
 
+def test_flow_before_trace_start_raises_for_the_whole_batch() -> None:
+    # The pre-start flow is not the classified IP's, nor on a known port:
+    # the rule is the batch's, as in count_flows and run_streaming.
+    attacker = "203.0.113.1"
+    flows = [mk_flow(src=attacker, dst="10.0.5.1", dport=22, first=5 * S)]
+    flows.append(mk_flow(src="10.0.0.9", dst="10.0.5.2", dport=5000, first=-1))
+    with pytest.raises(ValueError, match="first_seen -1 precedes trace start 0"):
+        classify_all([ip(attacker)], flows, RULES, SLICES)
+    assert classify(ip(attacker), flows[:1], RULES, SLICES).combined_hosts == 1
+
+
 def test_ip_without_outbound_flows_gets_no_labels() -> None:
     flows = [mk_flow(src="10.0.0.1", dst="203.0.113.1")]
     assert classify(ip("203.0.113.1"), flows, RULES, SLICES).labels == set()
