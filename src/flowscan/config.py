@@ -43,7 +43,7 @@ class AppConfig:
     def __post_init__(self) -> None:
         """Check each value with the config class that takes it. Raises
         ConfigError naming the INI key of the first bad value."""
-        slices = checked("detector.", SliceConfig, 0, self.slice_seconds)
+        slices = checked("detector.", SliceConfig, self.trace_start_us or 0, self.slice_seconds)
         checked("detector.", DetectorConfig, slices, self.threshold)
         if not self.thresholds:
             raise ConfigError("evaluation.thresholds must not be empty")

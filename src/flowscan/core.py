@@ -138,6 +138,10 @@ class SliceConfig:
     slice_seconds: float = DEFAULT_SLICE_SECONDS
 
     def __post_init__(self) -> None:
+        if not INT64_MIN <= self.trace_start_us <= INT64_MAX:
+            raise ConfigError(
+                f"trace_start_us must fit a signed 64-bit int, got {self.trace_start_us}"
+            )
         if not 1 <= self.slice_seconds * US_PER_SECOND < math.inf:
             raise ConfigError(
                 f"slice_seconds must be finite and >= 1e-06, got {self.slice_seconds}"

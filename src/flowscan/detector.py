@@ -58,8 +58,7 @@ def count_flows(
     each slice among the batch's rows low..high, for batch mode and its
     workers. Raises ValueError if any flow of the batch starts before the
     trace start."""
-    if batch:  # the bounds of an empty batch are infinite
-        slice_at(batch.earliest_us, slices)
+    slice_at(batch.earliest_us, slices)
     start = slices.trace_start_us
     duration = slices.duration_us
     # Views of the row range, alive only while iterated: a slice of an array

@@ -184,40 +184,38 @@ def run_streaming(
     the batch result.
     """
     batch = as_batch(flows)
-    if batch:  # the bounds of an empty batch are infinite
-        slice_at(batch.earliest_us, cfg.slices)
+    slice_at(batch.earliest_us, cfg.slices)
     start = cfg.slices.trace_start_us
     duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
     # slice index -> the source ids, and the destination ids, of its flows
-    open_srcs: defaultdict[int, array] = defaultdict(lambda: array("I"))
-    open_dsts: defaultdict[int, array] = defaultdict(lambda: array("I"))
-    newest: Optional[int] = None
-    closed_max = -1
+    open_ids = defaultdict(lambda: (array("I"), array("I")))
+    # A flow that starts before the first open slice is late; one that
+    # starts at next_close moves the watermark past that slice's end.
+    open_from = start
+    next_close = open_from + duration + lag_us
     dropped = emitted = 0
 
     def close_slice(index: int) -> int:
-        tables = Counter(open_srcs.pop(index)), Counter(open_dsts.pop(index))
-        verdicts = detect(batch, cfg, counts={index: tables})
+        srcs, dsts = open_ids.pop(index)
+        verdicts = detect(batch, cfg, counts={index: (Counter(srcs), Counter(dsts))})
         emit(index, verdicts)
         return len(verdicts)
 
     for ts, src, dst in zip(batch.first_seen_us, batch.src, batch.dst):
-        index = (ts - start) // duration
-        if newest is None or ts > newest:
-            newest = ts
-            watermark = newest - lag_us
-            new_closed_max = (watermark - start) // duration - 1
-            if new_closed_max > closed_max:
-                for ready in sorted(k for k in open_srcs if k <= new_closed_max):
-                    emitted += close_slice(ready)
-                closed_max = new_closed_max
-        if index <= closed_max:
+        if ts >= next_close:
+            first_open = (ts - lag_us - start) // duration
+            for ready in sorted(k for k in open_ids if k < first_open):
+                emitted += close_slice(ready)
+            open_from = start + first_open * duration
+            next_close = open_from + duration + lag_us
+        if ts < open_from:
             dropped += 1
             continue
-        open_srcs[index].append(src)
-        open_dsts[index].append(dst)
+        srcs, dsts = open_ids[(ts - start) // duration]
+        srcs.append(src)
+        dsts.append(dst)
 
-    for ready in sorted(open_srcs):
+    for ready in sorted(open_ids):
         emitted += close_slice(ready)
     return _run_stats(batch, emitted, dropped)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,8 +79,9 @@ class FlowFileReader:
         ids: dict[str, int] = {}
         protocols: dict[str, int] = {}
         # A byte that is not UTF-8 decodes to U+FFFD, which no field accepts.
-        with open(self.path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-            header = fh.readline().rstrip("\r\n")
+        # "\r", "\n" and "\r\n" each end a line, and are all read as "\n".
+        with open(self.path, "r", encoding="utf-8", errors="replace") as fh:
+            header = fh.readline().rstrip("\n")
             if header != FLOW_HEADER:
                 raise FlowFileError(f"{self.path}: bad header {header!r}")
             lineno = 2
@@ -112,10 +112,8 @@ class FlowFileReader:
         rows = []
         # text -> address, for texts of this block that `ids` lacks
         parsed: dict[str, IpAddress] = {}
-        # "\r", "\n" and "\r\n" each end a line, as they do in the file.
-        lines = io.StringIO(block, newline="").readlines()
+        lines = block.split("\n")[:-1]  # the block ends in "\n"
         for lineno, line in enumerate(lines, first_lineno):
-            line = line.rstrip("\r\n")
             if not line:
                 continue
             parts = line.split(",")
@@ -146,13 +144,11 @@ class FlowFileReader:
 
 
 def _blocks(fh: TextIO) -> Iterator[str]:
-    """The rest of the file as blocks of whole lines, each ending in a line
-    end; a last line without one is given a "\n", which changes no field."""
+    """The rest of the file as blocks of whole lines, each ending in "\n";
+    a last line without one is given a "\n", which changes no field."""
     pieces: list[str] = []  # the text after the last line end so far
     while block := fh.read(CHUNK_BYTES):
-        # After the block's last "\n", or else after its last "\r" that
-        # cannot be the first half of a "\r\n".
-        cut = block.rfind("\n") + 1 or block.rfind("\r", 0, -1) + 1
+        cut = block.rfind("\n") + 1
         if cut:
             yield "".join([*pieces, block[:cut]])
             pieces.clear()
@@ -166,12 +162,9 @@ def _append_columns(
 ) -> int:
     """Append the block's lines to the batch a column at a time if every
     one of them is a valid row, with the checks of FlowFileReader._append_rows,
-    and return how many there are; otherwise change nothing and return 0.
-    A block with a lone "\r", which ends a line too, is left to the rows."""
-    if "\r" in block and block.count("\r") != block.count("\r\n"):
-        return 0
-    # The block now ends in "\n". One split: the last field of each line
-    # keeps its line end, which int() ignores, and one empty field follows.
+    and return how many there are; otherwise change nothing and return 0."""
+    # One split: the last field of each line keeps its line end, which
+    # int() ignores, and one empty field follows.
     lines = block.count("\n")
     fields = block.replace("\n", "\n,").split(",")
     fields.pop()

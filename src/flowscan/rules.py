@@ -15,6 +15,7 @@ many flows touch it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress, count
@@ -89,28 +90,23 @@ def _classify_rows(
 ) -> Classification:
     """Apply all three rules to the given rows of the batch, which are
     the flows generated by `ip`. Destinations are told apart by id."""
-    by_subnet: dict[tuple[int, int], set[int]] = {}
     by_dst_ports: dict[int, set[int]] = {}
     by_slice_known: dict[int, set[int]] = {}
-    subnets: dict[int, tuple[int, int]] = {}
     known = cfg.known_ports
-    prefix = cfg.subnet_prefix
     ips, dsts, ports, first_seen = batch.ips, batch.dst, batch.dst_port, batch.first_seen_us
     start, duration = slices.trace_start_us, slices.duration_us
     for row in rows:
         dst = dsts[row]
         port = ports[row]
-        subnet = subnets.get(dst)
-        if subnet is None:
-            subnet = subnets[dst] = subnet_key(ips[dst], prefix)
-        by_subnet.setdefault(subnet, set()).add(dst)
         by_dst_ports.setdefault(dst, set()).add(port)
         if port in known:
             by_slice_known.setdefault((first_seen[row] - start) // duration, set()).add(dst)
 
-    netscan_hosts = max((len(v) for v in by_subnet.values()), default=0)
-    portscan_ports = max((len(v) for v in by_dst_ports.values()), default=0)
-    combined_hosts = max((len(v) for v in by_slice_known.values()), default=0)
+    # Each distinct destination counts once in its subnet.
+    subnets = Counter(subnet_key(ips[dst], cfg.subnet_prefix) for dst in by_dst_ports)
+    netscan_hosts = max(subnets.values(), default=0)
+    portscan_ports = max(map(len, by_dst_ports.values()), default=0)
+    combined_hosts = max(map(len, by_slice_known.values()), default=0)
 
     labels = set()
     if netscan_hosts >= cfg.netscan_min_hosts:

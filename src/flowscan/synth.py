@@ -54,7 +54,7 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         _require_positive(self.slices, "slices")
-        duration_us = SliceConfig(self.start_us, self.slice_seconds).duration_us
+        duration_us = SliceConfig(0, self.slice_seconds).duration_us
         # a flow may last up to 1 s past the end of the last slice
         end_us = self.start_us + self.slices * duration_us + US_PER_SECOND
         if self.start_us < INT64_MIN or end_us > INT64_MAX:

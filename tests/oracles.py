@@ -110,14 +110,13 @@ def brute_force_labels(
     outbound = [f for f in flows if f.src == ip_addr]
     labels = set()
 
-    subnets = {(f.dst.version, int(f.dst) >> (32 - prefix)) for f in outbound
-               if f.dst.version == 4}
-    for subnet in subnets:
-        dsts = {
-            f.dst
-            for f in outbound
-            if f.dst.version == 4 and (4, int(f.dst) >> (32 - prefix)) == subnet
-        }
+    def subnet_of(addr) -> tuple:
+        # the prefix is clamped to the address family's width
+        bits = 32 if addr.version == 4 else 128
+        return (addr.version, int(addr) >> (bits - min(prefix, bits)))
+
+    for subnet in {subnet_of(f.dst) for f in outbound}:
+        dsts = {f.dst for f in outbound if subnet_of(f.dst) == subnet}
         if len(dsts) >= netscan_min:
             labels.add("netscan")
 

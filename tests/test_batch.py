@@ -207,6 +207,15 @@ def test_chunked_read_matches_reference_parse(
         _check_read(_write_lines(tmp, lines, newline, final_newline))
 
 
+def _check_column_read(path: Path, chunk_bytes: int) -> None:
+    """_check_read in blocks of `chunk_bytes`, and the per-row loop never runs."""
+    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), mock.patch.object(
+        FlowFileReader, "_append_rows", autospec=True, side_effect=FlowFileReader._append_rows
+    ) as row_loop:
+        _check_read(path)
+    assert row_loop.call_count == 0
+
+
 @pytest.mark.parametrize("straddler", ["\r\n", "\u0661"], ids=["crlf", "utf8"])
 def test_block_boundary_inside_a_line_end_or_a_character(tmp_path: Path, straddler: str) -> None:
     """A clean CRLF file whose first CHUNK_BYTES bytes end between the two
@@ -219,12 +228,22 @@ def test_block_boundary_inside_a_line_end_or_a_character(tmp_path: Path, straddl
     at = text.index(straddler, len(text) // 3)
     assert text[:at].isascii()  # so the first block ends inside the straddler
     chunk_bytes = len(text[:at].encode()) + 1
-    path = _write_lines(str(tmp_path), rows, "\r\n")
-    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), mock.patch.object(
-        FlowFileReader, "_append_rows", autospec=True, side_effect=FlowFileReader._append_rows
-    ) as row_loop:
-        _check_read(path)
-    assert row_loop.call_count == 0
+    _check_column_read(_write_lines(str(tmp_path), rows, "\r\n"), chunk_bytes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [7, 100, 32768])
+@pytest.mark.parametrize("ends", [["\r"], ["\r", "\n", "\r\n"]], ids=["cr", "mixed"])
+def test_every_line_end_is_read_as_columns(
+    tmp_path: Path, ends: list[str], chunk_bytes: int
+) -> None:
+    """A clean file whose lines end in "\r" alone, or in "\r", "\n" and
+    "\r\n" by turns, is read a column at a time throughout, in blocks of
+    any size, and agrees with reference_parse."""
+    lines = [FLOW_HEADER, *_ROWS]
+    path = tmp_path / "flows.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(line + ends[i % len(ends)] for i, line in enumerate(lines)))
+    _check_column_read(path, chunk_bytes)
 
 
 def _read_lenient(path: Path) -> tuple[FlowBatch, int]:
@@ -426,6 +445,7 @@ _HOSTS = [
     ip("10.0.1.1"),
     ip("2001:db8::1"),
     ip("2001:db8::2"),
+    ip("2001:db8::3"),
 ]
 _flows = st.lists(
     st.builds(
@@ -437,13 +457,18 @@ _flows = st.lists(
     ),
     max_size=60,
 )
-# The pool holds two IPv6 hosts, fewer than netscan_min_hosts, so the
-# oracle's netscan rule (IPv4 only) and the program's (both families) agree.
+# The pool holds three IPv6 hosts in one subnet, so that a sender can reach
+# netscan_min_hosts in either family.
 _RULES = RuleConfig(netscan_min_hosts=3, portscan_min_ports=2, combined_min_hosts=3)
 
 
 @settings(max_examples=40)
 @given(_flows, st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+# A net scan of the three IPv6 hosts alone.
+@example(
+    flows=[FlowRecord(_HOSTS[0], dst, 40000, 80, 6, 0, 0) for dst in _HOSTS[-3:]],
+    threshold=1.0,
+)
 def test_batch_paths_match_oracles(flows: list[FlowRecord], threshold: float) -> None:
     slices = SliceConfig(trace_start_us=0, slice_seconds=30.0)
     cfg = DetectorConfig(slices=slices, threshold=threshold)
@@ -486,7 +511,24 @@ _delayed_flows = st.lists(
 
 
 @settings(max_examples=60)
-@given(_delayed_flows, st.sampled_from([0.0, 2.5, 5.0]), st.sampled_from([0.5, 1.0, 2.0]))
+@given(
+    _delayed_flows,
+    st.sampled_from([0.0, 1e-6, 2.0, 2.5, 5.0]),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+# With a lag of one slice, a flow starting at the end of slice 0 plus the
+# lag closes slice 0; the next flow starts 1 us before slice 1, so it is
+# late, and the one after it starts at slice 1, so it is not.
+@example(
+    raw=[
+        (_HOSTS[0], _HOSTS[1], 0, 0),
+        (_HOSTS[0], _HOSTS[2], 4 * S, 0),
+        (_HOSTS[0], _HOSTS[3], 2 * S - 1, 2 * S + 1),
+        (_HOSTS[0], _HOSTS[4], 2 * S, 2 * S + 1),
+    ],
+    lag_s=2.0,
+    threshold=0.5,
+)
 def test_stream_matches_watermark_oracle(raw: list, lag_s: float, threshold: float) -> None:
     # A flow arrives up to 20 s after it starts, so flows are out of
     # order by more than the lag, and some are late, at every lag.

@@ -1038,6 +1038,7 @@ def test_non_finite_watermark_lag_exits_2(scan_trace, tmp_path, capsys, lag, mod
         ("detect", "--slice-seconds", "nan", "detector.slice_seconds"),
         ("detect", "--slice-seconds", "1e-9", "detector.slice_seconds"),
         ("detect", "--trace-start-us", "1.5", "detector.trace_start_us"),
+        ("detect", "--trace-start-us", str(-(2**63) - 1), "detector.trace_start_us"),
         ("detect", "--mode", "turbo", "engine.mode"),
         ("evaluate", "--thresholds", "5,abc", "evaluation.thresholds"),
     ],

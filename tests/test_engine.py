@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowscan.engine
-from flowscan.core import FlowRecord, SliceConfig, SliceKey, as_batch
+from flowscan.core import (
+    INT64_MAX,
+    INT64_MIN,
+    ConfigError,
+    FlowRecord,
+    SliceConfig,
+    SliceKey,
+    as_batch,
+)
 from flowscan.detector import DetectorConfig, count_flows, detect
 from flowscan.engine import (
     EngineConfig,
@@ -20,6 +28,7 @@ from flowscan.engine import (
     run_batch,
     run_streaming,
 )
+from flowscan.rules import RuleConfig, classify_all
 
 from helpers import ip, mk_flow, random_flows
 
@@ -131,12 +140,21 @@ def test_batch_empty_input() -> None:
     assert stats.trace_duration_s == 0.0
 
 
-@pytest.mark.parametrize("start", [-(10**400), 10**400], ids=["far-before", "far-after"])
+@pytest.mark.parametrize("start", [INT64_MIN, INT64_MAX], ids=["far-before", "far-after"])
 def test_empty_batch_fits_any_trace_start(start: int) -> None:
     # No flow precedes the start when there is no flow at all.
-    cfg = DetectorConfig(slices=SliceConfig(trace_start_us=start), threshold=50)
+    slices = SliceConfig(trace_start_us=start)
+    cfg = DetectorConfig(slices=slices, threshold=50)
     assert run_batch([], cfg)[0] == []
     assert run_streaming([], cfg, EngineConfig(), lambda i, v: None).records_in == 0
+    assert classify_all([ip("10.0.0.1")], [], RuleConfig(), slices)[ip("10.0.0.1")].labels == set()
+
+
+@pytest.mark.parametrize("start", [-(10**400), INT64_MIN - 1, INT64_MAX + 1, 10**400])
+def test_trace_start_beyond_int64_is_a_config_error(start: int) -> None:
+    # Like every timestamp, a trace start fits a signed 64-bit int.
+    with pytest.raises(ConfigError, match="trace_start_us must fit a signed 64-bit int"):
+        SliceConfig(trace_start_us=start)
 
 
 def test_batch_stats_duration() -> None:
