@@ -264,8 +264,9 @@ def _read_trace(
     """All flows of one file and the slices they are cut into. The file's
     row counts go to `ingest` under its path, for the manifest."""
     reader = read_flow_file(path, strict=cfg.strict)
-    # read_flow_file may be wrapped to hand back the rows alone.
-    flows = reader.read() if isinstance(reader, FlowFileReader) else as_batch(reader)
+    # read_flow_file may be wrapped to hand back the rows alone. The job
+    # reads four columns, so only they are stored.
+    flows = reader.read(lean=True) if isinstance(reader, FlowFileReader) else as_batch(reader)
     ingest[str(path)] = {
         "rows_read": len(flows),
         "rows_skipped": getattr(reader, "errors", 0),
@@ -304,6 +305,8 @@ def _framed(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     ingest: dict[str, dict] = {}
     inputs, write_body, extra, summary = args.body(args, cfg, ingest)
+    if {out_path.resolve(), manifest_path_for(out_path).resolve()} & {p.resolve() for p in inputs}:
+        raise ConfigError(f"-o {out_path} would overwrite an input of {args.command}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
         write_body(fh)
@@ -344,19 +347,14 @@ def _detect(
         workers=cfg.workers, watermark_lag_seconds=cfg.watermark_lag_seconds
     )
     if cfg.mode is Mode.STREAM:
-        collected: list[RatioVerdict] = []
-
-        def emit(_slice_index: int, emitted: list[RatioVerdict]) -> None:
-            collected.extend(emitted)
-
-        stats = run_streaming(flows, detector_cfg, engine_cfg, emit)
+        verdicts: list[RatioVerdict] = []
+        stats = run_streaming(flows, detector_cfg, engine_cfg, lambda _, v: verdicts.extend(v))
         if stats.late_dropped > MAX_LATE_RATIO * stats.records_in:
             raise FlowFileError(
                 f"{flow_path}: {stats.late_dropped} of {stats.records_in} flows "
                 f"arrived after their slice closed (limit {MAX_LATE_RATIO:.0%}); "
                 "sort the file by time or use --mode batch"
             )
-        verdicts = collected
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
 
@@ -427,10 +425,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     rows: list[EvalRow] = []
     inputs: list[Path] = []
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        inputs.append(flow_path)
-        inputs.append(anomalous_path)
-        if notice_path is not None:
-            inputs.append(notice_path)
+        inputs += filter(None, (flow_path, anomalous_path, notice_path))
         flows, slices = _read_trace(flow_path, cfg, ingest)
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)

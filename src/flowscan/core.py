@@ -175,20 +175,23 @@ class FlowBatch:
     trace bounds: `earliest_us`, the smallest first_seen_us, and
     `latest_us`, the largest last_seen_us (inf and -inf while the batch
     is empty). Indexing or iterating the batch yields FlowRecord rows.
+
+    A lean batch stores only `first_seen_us`, `src`, `dst` and `dst_port`,
+    the columns that counting and the scan rules read; its other five
+    columns are None. It takes rows through `extend` alone, and `columns`,
+    `append`, indexing and iterating raise ValueError.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, lean: bool = False) -> None:
         self.ips: list[IpAddress] = []
         self._ids: dict[IpAddress, int] = {}
-        self.src = array("I")
-        self.dst = array("I")
-        self.src_port = array("H")
-        self.dst_port = array("H")
-        self.protocol = array("B")
-        self.first_seen_us = array("q")
-        self.last_seen_us = array("q")
-        self.packet_count = array("q")
-        self.byte_count = array("q")
+        self.lean = lean
+        # Typecodes in flow-file field order; "." marks a column that a lean
+        # batch does not store, and holds None instead.
+        codes = "q.II.H..." if lean else "qqIIHHBqq"
+        self._all = tuple(None if code == "." else array(code) for code in codes)
+        (self.first_seen_us, self.last_seen_us, self.src, self.dst, self.src_port,
+         self.dst_port, self.protocol, self.packet_count, self.byte_count) = self._all
         self.earliest_us: int | float = math.inf
         self.latest_us: int | float = -math.inf
 
@@ -206,25 +209,22 @@ class FlowBatch:
 
     def append(self, flow: FlowRecord) -> int:
         """Append one row; returns its index."""
-        self.src.append(self.intern(flow.src))
-        self.dst.append(self.intern(flow.dst))
-        self.src_port.append(flow.src_port)
-        self.dst_port.append(flow.dst_port)
-        self.protocol.append(flow.protocol)
-        self.first_seen_us.append(flow.first_seen_us)
-        self.last_seen_us.append(flow.last_seen_us)
-        self.packet_count.append(flow.packet_count)
-        self.byte_count.append(flow.byte_count)
+        columns = self.columns()
+        row = (
+            flow.first_seen_us, flow.last_seen_us, self.intern(flow.src), self.intern(flow.dst),
+            flow.src_port, flow.dst_port, flow.protocol, flow.packet_count, flow.byte_count,
+        )
+        for column, value in zip(columns, row):
+            column.append(value)
         self.earliest_us = min(self.earliest_us, flow.first_seen_us)
         self.latest_us = max(self.latest_us, flow.last_seen_us)
         return len(self.src) - 1
 
     def columns(self) -> tuple[array, ...]:
         """The nine columns in flow-file field order (ingest.FLOW_HEADER)."""
-        return (
-            self.first_seen_us, self.last_seen_us, self.src, self.dst, self.src_port,
-            self.dst_port, self.protocol, self.packet_count, self.byte_count,
-        )
+        if self.lean:
+            raise ValueError("a lean FlowBatch holds only first_seen_us, src, dst and dst_port")
+        return self._all
 
     def extend(self, columns: Iterable[Sequence], ids: dict, new: Mapping) -> bool:
         """Append rows given as nine columns in the order of columns(),
@@ -233,18 +233,31 @@ class FlowBatch:
         `new` gives it, in first-appearance order, a row's source before its
         destination. Returns False and changes nothing, `ids` included, if a
         value does not fit its column or a row is not a valid flow. Raises
-        KeyError and changes nothing for a name in neither `ids` nor `new`."""
+        KeyError and changes nothing for a name in neither `ids` nor `new`,
+        and ValueError for columns of different lengths."""
+        columns = tuple(columns)
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns of different lengths: {[*map(len, columns)]}")
         first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes = columns
         # Checked on the given ints, which is cheaper than on arrays; the
-        # column types then bound ports, protocol and 64-bit values.
+        # column types then bound ports, protocol and 64-bit values. A lean
+        # batch bounds the values of the columns it does not store here.
         if min(packets, default=1) < 1 or min(sizes, default=0) < 0 or any(map(gt, first, last)):
+            return False
+        if self.lean and not (
+            max(chain(last, packets, sizes), default=0) <= INT64_MAX
+            and 0 <= min(chain(src_port, protocol), default=0)
+            and max(src_port, default=0) <= 65535 and max(protocol, default=0) <= 255
+        ):
             return False
         earliest, latest = min(first, default=math.inf), max(last, default=-math.inf)
         try:
             # An array built from a list or tuple is sized once.
-            first, last, src_port, dst_port, protocol, packets, sizes = map(
-                array, "qqHHBqq", (first, last, src_port, dst_port, protocol, packets, sizes)
-            )
+            first, dst_port = array("q", first), array("H", dst_port)
+            if not self.lean:
+                last, src_port, protocol, packets, sizes = map(
+                    array, "qHBqq", (last, src_port, protocol, packets, sizes)
+                )
         except OverflowError:
             return False
         if new:
@@ -254,8 +267,9 @@ class FlowBatch:
                 ids[name] = self.intern(address)
         src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
         added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes
-        for column, values in zip(self.columns(), added):
-            column.extend(values)
+        for column, values in zip(self._all, added):
+            if column is not None:
+                column.extend(values)
         self.earliest_us = min(self.earliest_us, earliest)
         self.latest_us = max(self.latest_us, latest)
         return True
@@ -264,18 +278,9 @@ class FlowBatch:
         return len(self.src)
 
     def __getitem__(self, row: int) -> FlowRecord:
-        ips = self.ips
-        return FlowRecord(
-            ips[self.src[row]],
-            ips[self.dst[row]],
-            self.src_port[row],
-            self.dst_port[row],
-            self.protocol[row],
-            self.first_seen_us[row],
-            self.last_seen_us[row],
-            self.packet_count[row],
-            self.byte_count[row],
-        )
+        first, last, src, dst, sport, dport, proto, packets, size = self.columns()
+        return FlowRecord(self.ips[src[row]], self.ips[dst[row]], sport[row], dport[row],
+                          proto[row], first[row], last[row], packets[row], size[row])
 
     def __iter__(self) -> Iterator[FlowRecord]:
         return map(self.__getitem__, range(len(self)))

@@ -70,9 +70,9 @@ class FlowFileReader:
     def __iter__(self) -> Iterator[FlowRecord]:
         return iter(self.read())
 
-    def read(self) -> FlowBatch:
-        """The file's accepted rows."""
-        batch = FlowBatch()
+    def read(self, lean: bool = False) -> FlowBatch:
+        """The file's accepted rows, in a lean FlowBatch if `lean` is set."""
+        batch = FlowBatch(lean)
         self.errors = self.rows = 0
         self.skipped_lines = []
         # text -> id for addresses of accepted rows; text -> code for protocols

@@ -207,6 +207,90 @@ def test_chunked_read_matches_reference_parse(
         _check_read(_write_lines(tmp, lines, newline, final_newline))
 
 
+# (field index, value) pairs bad only in a column that a lean batch does
+# not store: src_port, protocol, packets, bytes and last_seen_us. A
+# last_seen_us of "-1" comes before every generated first_seen_us.
+_DROPPED_BAD = [
+    (4, "-1"), (4, "65536"), (6, "256"), (7, "0"), (7, str(2**63)), (8, "-1"),
+    (8, str(2**63)), (1, "-1"), (1, str(2**63)),
+]
+
+
+@st.composite
+def _lean_line(draw) -> str:
+    """A good row (its addresses in two spellings), a blank line, or a row
+    bad only in a dropped column, whose source no accepted row holds."""
+    fields = draw(_good_fields())
+    kind = draw(st.sampled_from(["good", "good", "good", "blank", "dropped"]))
+    if kind == "blank":
+        return ""
+    if kind == "dropped":
+        at, value = draw(st.sampled_from(_DROPPED_BAD))
+        fields[at] = value
+        fields[2] = _NOVEL
+    return ",".join(fields)
+
+
+@st.composite
+def _lean_file_lines(draw) -> list[str]:
+    lines = draw(st.lists(_lean_line(), max_size=30))
+    # Half the examples stay under the error-ratio limit.
+    if draw(st.booleans()):
+        lines += [",".join(draw(_good_fields()))] * (10 * len(lines))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=80)
+@given(
+    _lean_file_lines(),
+    st.integers(1, 160),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+def test_lean_read_matches_reference_parse(
+    lines: list[str], chunk_bytes: int, newline: str, final_newline: bool
+) -> None:
+    """A lean read holds reference_parse's rows projected onto the four
+    columns it stores, with the same addresses, trace bounds, counts of
+    skipped lines and strict error line as reference_parse gives."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        ingest, "CHUNK_BYTES", chunk_bytes
+    ):
+        path = _write_lines(tmp, lines, newline, final_newline)
+        reader = FlowFileReader(path)
+        try:
+            expected, bad_lines = reference_parse(path)
+        except ValueError:
+            with pytest.raises(FlowFileError, match="malformed"):
+                reader.read(lean=True)
+            return
+        batch = reader.read(lean=True)
+        if bad_lines:
+            with pytest.raises(FlowFileError, match=f"^{path}:{bad_lines[0]}: "):
+                FlowFileReader(path, strict=True).read(lean=True)
+        else:
+            assert len(FlowFileReader(path, strict=True).read(lean=True)) == len(expected)
+    assert batch.lean
+    rows = zip(batch.first_seen_us, batch.src, batch.dst, batch.dst_port)
+    assert [(first, batch.ips[src], batch.ips[dst], port) for first, src, dst, port in rows] == [
+        (f.first_seen_us, f.src, f.dst, f.dst_port) for f in expected
+    ]
+    assert batch.ips == list(dict.fromkeys(a for f in expected for a in (f.src, f.dst)))
+    assert batch.earliest_us == min((f.first_seen_us for f in expected), default=math.inf)
+    assert batch.latest_us == max((f.last_seen_us for f in expected), default=-math.inf)
+    assert (reader.rows, reader.errors) == (len(expected), len(bad_lines))
+    assert reader.skipped_lines == bad_lines[:SKIPPED_LINES_KEPT]
+
+
+def test_lean_batch_is_not_written(tmp_path: Path) -> None:
+    """write_flow_file raises for a lean batch before it opens the file."""
+    path = _write_lines(str(tmp_path), [_GOOD])
+    batch = FlowFileReader(path).read(lean=True)
+    with pytest.raises(ValueError, match="lean"):
+        write_flow_file(tmp_path / "out.csv", batch)
+    assert not (tmp_path / "out.csv").exists()
+
+
 def _check_column_read(path: Path, chunk_bytes: int) -> None:
     """_check_read in blocks of `chunk_bytes`, and the per-row loop never runs."""
     with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), mock.patch.object(

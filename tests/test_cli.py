@@ -615,6 +615,46 @@ def test_evaluate_repeated_trace_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("detect", "flows"),
+        ("detect", "manifest"),
+        ("bench", "flows"),
+        ("evaluate", "flows"),
+        ("evaluate", "anomalous"),
+        ("evaluate", "notice"),
+    ],
+)
+def test_output_that_is_an_input_exits_2(
+    scan_trace, gt_path, tmp_path, capsys, monkeypatch, command, target
+) -> None:
+    """An -o that resolves to one of the command's inputs, here spelled
+    through a relative path with "..", or whose manifest would, exits 2
+    before anything is written."""
+    notice = tmp_path / "notice.xml"
+    notice.write_text(GT_XML, encoding="utf-8")
+    # a flow file named like the manifest of -o v.csv
+    manifest_named = tmp_path / "v.csv.manifest.json"
+    manifest_named.write_bytes(scan_trace.read_bytes())
+    victim = {
+        "flows": scan_trace, "anomalous": gt_path, "notice": notice, "manifest": manifest_named
+    }[target]
+    flows = manifest_named if target == "manifest" else scan_trace
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    out = "../v.csv" if target == "manifest" else f"../{victim.name}"
+    argv = {
+        "detect": ["detect", str(flows), "-o", out],
+        "bench": ["bench", str(flows), "-o", out, "--workers", "1", "--reps", "1"],
+        "evaluate": ["evaluate", "--trace", f"{flows},{gt_path},{notice}", "-o", out],
+    }[command]
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir() if p.is_file())
+    assert main(argv) == EXIT_CONFIG
+    assert f"-o {out} would overwrite an input of {command}" in _one_error(capsys)
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir() if p.is_file()) == before
+
+
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:
     bad = tmp_path / "broken.xml"
     bad.write_text("<data><anomaly type=", encoding="utf-8")

@@ -203,3 +203,91 @@ def test_extend_with_a_name_it_cannot_map_raises_and_changes_nothing(new: dict) 
     assert (batch.earliest_us, batch.latest_us) == bounds
     assert ids == {"old": 0}
     assert batch.id_of(ip("2001:db8::9")) is None
+
+
+@pytest.mark.parametrize("short", [1, 3], ids=["last_seen_us", "dst"])
+def test_extend_with_columns_of_different_lengths_raises_and_changes_nothing(
+    short: int,
+) -> None:
+    """Nine columns where one holds a value fewer than the others raise
+    ValueError before anything changes, names of `new` included."""
+    batch = FlowBatch()
+    batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
+    before = [list(batch.ips), *map(list, batch.columns())]
+    bounds = batch.earliest_us, batch.latest_us
+    ids = {"old": 0}
+    new = {"new": ip("2001:db8::9")}
+    columns = _columns((3, 4, "old", "new", 1, 2, 6, 1, 60), (5, 6, "new", "old", 1, 2, 6, 1, 60))
+    columns[short] = columns[short][:1]
+    with pytest.raises(ValueError, match="different lengths"):
+        batch.extend(columns, ids, new)
+    assert [list(batch.ips), *map(list, batch.columns())] == before
+    assert (batch.earliest_us, batch.latest_us) == bounds
+    assert ids == {"old": 0}
+    assert batch.id_of(ip("2001:db8::9")) is None
+
+
+_LEAN_ROWS = (5, 6, "c", "b", 1, 2, 17, 1, 0), (7, 9, "b", "a", 3, 4, 6, 2, 60)
+
+
+def _lean_and_full() -> tuple[FlowBatch, FlowBatch]:
+    """The same two rows in a lean batch and in a full one."""
+    batches = FlowBatch(lean=True), FlowBatch()
+    for batch in batches:
+        new = {"a": ip("10.0.0.2"), "b": ip("2001:db8::1"), "c": ip("10.0.0.3")}
+        assert batch.extend(_columns(*_LEAN_ROWS), {}, new)
+    return batches
+
+
+def test_lean_batch_stores_the_four_columns_the_job_reads() -> None:
+    lean, full = _lean_and_full()
+    assert lean.lean and not full.lean
+    assert len(lean) == len(full) == 2
+    assert lean.ips == full.ips == [ip("10.0.0.3"), ip("2001:db8::1"), ip("10.0.0.2")]
+    for name in ("first_seen_us", "src", "dst", "dst_port"):
+        assert getattr(lean, name) == getattr(full, name)
+    for name in ("last_seen_us", "src_port", "protocol", "packet_count", "byte_count"):
+        assert getattr(lean, name) is None
+    assert (lean.earliest_us, lean.latest_us) == (full.earliest_us, full.latest_us) == (5, 9)
+
+
+def test_lean_batch_raises_where_it_would_need_a_column_it_lacks() -> None:
+    """Rows, the nine columns, one appended record and an extend from the
+    lean batch's columns all raise ValueError; nothing is invented."""
+    lean, full = _lean_and_full()
+    with pytest.raises(ValueError, match="lean"):
+        lean[0]
+    with pytest.raises(ValueError, match="lean"):
+        list(lean)
+    with pytest.raises(ValueError, match="lean"):
+        lean.columns()
+    with pytest.raises(ValueError, match="lean"):
+        full.extend(lean.columns(), {}, dict(enumerate(lean.ips)))
+    with pytest.raises(ValueError, match="lean"):
+        lean.append(mk_flow(src="192.0.2.1"))
+    assert lean.id_of(ip("192.0.2.1")) is None
+    assert len(full) == len(lean) == 2
+
+
+@pytest.mark.parametrize(
+    "at, value",
+    [(1, 2**63), (1, 4), (4, -1), (4, 65536), (6, 256), (6, -1), (7, 0), (7, 2**63),
+     (8, -1), (8, 2**63)],
+    ids=["last-beyond-int64", "last-before-first", "src-port-negative", "src-port-wide",
+         "protocol-wide", "protocol-negative", "no-packets", "packets-beyond-int64",
+         "negative-bytes", "bytes-beyond-int64"],
+)
+def test_lean_extend_checks_the_columns_it_drops(at: int, value: int) -> None:
+    """A row bad only in a column that a lean batch does not store is
+    rejected as a full batch rejects it, and nothing changes."""
+    lean, full = _lean_and_full()
+    good = [5, 6, "new", "c", 1, 2, 6, 1, 60]
+    bad = list(good)
+    bad[at] = value
+    for batch in (lean, full):
+        ids = {"c": 0}
+        assert not batch.extend(_columns(good, bad), ids, {"new": ip("2001:db8::9")})
+        assert len(batch) == 2 and len(batch.ips) == 3 and ids == {"c": 0}
+        assert (batch.earliest_us, batch.latest_us) == (5, 9)
+        assert batch.extend(_columns(good), ids, {"new": ip("2001:db8::9")})
+        assert len(batch) == 3 and batch.id_of(ip("2001:db8::9")) == 3
