@@ -27,10 +27,8 @@ from typing import Callable, Optional, Sequence, TextIO
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
 from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
-from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips, detect
-from .engine import (
-    MAX_LATE_RATIO, EngineConfig, Mode, RunStats, count_slices, run_batch, run_streaming
-)
+from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips
+from .engine import MAX_LATE_RATIO, EngineConfig, Mode, RunStats, run_batch, run_streaming
 from .evaluation import (
     EvalCase,
     EvalRow,
@@ -290,23 +288,25 @@ def _skipped_note(ingest: dict) -> str:
     return f", {skipped} malformed rows skipped" if skipped else ""
 
 
-# What a command body hands its frame: its input paths, a writer for the
-# output below the manifest line, its extra manifest fields, and its
-# summary line.
-Outcome = tuple[list[Path], Callable[[TextIO], None], dict, str]
+# What a command body hands its frame: a writer for the output below the
+# manifest line, its extra manifest fields, and its summary line.
+Outcome = tuple[Callable[[TextIO], None], dict, str]
 
 
 def _framed(args: argparse.Namespace) -> int:
-    """Run the body of detect, evaluate or bench, then write what it made:
-    the output file under its `# manifest=` line, the manifest, and the
-    summary line."""
+    """Run the body of detect, evaluate or bench, unless -o names one of
+    its inputs, then write what it made: the output file under its
+    `# manifest=` line, the manifest, and the summary line."""
     cfg = _resolve_config(args)
     started = time.time()
     out_path = Path(args.out)
     ingest: dict[str, dict] = {}
-    inputs, write_body, extra, summary = args.body(args, cfg, ingest)
+    inputs = [Path(args.flows)] if "flows" in args else [
+        path for raw in args.trace for path in _parse_trace_arg(raw) if path
+    ]
     if {out_path.resolve(), manifest_path_for(out_path).resolve()} & {p.resolve() for p in inputs}:
         raise ConfigError(f"-o {out_path} would overwrite an input of {args.command}")
+    write_body, extra, summary = args.body(args, cfg, ingest)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
         write_body(fh)
@@ -384,7 +384,7 @@ def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcom
         f"{len(verdicts)} verdicts from {stats.records_in} flows"
         f"{_skipped_note(ingest)}{late}"
     )
-    return [flow_path], write, {"stats": _snapshot("stats", stats)}, summary
+    return write, {"stats": _snapshot("stats", stats)}, summary
 
 
 def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
@@ -423,9 +423,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     engine_cfg = EngineConfig(workers=cfg.workers)
 
     rows: list[EvalRow] = []
-    inputs: list[Path] = []
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        inputs += filter(None, (flow_path, anomalous_path, notice_path))
         flows, slices = _read_trace(flow_path, cfg, ingest)
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
@@ -433,14 +431,14 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
             (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))
             for name, wanted in (_SOURCES if notice_path else _SOURCES[:1])
         ]
-        # The count table does not depend on the threshold: count once and
-        # cut it at every threshold.
-        counts = count_slices(flows, slices, engine_cfg)
+        # A key flags at t iff |ratio| > t, since |ratio| never exceeds the
+        # count on its own side: one detect at the lowest threshold holds
+        # the verdicts of every other.
+        lowest = DetectorConfig(slices=slices, threshold=min(cfg.thresholds))
+        verdicts, _ = run_batch(flows, lowest, engine_cfg)
         detected_at = []
         for threshold in cfg.thresholds:
-            detector_cfg = DetectorConfig(slices=slices, threshold=threshold)
-            verdicts = detect(flows, detector_cfg, counts=counts)
-            pairs = anomalous_ips(verdicts)
+            pairs = anomalous_ips(v for v in verdicts if abs(v.ratio) > threshold)
             detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
         # The rules depend on neither threshold nor source: classify every
         # IP that case 3 could reintegrate at any threshold, once.
@@ -473,7 +471,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
                 )
 
     summary = f"{len(rows)} report rows{_skipped_note(ingest)}"
-    return inputs, lambda fh: write_report(fh, rows), {}, summary
+    return lambda fh: write_report(fh, rows), {}, summary
 
 
 def _parse_worker_sweep(raw: str) -> list[int]:
@@ -526,7 +524,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
 
     summary = f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
-    return [flow_path], write, {"bench": {"workers": sweep, "reps": reps}}, summary
+    return write, {"bench": {"workers": sweep, "reps": reps}}, summary
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -22,9 +22,10 @@ from .core import (
 
 DEFAULT_THRESHOLD = 100.0
 
-# Per slice index, the (generated, received) flow counts keyed by IP id.
+# (slice index, (generated, received)) pairs of flow counts keyed by IP id,
+# each taken once, so that only one slice's tables need be alive at a time.
 CountTable = Counter[int]
-SliceCounts = dict[int, tuple[CountTable, CountTable]]
+SliceCounts = Iterable[tuple[int, tuple[CountTable, CountTable]]]
 
 
 class Direction(Enum):
@@ -56,8 +57,9 @@ def count_flows(
 ) -> SliceCounts:
     """Flows generated per source id and received per destination id in
     each slice among the batch's rows low..high, for batch mode and its
-    workers. Raises ValueError if any flow of the batch starts before the
-    trace start."""
+    workers, one slice's pair at a time: each slice's two tables are
+    counted only when its pair is taken. Raises ValueError, when called,
+    if any flow of the batch starts before the trace start."""
     slice_at(batch.earliest_us, slices)
     start = slices.trace_start_us
     duration = slices.duration_us
@@ -73,7 +75,7 @@ def count_flows(
         srcs, dsts = buckets[i]
         srcs.append(src)
         dsts.append(dst)
-    return {i: (Counter(srcs), Counter(dsts)) for i, (srcs, dsts) in buckets.items()}
+    return ((i, tuple(map(Counter, buckets.pop(i)))) for i in list(buckets))
 
 
 def ratio_of(generated: int, received: int) -> float:
@@ -91,10 +93,10 @@ def detect(
     counts: Optional[SliceCounts] = None,
 ) -> list[RatioVerdict]:
     """All per-slice verdicts whose |ratio| exceeds the threshold, sorted
-    by (slice index, IP). Precomputed per-slice count tables of the batch
-    `flows`, as count_flows returns them, may be passed in; an id absent
-    from one table of its slice counts zero on that side, and the batch's
-    `ips` names each id."""
+    by (slice index, IP). The per-slice count pairs of the batch `flows`,
+    as count_flows yields them, may be passed in and are each taken once;
+    an id absent from one table of its slice counts zero on that side,
+    and the batch's `ips` names each id."""
     batch = as_batch(flows)
     if counts is None:
         counts = count_flows(batch, cfg.slices)
@@ -103,7 +105,7 @@ def detect(
     verdicts = []
     # |ratio| <= the larger count and threshold > 0, so only a count above
     # the threshold can flag its key, and only in its own direction.
-    for index, (generated, received) in counts.items():
+    for index, (generated, received) in counts:
         for key, gen in generated.items():
             if gen > threshold:
                 recv = received.get(key, 0)

@@ -1,8 +1,9 @@
 """Batch and streaming execution around the ratio detector.
 
-Both modes count a FlowBatch into one shape: for each slice index, a
-(generated, received) pair of tables keyed by IP id. An iterable of
-FlowRecords is read whole into a batch at the entry point first.
+Both modes count a FlowBatch into one shape: (slice index, (generated,
+received)) pairs of tables keyed by IP id, which `detect` takes one
+slice at a time. An iterable of FlowRecords is read whole into a batch
+at the entry point first.
 
 Batch mode optionally fans the counting stage out across forked worker
 processes. The batch and its slice config reach the workers through a
@@ -76,14 +77,12 @@ class RunStats:
 _WORKER_INPUT: Optional[tuple[FlowBatch, SliceConfig]] = None
 
 
-def _count_range(bounds: tuple[int, int]) -> SliceCounts:
+def _count_range(bounds: tuple[int, int]) -> dict[int, tuple[Counter, Counter]]:
     assert _WORKER_INPUT is not None
-    return count_flows(*_WORKER_INPUT, *bounds)
+    return dict(count_flows(*_WORKER_INPUT, *bounds))
 
 
-def _parallel_counts(
-    batch: FlowBatch, slices: SliceConfig, workers: int
-) -> SliceCounts:
+def _parallel_counts(batch: FlowBatch, slices: SliceConfig, workers: int) -> SliceCounts:
     global _WORKER_INPUT
     import multiprocessing
 
@@ -116,7 +115,8 @@ def _parallel_counts(
                 ) from exc
     finally:
         _WORKER_INPUT = None
-    return counts
+    # Popped as taken, so that a cut frees each slice's tables after it.
+    return ((index, counts.pop(index)) for index in list(counts))
 
 
 def count_slices(
@@ -124,11 +124,10 @@ def count_slices(
     slices: SliceConfig,
     engine: EngineConfig = EngineConfig(),
 ) -> SliceCounts:
-    """The per-slice (generated, received) count tables of a complete
-    trace, as count_flows returns them for the trace's batch, counted by
-    forked workers when workers > 1 and the platform can fork. The tables
-    do not depend on the detection threshold, so one count serves any
-    number of `detect(batch, ..., counts=...)` cuts.
+    """The per-slice (generated, received) count pairs of a complete
+    trace, as count_flows yields them for the trace's batch, counted by
+    forked workers when workers > 1 and the platform can fork. They serve
+    one `detect(batch, ..., counts=...)` cut, which takes each pair once.
 
     Output is identical for every worker count.
     """
@@ -198,7 +197,7 @@ def run_streaming(
 
     def close_slice(index: int) -> int:
         srcs, dsts = open_ids.pop(index)
-        verdicts = detect(batch, cfg, counts={index: (Counter(srcs), Counter(dsts))})
+        verdicts = detect(batch, cfg, counts=[(index, (Counter(srcs), Counter(dsts)))])
         emit(index, verdicts)
         return len(verdicts)
 

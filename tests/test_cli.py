@@ -655,6 +655,16 @@ def test_output_that_is_an_input_exits_2(
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir() if p.is_file()) == before
 
 
+def test_output_that_is_an_input_exits_2_before_the_input_is_read(tmp_path, capsys) -> None:
+    """The -o check comes before the job: reading this flow file would
+    fail on its header with exit 1, but the -o that names it exits 2."""
+    flows = tmp_path / "bad.flows.csv"
+    flows.write_text("not,a,flow,header\n", encoding="utf-8")
+    assert main(["detect", str(flows), "-o", str(flows)]) == EXIT_CONFIG
+    assert f"-o {flows} would overwrite an input of detect" in _one_error(capsys)
+    assert flows.read_text(encoding="utf-8") == "not,a,flow,header\n"
+
+
 def test_evaluate_bad_xml_exits_3(scan_trace, tmp_path, capsys) -> None:
     bad = tmp_path / "broken.xml"
     bad.write_text("<data><anomaly type=", encoding="utf-8")

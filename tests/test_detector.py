@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowscan.core import FlowBatch, FlowRecord, SliceConfig, SliceKey, as_batch
@@ -26,16 +26,16 @@ S = 1_000_000
 CFG = SliceConfig(trace_start_us=0, slice_seconds=30.0)
 
 
-# count_flows returns {slice index: (generated, received)}: per slice, the
-# tables counted by source and by destination IP, keyed by id. The helpers
-# name each id through the batch's `ips`.
+# count_flows yields (slice index, (generated, received)) pairs: per slice,
+# the tables counted by source and by destination IP, keyed by id. The
+# helpers take them into a dict and name each id through the batch's `ips`.
 
 
 def _by_address(flows, side: int) -> dict:
     batch = as_batch(flows)
     return {
         SliceKey(batch.ips[i], index): n
-        for index, tables in count_flows(batch, CFG).items()
+        for index, tables in dict(count_flows(batch, CFG)).items()
         for i, n in tables[side].items()
     }
 
@@ -49,7 +49,7 @@ def _by_destination(flows) -> dict:
 
 
 def test_count_by_source_empty() -> None:
-    assert count_flows(as_batch([]), CFG) == {}
+    assert dict(count_flows(as_batch([]), CFG)) == {}
 
 
 def test_count_by_source_hand_counted() -> None:
@@ -94,7 +94,7 @@ def test_count_flows_rejects_pre_start_flow() -> None:
 # The test_join_* tests cut a given (generated, received) pair with
 # detect(batch, ..., counts=...): a key missing from one table counts zero
 # there. The tables keyed by (address, slice index) are split into the
-# per-slice tables count_flows returns, keyed by the ids of a batch that
+# per-slice pairs count_flows yields, keyed by the ids of a batch that
 # interns each address.
 
 
@@ -106,7 +106,7 @@ def _cut(generated, received, threshold: float) -> list[RatioVerdict]:
         for (address, index), n in table.items():
             tables = counts.setdefault(index, (Counter(), Counter()))
             tables[side][batch.intern(address)] = n
-    return detect(batch, cfg, counts=counts)
+    return detect(batch, cfg, counts=counts.items())
 
 
 def test_join_null_fill() -> None:
@@ -329,6 +329,27 @@ def test_threshold_monotonicity(rng: random.Random) -> None:
     assert flagged[200] <= flagged[100] <= flagged[50]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((0.5, 1, 2, 5, 20)), st.data())
+def test_lowest_cut_holds_every_higher_cut(seed: int, lowest: float, data) -> None:
+    # |ratio| never exceeds the count on its own side, so a key flags at a
+    # threshold t >= lowest iff |ratio| > t: the cut at the lowest
+    # threshold, filtered, gives every higher cut. Some thresholds are
+    # |ratio| values of that cut, where a key sits on the threshold and
+    # must not flag.
+    rng = random.Random(seed)
+    flows = as_batch(random_flows(
+        rng, rng.randrange(50, 600), host_count=rng.randrange(3, 30), scanners=rng.randrange(1, 4)
+    ))
+    at_lowest = detect(flows, DetectorConfig(slices=CFG, threshold=lowest))
+    assert at_lowest  # each scanner sends 150 or more flows and receives none
+    on_a_ratio = st.sampled_from(sorted({abs(v.ratio) for v in at_lowest}))
+    sweep = data.draw(st.lists(on_a_ratio | st.floats(lowest, 1000), min_size=1, max_size=6))
+    for threshold in sweep:
+        expected = detect(flows, DetectorConfig(slices=CFG, threshold=threshold))
+        assert [v for v in at_lowest if abs(v.ratio) > threshold] == expected
+
+
 def test_detect_accepts_any_iterable(rng: random.Random) -> None:
     flows = random_flows(rng, 500, scanners=1)
     cfg = DetectorConfig(slices=CFG, threshold=50)
@@ -337,7 +358,7 @@ def test_detect_accepts_any_iterable(rng: random.Random) -> None:
 
 def test_count_conservation(rng: random.Random) -> None:
     flows = random_flows(rng, 1234)
-    counts = count_flows(as_batch(flows), CFG).values()
+    counts = dict(count_flows(as_batch(flows), CFG)).values()
     assert sum(sum(generated.values()) for generated, _ in counts) == len(flows)
     assert sum(sum(received.values()) for _, received in counts) == len(flows)
 

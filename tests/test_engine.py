@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -89,7 +90,7 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
     for workers in (1, 2, 3):
         engine = EngineConfig(workers=workers)
         # Each slice's tables are keyed by dense ids into batch.ips.
-        by_id = count_slices(batch, CFG.slices, engine)
+        by_id = dict(count_slices(batch, CFG.slices, engine))
         assert tuple(
             Counter({
                 (batch.ips[i], index): n
@@ -102,7 +103,7 @@ def test_count_slices_matches_brute_force_tally(flows: list[FlowRecord]) -> None
             isinstance(i, int) for tables in by_id.values() for t in tables for i in t
         )
         # A record list is counted as the batch it converts to.
-        assert count_slices(flows, CFG.slices, engine) == by_id
+        assert dict(count_slices(flows, CFG.slices, engine)) == by_id
 
 
 def test_time_sorted_slices_only_in_worker_ranges_are_merged() -> None:
@@ -116,12 +117,34 @@ def test_time_sorted_slices_only_in_worker_ranges_are_merged() -> None:
         for i in range(60)
     ]
     batch = as_batch(flows)
-    serial = count_slices(batch, CFG.slices)
+    serial = dict(count_slices(batch, CFG.slices))
     assert sorted(serial) == [0, 1, 2, 3]
-    assert count_slices(batch, CFG.slices, EngineConfig(workers=3)) == serial
+    assert dict(count_slices(batch, CFG.slices, EngineConfig(workers=3))) == serial
     verdicts, _ = run_batch(batch, CFG, EngineConfig(workers=3))
     assert verdicts == run_batch(batch, CFG)[0]
     assert [v.key.slice_index for v in verdicts] == [0, 1, 2, 3]
+
+
+def test_only_one_slice_of_tables_is_alive_at_a_time() -> None:
+    # Sixty flows in each of four slices. Each slice's pair is counted, or
+    # let go by the workers' merged table, only when it is taken, so once
+    # the next pair is taken nothing holds the previous one's tables.
+    batch = as_batch([
+        mk_flow(src="10.0.0.9", dst=f"10.0.1.{i + 1}", first=index * 30 * S + i)
+        for index in range(4)
+        for i in range(60)
+    ])
+    for counts in (
+        count_flows(batch, CFG.slices),
+        count_slices(batch, CFG.slices, EngineConfig(workers=2)),
+    ):
+        previous: list[weakref.ref] = []
+        taken = []
+        for index, tables in counts:
+            assert all(ref() is None for ref in previous), index
+            previous = [weakref.ref(table) for table in tables]
+            taken.append(index)
+        assert sorted(taken) == [0, 1, 2, 3]
 
 
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
