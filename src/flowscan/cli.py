@@ -17,9 +17,9 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
-from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TextIO
@@ -222,7 +222,13 @@ def _sha256(path: Path) -> str:
 
 
 def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, timezone.utc).isoformat()
+    """`datetime.fromtimestamp(ts, timezone.utc).isoformat()`, without
+    loading datetime: microseconds rounded half-even, carried into the
+    seconds, and left out when they are 0."""
+    fraction, seconds = math.modf(ts)
+    seconds, us = divmod(int(seconds) * 1_000_000 + round(fraction * 1e6), 1_000_000)
+    text = "%04d-%02d-%02dT%02d:%02d:%02d" % time.gmtime(seconds)[:6]
+    return f"{text}.{us:06d}+00:00" if us else f"{text}+00:00"
 
 
 def manifest_path_for(out_path: str | Path) -> Path:
@@ -288,6 +294,16 @@ def _skipped_note(ingest: dict) -> str:
     return f", {skipped} malformed rows skipped" if skipped else ""
 
 
+def _refuse_overwrite(
+    args: argparse.Namespace, outputs: Sequence[Path], inputs: Sequence[Path]
+) -> None:
+    """Exit 2 before anything is written if an output of the command or
+    its manifest resolves to one of its inputs."""
+    written = {p.resolve() for p in (*outputs, manifest_path_for(Path(args.out)))}
+    if written & {p.resolve() for p in inputs}:
+        raise ConfigError(f"-o {args.out} would overwrite an input of {args.command}")
+
+
 # What a command body hands its frame: a writer for the output below the
 # manifest line, its extra manifest fields, and its summary line.
 Outcome = tuple[Callable[[TextIO], None], dict, str]
@@ -304,8 +320,7 @@ def _framed(args: argparse.Namespace) -> int:
     inputs = [Path(args.flows)] if "flows" in args else [
         path for raw in args.trace for path in _parse_trace_arg(raw) if path
     ]
-    if {out_path.resolve(), manifest_path_for(out_path).resolve()} & {p.resolve() for p in inputs}:
-        raise ConfigError(f"-o {out_path} would overwrite an input of {args.command}")
+    _refuse_overwrite(args, [out_path], inputs)
     write_body, extra, summary = args.body(args, cfg, ingest)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
@@ -321,20 +336,6 @@ def _framed(args: argparse.Namespace) -> int:
     )
     print(f"{summary} -> {out_path}")
     return EXIT_OK
-
-
-def format_verdict_row(verdict: RatioVerdict, labels: str = "") -> str:
-    return ",".join(
-        (
-            str(verdict.key.slice_index),
-            format_ip(verdict.key.ip),
-            verdict.direction.value,
-            str(verdict.generated),
-            str(verdict.received),
-            repr(verdict.ratio),
-            labels,
-        )
-    )
 
 
 def _detect(
@@ -376,8 +377,11 @@ def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcom
 
     def write(fh: TextIO) -> None:
         fh.write(VERDICT_HEADER + "\n")
-        for verdict, label_text in zip(verdicts, labels):
-            fh.write(format_verdict_row(verdict, label_text) + "\n")
+        for v, label_text in zip(verdicts, labels):
+            fh.write(
+                f"{v.key.slice_index},{format_ip(v.key.ip)},{v.direction.value},"
+                f"{v.generated},{v.received},{v.ratio!r},{label_text}\n"
+            )
 
     late = f", {stats.late_dropped} late flows dropped" if stats.late_dropped else ""
     summary = (
@@ -397,13 +401,6 @@ def _parse_trace_arg(raw: str) -> tuple[Path, Path, Optional[Path]]:
     return flows, anomalous, notice[0] if notice else None
 
 
-def _trace_id(flow_path: Path) -> str:
-    stem = flow_path.stem
-    if stem.endswith(".flows"):
-        stem = stem[: -len(".flows")]
-    return stem
-
-
 # Report sources: each ground truth file alone, then both together.
 _SOURCES = (
     ("anomalous", (SourceFile.ANOMALOUS,)),
@@ -416,7 +413,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     cases = [c.value for c in EvalCase]
     case = EvalCase(_int_flag("--case", args.case, cases.__contains__, "1, 2 or 3"))
     traces = [_parse_trace_arg(raw) for raw in args.trace]
-    trace_ids = [_trace_id(flow_path) for flow_path, _, _ in traces]
+    trace_ids = [flow_path.stem.removesuffix(".flows") for flow_path, _, _ in traces]
     for i, trace_id in enumerate(trace_ids):
         if trace_id in trace_ids[:i]:
             raise ConfigError(f"--trace: trace id {trace_id!r} is given more than once")
@@ -535,6 +532,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     started = time.time()
     spec_path = Path(args.spec)
     out_base = Path(args.out)
+    suffixes = (".flows.csv", ".anomalous.xml", ".notice.xml")  # write_outputs' files
+    _refuse_overwrite(args, [out_base.with_name(out_base.name + s) for s in suffixes], [spec_path])
     spec = load_spec(spec_path)
     manifest_name = manifest_path_for(out_base).name
     outputs = write_outputs(spec, seed, out_base, manifest_name=manifest_name)

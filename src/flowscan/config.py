@@ -70,17 +70,14 @@ def parse_port_set(text: str) -> frozenset[int]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        if "-" in chunk:
-            low_text, high_text = chunk.split("-", 1)
-            low, high = int(low_text), int(high_text)
-            if low > high:
-                raise ValueError(f"empty port range {chunk!r}")
-            ports.update(range(low, high + 1))
-        else:
-            ports.add(int(chunk))
-    for port in ports:
-        if not 0 <= port <= 65535:
-            raise ValueError(f"port out of range: {port}")
+        low_text, high_text = chunk.split("-", 1) if "-" in chunk else (chunk, chunk)
+        low, high = int(low_text), int(high_text)
+        # Checked on its ends, before a huge range fills memory.
+        if low > high:
+            raise ValueError(f"empty port range {chunk!r}")
+        if low < 0 or high > 65535:
+            raise ValueError(f"{chunk!r} is not within ports 0-65535")
+        ports.update(range(low, high + 1))
     return frozenset(ports)
 
 

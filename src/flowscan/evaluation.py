@@ -17,6 +17,7 @@ as a source, a receiver verdict only truth listing it as a destination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -208,15 +209,20 @@ def evaluate_case(
 def _aggregate_values(values: Sequence[Optional[float]]) -> AggregateScore:
     """Mean and population variance of the defined values; both are None
     when no value is defined."""
-    import statistics  # here, so that detect does not pay for the import
-
     included = [v for v in values if v is not None]
-    return AggregateScore(
-        mean=statistics.fmean(included) if included else None,
-        variance=statistics.pvariance(included) if included else None,
-        n_traces=len(included),
-        excluded=len(values) - len(included),
-    )
+    n = len(included)
+    mean = variance = None
+    if n:
+        # statistics.fmean and pvariance, without loading statistics and
+        # with it decimal and fractions: each float is an integer over a
+        # power of two, so over their largest denominator the variance is
+        # an exact integer ratio, rounded once by the true division.
+        ratios = [v.as_integer_ratio() for v in included]
+        scale = max(d for _, d in ratios)
+        scaled = [k * (scale // d) for k, d in ratios]
+        mean = math.fsum(included) / n
+        variance = (n * sum(x * x for x in scaled) - sum(scaled) ** 2) / (n * scale) ** 2
+    return AggregateScore(mean, variance, n_traces=n, excluded=len(values) - n)
 
 
 def aggregate(

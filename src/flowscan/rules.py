@@ -15,8 +15,9 @@ many flows touch it.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
@@ -30,17 +31,13 @@ class ScanLabel(Enum):
     NETSCAN_AND_PORTSCAN = "netscan_and_portscan"
 
 
-def _default_known_ports() -> frozenset[int]:
-    return frozenset(range(0, 1024))
-
-
 @dataclass(frozen=True)
 class RuleConfig:
     netscan_min_hosts: int = 20
     portscan_min_ports: int = 10
     combined_min_hosts: int = 20
     subnet_prefix: int = 24
-    known_ports: frozenset[int] = field(default_factory=_default_known_ports)
+    known_ports: frozenset[int] = frozenset(range(0, 1024))
 
     def __post_init__(self) -> None:
         if self.netscan_min_hosts < 1:
@@ -135,8 +132,9 @@ def classify_all(
     batch = as_batch(flows)
     slice_at(batch.earliest_us, slices)  # passes the inf of an empty batch
     ids = {ip: batch.id_of(ip) for ip in ips}
-    # source id -> the rows it generated; an IP no row holds has no id
-    outbound: dict[int, list[int]] = {i: [] for i in ids.values() if i is not None}
+    # source id -> the rows it generated, 4 bytes a row rather than a list
+    # entry and an int object; an IP no row holds has no id
+    outbound = {i: array("I") for i in ids.values() if i is not None}
     srcs = batch.src
     for row in compress(count(), map(outbound.__contains__, srcs)):
         outbound[srcs[row]].append(row)

@@ -7,9 +7,12 @@ import os
 import random
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowscan.cli
 from flowscan.cli import (
@@ -20,6 +23,7 @@ from flowscan.cli import (
     EXIT_IO,
     EXIT_OK,
     VERDICT_HEADER,
+    _iso,
     _resolve_config,
     _sha256,
     build_parser,
@@ -123,43 +127,81 @@ def test_sha256_matches_one_read(tmp_path, size) -> None:
 
 
 # Run in a fresh interpreter: prints which of the late imports are loaded
-# after `import flowscan.cli` and when `cli._detect` returns, then runs
-# the command line on its arguments.
+# after `import flowscan.cli` and when `cli._write_manifest` is called,
+# after the job, runs the command line on its arguments, then prints which
+# of the modules no command but bench and synth needs are loaded.
 _LATE_IMPORTS_SCRIPT = """
 import sys
 import flowscan.cli as cli
 late = ("_hashlib", "xml.etree.ElementTree")
+never = ("datetime", "statistics", "decimal", "fractions")
 print([name for name in late if name in sys.modules])
-detect = cli._detect
+write_manifest = cli._write_manifest
 def checked(*args, **kwargs):
-    result = detect(*args, **kwargs)
     print([name for name in late if name in sys.modules])
-    return result
-cli._detect = checked
-sys.exit(cli.main(sys.argv[1:]))
+    return write_manifest(*args, **kwargs)
+cli._write_manifest = checked
+code = cli.main(sys.argv[1:])
+print([name for name in never if name in sys.modules])
+sys.exit(code)
 """
 
 
-def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
-    """OpenSSL and the XML parser stay out of the detect job: the digest
-    code loads only after it, to write the manifest. A fresh process,
-    since this test module imports hashlib itself."""
-    out = tmp_path / "stream.csv"
+def _late_imports(*argv: str) -> list[str]:
+    """The lines _LATE_IMPORTS_SCRIPT prints for a run on `argv`. A fresh
+    process, since this test module imports hashlib and datetime itself."""
     src = Path(flowscan.cli.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-c", _LATE_IMPORTS_SCRIPT, "detect", str(scan_trace),
-         "-o", str(out), "--mode", "stream"],
+        [sys.executable, "-c", _LATE_IMPORTS_SCRIPT, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
     assert done.returncode == EXIT_OK, done.stderr
-    at_import, after_detect, summary = done.stdout.splitlines()
-    assert at_import == after_detect == "[]"
+    return done.stdout.splitlines()
+
+
+def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
+    """OpenSSL and the XML parser stay out of the detect job: the digest
+    code loads only after it, to write the manifest. datetime and
+    statistics never load."""
+    out = tmp_path / "stream.csv"
+    at_import, at_manifest, summary, at_end = _late_imports(
+        "detect", str(scan_trace), "-o", str(out), "--mode", "stream"
+    )
+    assert at_import == at_manifest == at_end == "[]"
     assert summary.startswith("1 verdicts from 122 flows")
     manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
     assert manifest["inputs"] == {str(scan_trace): _sha256(scan_trace)}
+
+
+def test_evaluate_job_loads_no_digest_code(scan_trace, gt_path, tmp_path) -> None:
+    """evaluate --case 3 reads its ground truth as XML, but OpenSSL loads
+    only for the manifest, and datetime and statistics never load."""
+    out = tmp_path / "report.csv"
+    at_import, at_manifest, summary, at_end = _late_imports(
+        "evaluate", "--trace", f"{scan_trace},{gt_path}", "--case", "3", "-o", str(out)
+    )
+    assert at_import == at_end == "[]"
+    assert at_manifest == "['xml.etree.ElementTree']"
+    assert summary.startswith("3 report rows")
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.integers(0, 2**34).map(float),
+        # ties: (us + 0.5) microseconds past a whole second
+        st.builds(
+            lambda s, us: s + (us + 0.5) / 1e6, st.integers(0, 2**20), st.integers(0, 999_999)
+        ),
+        st.floats(0, 2**34),
+    )
+)
+def test_iso_matches_datetime(ts: float) -> None:
+    """The manifest's timestamps read as datetime would write them."""
+    assert _iso(ts) == datetime.fromtimestamp(ts, timezone.utc).isoformat()
 
 
 def test_detect_is_idempotent(scan_trace, tmp_path) -> None:
@@ -908,6 +950,22 @@ def test_synth_writes_trio_and_manifest(tmp_path) -> None:
     assert manifest["command"] == "synth"
     assert manifest["config"] == {"seed": 3}
     assert str(flow_path) in manifest["outputs"]
+
+
+@pytest.mark.parametrize(
+    "suffix", [".flows.csv", ".anomalous.xml", ".notice.xml", ".manifest.json"]
+)
+def test_synth_output_that_is_its_spec_exits_2(tmp_path, capsys, monkeypatch, suffix) -> None:
+    """An -o whose flow, ground truth or manifest path resolves to the
+    spec, here spelled through "..", exits 2 before anything is written."""
+    spec = tmp_path / f"t{suffix}"
+    spec.write_text(SYNTH_SPEC, encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(["synth", str(spec), "-o", "../t"]) == EXIT_CONFIG
+    assert "-o ../t would overwrite an input of synth" in _one_error(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", spec.name]
+    assert spec.read_text(encoding="utf-8") == SYNTH_SPEC
 
 
 def test_synth_bad_spec_exits_2(tmp_path, capsys) -> None:

@@ -107,6 +107,15 @@ def test_bad_values_name_their_field(tmp_path, text: str, fragment: str) -> None
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("chunk", ["0-65536", "1-99999999999", "70000"])
+def test_port_range_ends_are_checked_before_the_range_is_built(tmp_path, chunk) -> None:
+    """A range past 65535 fails on its ends, naming its chunk, before its
+    ports are built: 1-99999999999 would not fit in memory."""
+    with pytest.raises(ConfigError) as info:
+        _load(tmp_path, f"[rules]\nknown_ports = 22,{chunk}\n")
+    assert str(info.value) == f"rules.known_ports: {chunk!r} is not within ports 0-65535"
+
+
 def test_rule_error_names_its_key(tmp_path) -> None:
     with pytest.raises(ConfigError) as info:
         _load(tmp_path, "[rules]\nsubnet_prefix = 200\n")

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowscan.core import SliceConfig
@@ -16,6 +19,7 @@ from flowscan.evaluation import (
     EvalCase,
     EvalRow,
     PRScore,
+    _aggregate_values,
     aggregate,
     confusion,
     evaluate_case,
@@ -373,6 +377,30 @@ def test_aggregate_excludes_undefined_with_count() -> None:
     assert recall.n_traces == 2
     assert recall.excluded == 1
     assert precision.excluded == 1
+
+
+_SCORES = st.one_of(
+    st.none(), st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0)
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_SCORES, min_size=1).map(lambda v: v + v[: len(v) // 2]))
+def test_aggregate_values_match_statistics(values: list) -> None:
+    """The mean is statistics.fmean's and the variance the exact population
+    variance rounded once, which is statistics.pvariance's since 3.11."""
+    included = [v for v in values if v is not None]
+    got = _aggregate_values(values)
+    assert (got.n_traces, got.excluded) == (len(included), len(values) - len(included))
+    if not included:
+        assert got.mean is got.variance is None
+        return
+    exact = [Fraction(v) for v in included]
+    mu = sum(exact) / len(exact)
+    assert got.mean == statistics.fmean(included)
+    assert got.variance == float(sum((x - mu) ** 2 for x in exact) / len(exact))
+    if sys.version_info >= (3, 11):  # 3.10's pvariance rounds along the way
+        assert got.variance == statistics.pvariance(included)
 
 
 def test_aggregate_all_undefined_is_an_error() -> None:

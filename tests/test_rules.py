@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from flowscan.core import SliceConfig
+from flowscan.core import SliceConfig, as_batch
 from flowscan.rules import (
     RuleConfig,
     ScanLabel,
@@ -254,3 +255,21 @@ def test_classify_all_matches_individual_classify(rng: random.Random) -> None:
     grouped = classify_all(ips, flows, RULES, SLICES)
     for candidate in ips:
         assert grouped[candidate] == classify(candidate, flows, RULES, SLICES)
+
+
+def test_classify_all_holds_few_bytes_per_candidate_row() -> None:
+    """Each candidate's outbound row numbers are kept in 4-byte slots, not
+    as int objects: most rows here are one sender's, numbered far past
+    Python's cached small ints."""
+    scanner = "203.0.113.1"
+    flows = [mk_flow(src=f"10.0.{i % 50}.1", dst="10.0.0.2", first=i) for i in range(4_000)]
+    flows += [mk_flow(src=scanner, dst="10.0.5.1", first=i) for i in range(24_000)]
+    batch = as_batch(flows)
+    del flows
+    tracemalloc.start()
+    try:
+        classify_all([ip(scanner)], batch, RULES, SLICES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 24_000 < 16
