@@ -4,7 +4,10 @@ Every command writes a JSON run manifest next to its main output
 (`<out>.manifest.json`) recording the config snapshot, input and output
 digests, tool version, and wall-clock bounds. Text outputs reference
 the manifest in a leading comment where the format allows one; flow
-files cannot, their header line is fixed.
+files cannot, their header line is fixed. The digests are made by a
+child forked before the job (`_hashed`): it hashes the inputs while the
+job runs and the outputs once they are written, so OpenSSL never loads
+in the process that runs the job.
 
 Exit codes: 0 success, 1 I/O or input parse failure, 2 invalid
 configuration, 3 ground truth parse failure. Errors print one
@@ -14,15 +17,18 @@ machine-parseable line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import math
+import os
+import signal
 import sys
 import time
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
@@ -210,15 +216,61 @@ def _snapshot(name: str, value):
 
 
 def _sha256(path: Path) -> str:
-    # Imported here, after the job, so that OpenSSL's pages do not sit under
-    # the job's peak RSS; small blocks keep the hashing below it too.
-    import hashlib
+    import hashlib  # here, so that only a hasher child loads OpenSSL's pages
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _digests(paths: Iterable[Path]) -> dict[str, str]:
+    return {str(p): _sha256(p) for p in paths}
+
+
+@contextlib.contextmanager
+def _hashed(inputs: Sequence[Path], outputs: Sequence[Path]) -> Iterator[Callable]:
+    """Yield a function to call once the outputs are written, which
+    returns the digest maps of the inputs and of the outputs. Where the
+    platform can fork, a child forked here, before the job, makes them:
+    it hashes the inputs that are regular files while the job runs, and
+    the rest (a pipe, which the job reads first) and the outputs when
+    told through a pipe. The child is ended and reaped however the
+    command exits."""
+    if not hasattr(os, "fork"):
+        yield lambda: (_digests(inputs), _digests(outputs))
+        return
+    (go_r, go_w), (done_r, done_w) = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # whatever goes wrong here, the parent sees no answer
+            os.close(go_w)  # so that the read below ends if the parent is gone
+            found = _digests(p for p in inputs if os.path.isfile(p))
+            if os.read(go_r, 1):
+                found.update(_digests(p for p in inputs if str(p) not in found))
+                with open(done_w, "w", encoding="utf-8") as fh:
+                    json.dump([found, _digests(outputs)], fh)
+        finally:
+            os._exit(0)
+    os.close(go_r)
+    os.close(done_w)
+    go, done = open(go_w, "wb", buffering=0), open(done_r, encoding="utf-8")
+
+    def finish() -> list[dict[str, str]]:
+        try:
+            go.write(b"1")
+            return json.loads(done.read())
+        except (BrokenPipeError, ValueError):
+            raise OSError("the manifest's hasher process ended without digests") from None
+
+    try:
+        yield finish
+    finally:
+        go.close()
+        done.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _iso(ts: float) -> str:
@@ -239,8 +291,8 @@ def _write_manifest(
     out_path: Path,
     command: str,
     snapshot: dict,
-    inputs: Sequence[Path],
-    outputs: Sequence[Path],
+    inputs: dict[str, str],
+    outputs: dict[str, str],
     started: float,
     extra: Optional[dict] = None,
 ) -> Path:
@@ -249,8 +301,8 @@ def _write_manifest(
         "version": __version__,
         "command": command,
         "config": snapshot,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": {str(p): _sha256(p) for p in outputs},
+        "inputs": inputs,
+        "outputs": outputs,
         "started_at": _iso(started),
         "finished_at": _iso(time.time()),
     }
@@ -321,19 +373,14 @@ def _framed(args: argparse.Namespace) -> int:
         path for raw in args.trace for path in _parse_trace_arg(raw) if path
     ]
     _refuse_overwrite(args, [out_path], inputs)
-    write_body, extra, summary = args.body(args, cfg, ingest)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
-        write_body(fh)
-    _write_manifest(
-        out_path,
-        args.command,
-        _snapshot("config", cfg),
-        inputs,
-        [out_path],
-        started,
-        extra={**extra, "ingest": ingest},
-    )
+    with _hashed(inputs, [out_path]) as digests:
+        write_body, extra, summary = args.body(args, cfg, ingest)
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(f"# manifest={manifest_path_for(out_path).name}\n")
+            write_body(fh)
+        snapshot = _snapshot("config", cfg)
+        extra = {**extra, "ingest": ingest}
+        _write_manifest(out_path, args.command, snapshot, *digests(), started, extra)
     print(f"{summary} -> {out_path}")
     return EXIT_OK
 
@@ -457,15 +504,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
                     directional=args.directional,
                     classifications=classifications,
                 )
-                rows.append(
-                    EvalRow(
-                        trace_id=trace_id,
-                        case=case,
-                        threshold=threshold,
-                        source=source_name,
-                        result=result,
-                    )
-                )
+                rows.append(EvalRow(trace_id, case, threshold, source_name, result))
 
     summary = f"{len(rows)} report rows{_skipped_note(ingest)}"
     return lambda fh: write_report(fh, rows), {}, summary
@@ -483,8 +522,7 @@ def _parse_worker_sweep(raw: str) -> list[int]:
 
 def _quartiles(values: list[float]) -> tuple[float, float, float, float, float]:
     if len(values) == 1:
-        v = values[0]
-        return v, v, v, v, v
+        return (values[0],) * 5
     import statistics  # here, so that detect does not pay for the import
 
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -533,19 +571,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = Path(args.spec)
     out_base = Path(args.out)
     suffixes = (".flows.csv", ".anomalous.xml", ".notice.xml")  # write_outputs' files
-    _refuse_overwrite(args, [out_base.with_name(out_base.name + s) for s in suffixes], [spec_path])
-    spec = load_spec(spec_path)
-    manifest_name = manifest_path_for(out_base).name
-    outputs = write_outputs(spec, seed, out_base, manifest_name=manifest_name)
-    produced = [outputs.flow_path, outputs.anomalous_path, outputs.notice_path]
-    _write_manifest(
-        out_base,
-        "synth",
-        {"seed": seed},
-        [spec_path],
-        produced,
-        started,
-    )
+    produced = [out_base.with_name(out_base.name + s) for s in suffixes]
+    _refuse_overwrite(args, produced, [spec_path])
+    with _hashed([spec_path], produced) as digests:
+        name = manifest_path_for(out_base).name
+        outputs = write_outputs(load_spec(spec_path), seed, out_base, manifest_name=name)
+        _write_manifest(out_base, "synth", {"seed": seed}, *digests(), started)
     print(f"{outputs.flow_count} flows -> {outputs.flow_path}")
     return EXIT_OK
 

@@ -83,19 +83,13 @@ def parse_port_set(text: str) -> frozenset[int]:
 
 def format_port_set(ports: frozenset[int]) -> str:
     """Inverse of parse_port_set, with runs collapsed to ranges."""
-    if not ports:
-        return ""
-    ordered = sorted(ports)
-    chunks: list[str] = []
-    run_start = prev = ordered[0]
-    for port in ordered[1:] + [None]:  # type: ignore[list-item]
-        if port is not None and port == prev + 1:
-            prev = port
-            continue
-        chunks.append(str(run_start) if run_start == prev else f"{run_start}-{prev}")
-        if port is not None:
-            run_start = prev = port
-    return ",".join(chunks)
+    runs: list[list[int]] = []  # [first, last] of each run of ports
+    for port in sorted(ports):
+        if runs and port == runs[-1][1] + 1:
+            runs[-1][1] = port
+        else:
+            runs.append([port, port])
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in runs)
 
 
 def parse_thresholds(text: str) -> tuple[float, ...]:

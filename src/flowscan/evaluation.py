@@ -266,53 +266,22 @@ def write_report(fh: TextIO, rows: Sequence[EvalRow]) -> None:
     Aggregates are grouped by (case, threshold, source) over the trace
     ids present; metrics undefined for a trace are excluded and counted.
     """
-    fh.write(_REPORT_HEADER + "\n")
+
+    def line(*fields: object) -> None:
+        fh.write(",".join(map(str, fields)) + "\n")
+
+    line(_REPORT_HEADER)
     for row in rows:
-        m = row.result.matrix
-        s = row.result.score
-        fh.write(
-            ",".join(
-                (
-                    row.trace_id,
-                    str(row.case.value),
-                    _fmt_threshold(row.threshold),
-                    row.source,
-                    str(m.tp),
-                    str(m.fp),
-                    str(m.fn),
-                    str(m.tn),
-                    str(row.result.reintegrated),
-                    _fmt_metric(s.recall),
-                    _fmt_metric(s.precision),
-                )
-            )
-            + "\n"
-        )
-    fh.write("# aggregate\n")
-    fh.write(_AGGREGATE_HEADER + "\n")
+        m, s, t = row.result.matrix, row.result.score, _fmt_threshold(row.threshold)
+        line(row.trace_id, row.case.value, t, row.source, m.tp, m.fp, m.fn, m.tn,
+             row.result.reintegrated, _fmt_metric(s.recall), _fmt_metric(s.precision))
+    line("# aggregate")
+    line(_AGGREGATE_HEADER)
     groups: dict[tuple[EvalCase, float, str], list[PRScore]] = {}
     for row in rows:
-        groups.setdefault((row.case, row.threshold, row.source), []).append(
-            row.result.score
-        )
+        groups.setdefault((row.case, row.threshold, row.source), []).append(row.result.score)
     for (case, threshold, source), scores in groups.items():
-        for metric, values in (
-            ("recall", [s.recall for s in scores]),
-            ("precision", [s.precision for s in scores]),
-        ):
-            agg = _aggregate_values(values)
-            fh.write(
-                ",".join(
-                    (
-                        str(case.value),
-                        _fmt_threshold(threshold),
-                        source,
-                        metric,
-                        _fmt_metric(agg.mean),
-                        _fmt_metric(agg.variance),
-                        str(agg.n_traces),
-                        str(agg.excluded),
-                    )
-                )
-                + "\n"
-            )
+        for metric in ("recall", "precision"):
+            agg = _aggregate_values([getattr(s, metric) for s in scores])
+            line(case.value, _fmt_threshold(threshold), source, metric, _fmt_metric(agg.mean),
+                 _fmt_metric(agg.variance), agg.n_traces, agg.excluded)

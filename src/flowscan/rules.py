@@ -40,12 +40,9 @@ class RuleConfig:
     known_ports: frozenset[int] = frozenset(range(0, 1024))
 
     def __post_init__(self) -> None:
-        if self.netscan_min_hosts < 1:
-            raise ValueError("netscan_min_hosts must be >= 1")
-        if self.portscan_min_ports < 1:
-            raise ValueError("portscan_min_ports must be >= 1")
-        if self.combined_min_hosts < 1:
-            raise ValueError("combined_min_hosts must be >= 1")
+        for name in ("netscan_min_hosts", "portscan_min_ports", "combined_min_hosts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.subnet_prefix <= 128:
             raise ValueError(f"subnet_prefix out of range: {self.subnet_prefix}")
 
@@ -150,9 +147,6 @@ def reintegrate(
 ) -> set[IpAddress]:
     """False positives confirmed by at least one rule; these move back
     into the true positive set during evaluation."""
-    confirmed = set()
-    for ip in false_positives:
-        cls = classifications.get(ip)
-        if cls is not None and cls.labels:
-            confirmed.add(ip)
-    return confirmed
+    return {
+        ip for ip in false_positives if (cls := classifications.get(ip)) and cls.labels
+    }

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
-from xml.sax.saxutils import quoteattr
 
 from .config import checked, parse_boolean, read_ini, section_values
 from .core import (
@@ -275,19 +274,17 @@ def generate(spec: SynthSpec, seed: int = 0) -> tuple[FlowBatch, GroundTruthSet]
 
 
 def _ground_truth(spec: SynthSpec) -> GroundTruthSet:
-    entries = []
-    for scanner in spec.scanners:
-        if not scanner.labeled:
-            continue
-        entries.append(
-            GroundTruthEntry(
-                category=Category.ANOMALOUS,
-                taxonomy_label=scanner.taxonomy_label(),
-                src_ips=frozenset({scanner.ip}),
-                dst_ips=frozenset(),
-                source_file=SourceFile.ANOMALOUS,
-            )
+    entries = [
+        GroundTruthEntry(
+            category=Category.ANOMALOUS,
+            taxonomy_label=scanner.taxonomy_label(),
+            src_ips=frozenset({scanner.ip}),
+            dst_ips=frozenset(),
+            source_file=SourceFile.ANOMALOUS,
         )
+        for scanner in spec.scanners
+        if scanner.labeled
+    ]
     for decoy in spec.decoys:
         entries.append(
             GroundTruthEntry(
@@ -299,6 +296,22 @@ def _ground_truth(spec: SynthSpec) -> GroundTruthSet:
             )
         )
     return GroundTruthSet(entries)
+
+
+# What xml.sax.saxutils.quoteattr escapes; its import loads urllib.request
+# and email, which synth does not need.
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+)
+
+
+def quoteattr(text: str) -> str:
+    """`xml.sax.saxutils.quoteattr(text)`: the escaped text in single
+    quotes if it holds `"` but not `'`, else in double quotes with each
+    `"` as `&quot;` (in single quotes the replace finds nothing)."""
+    text = text.translate(_ATTR_ESCAPES)
+    quote = "'" if '"' in text and "'" not in text else '"'
+    return quote + text.replace(quote, "&quot;") + quote
 
 
 def render_ground_truth_xml(
@@ -318,10 +331,9 @@ def render_ground_truth_xml(
             f"  <anomaly type={quoteattr(entry.category.value)} "
             f"value={quoteattr(entry.taxonomy_label)}>"
         )
-        for ip in sorted(entry.src_ips, key=ip_sort_key):
-            lines.append(f"    <filter src_ip={quoteattr(str(ip))}/>")
-        for ip in sorted(entry.dst_ips, key=ip_sort_key):
-            lines.append(f"    <filter dst_ip={quoteattr(str(ip))}/>")
+        for side, ips in (("src_ip", entry.src_ips), ("dst_ip", entry.dst_ips)):
+            for ip in sorted(ips, key=ip_sort_key):
+                lines.append(f"    <filter {side}={quoteattr(str(ip))}/>")
         lines.append("  </anomaly>")
     lines.append("</data>")
     return "\n".join(lines) + "\n"

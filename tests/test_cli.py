@@ -24,6 +24,7 @@ from flowscan.cli import (
     EXIT_OK,
     VERDICT_HEADER,
     _iso,
+    _hashed,
     _resolve_config,
     _sha256,
     build_parser,
@@ -87,7 +88,8 @@ def test_detect_golden_output(scan_trace, tmp_path, capsys) -> None:
 
 def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
     """detect, evaluate and bench each name their manifest on the output's
-    first line, and the manifest digests every input and the output."""
+    first line, and the manifest of each command, synth included, digests
+    every input and output."""
     keys = {"tool", "version", "command", "config", "inputs", "outputs"}
     keys |= {"started_at", "finished_at", "ingest"}
     sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -116,25 +118,136 @@ def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
             # The sweep as given, not the config's engine.workers.
             assert manifest["bench"] == {"workers": [2, 1], "reps": 2}
             assert manifest["config"]["workers"] == 1
+    spec = tmp_path / "trace.ini"
+    spec.write_text("[trace]\nslices = 2\n[background]\nhosts = 10\n", encoding="utf-8")
+    base = tmp_path / "synth"
+    assert main(["synth", str(spec), "-o", str(base), "--seed", "4"]) == EXIT_OK
+    manifest = json.loads(manifest_path_for(base).read_text(encoding="utf-8"))
+    assert set(manifest) == keys - {"ingest"}
+    assert (manifest["command"], manifest["config"]) == ("synth", {"seed": 4})
+    assert manifest["inputs"] == {str(spec): sha256(spec)}
+    made = [tmp_path / f"synth{s}" for s in (".flows.csv", ".anomalous.xml", ".notice.xml")]
+    assert manifest["outputs"] == {str(p): sha256(p) for p in made}
 
 
 @pytest.mark.parametrize("size", [0, 3 * (1 << 16) + 5])
 def test_sha256_matches_one_read(tmp_path, size) -> None:
-    """The manifest digest, read in blocks, is the digest of the whole file."""
-    path = tmp_path / "data.bin"
-    path.write_bytes(random.Random(size).randbytes(size))
-    assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    """The manifest digests, which the hasher child reads in blocks, are
+    the digests of the whole files: an input hashed while the job runs,
+    an output once it is written."""
+    data = random.Random(size).randbytes(size)
+    path, out = tmp_path / "data.bin", tmp_path / "out.bin"
+    path.write_bytes(data)
+    with _hashed([path], [out]) as digests:
+        out.write_bytes(data[::-1])
+        found, made = digests()
+    assert found == {str(path): hashlib.sha256(data).hexdigest()}
+    assert made == {str(out): hashlib.sha256(data[::-1]).hexdigest()}
+    assert _sha256(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_manifest_digests_without_fork(scan_trace, tmp_path, monkeypatch) -> None:
+    """Where the platform cannot fork, the digests are made in this process."""
+    monkeypatch.delattr(os, "fork")
+    out = tmp_path / "verdicts.csv"
+    assert main(["detect", str(scan_trace), "-o", str(out)]) == EXIT_OK
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    sha256 = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert manifest["inputs"] == {str(scan_trace): sha256(scan_trace)}
+    assert manifest["outputs"] == {str(out): sha256(out)}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_input_is_hashed_after_the_job_reads_it(scan_trace, tmp_path) -> None:
+    """An input that is a pipe, as a shell's `<(...)` gives, is left to
+    the job: the hasher child reads none of its rows, even when they
+    arrive while the job runs."""
+    out = tmp_path / "piped.csv"
+    # The file in 20 pieces, 20 ms apart.
+    writer = (
+        "import sys, time; data = open(sys.argv[1], 'rb').read(); step = -(-len(data) // 20)\n"
+        "for at in range(0, len(data), step):\n"
+        "    sys.stdout.buffer.write(data[at:at + step]); sys.stdout.flush(); time.sleep(0.02)"
+    )
+    argv = [sys.executable, "-c", writer, str(scan_trace)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE) as pipe:
+        path = f"/dev/fd/{pipe.stdout.fileno()}"
+        assert main(["detect", path, "-o", str(out), "--trace-start-us", "0"]) == EXIT_OK
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"][path]["rows_read"] == 122
+    assert set(manifest["inputs"]) == {path}
+
+
+def _assert_no_child() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capfd) -> None:
+    """main ends and reaps the hasher child on every way out: success, an
+    error of each kind raised after the fork, a child that dies without
+    answering, and ^C. Each error is one stderr line, the child's none."""
+    bad_flows = tmp_path / "bad.flows.csv"
+    bad_flows.write_text("not,a,flow,header\n", encoding="utf-8")
+    empty_flows = tmp_path / "empty.flows.csv"
+    empty_flows.write_text(scan_trace.read_text(encoding="utf-8").splitlines()[0] + "\n")
+    bad_gt = tmp_path / "bad.anomalous.xml"
+    bad_gt.write_text(GT_XML.replace("198.51.100.9", "10.0.0.300"), encoding="utf-8")
+    bad_spec = tmp_path / "bad.ini"
+    bad_spec.write_text("[trace]\nslices = 0\n", encoding="utf-8")
+    out = str(tmp_path / "out.csv")
+    evaluate = ["evaluate", "--trace", f"{scan_trace},{gt_path}"]
+    for code, kind, argv in (
+        (EXIT_OK, None, ["detect", str(scan_trace), "--mode", "stream"]),
+        (EXIT_OK, None, [*evaluate, "--case", "3"]),
+        (EXIT_IO, "io", ["detect", str(bad_flows)]),
+        (EXIT_IO, "io", ["bench", str(empty_flows), "--workers", "1,2", "--reps", "1"]),
+        (EXIT_CONFIG, "config", [*evaluate, "--case", "9"]),
+        (EXIT_CONFIG, "config", ["synth", str(bad_spec)]),
+        (EXIT_GROUND_TRUTH, "ground-truth",
+         ["evaluate", "--trace", f"{scan_trace},{bad_gt}", "--strict"]),
+    ):
+        assert main([*argv, "-o", out]) == code, argv
+        _assert_no_child()
+        err = capfd.readouterr().err.splitlines()
+        if kind is None:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith(f"flowscan: error kind={kind} "), err
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(flowscan.cli, "_detect", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["detect", str(scan_trace), "-o", out])
+    _assert_no_child()
+    monkeypatch.undo()
+
+    def broken(path):
+        raise OSError(f"{path}: unreadable")
+
+    # The forked child inherits the patch, so it dies without answering.
+    monkeypatch.setattr(flowscan.cli, "_sha256", broken)
+    assert main(["detect", str(scan_trace), "-o", out]) == EXIT_IO
+    _assert_no_child()
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line == (
+        "flowscan: error kind=io exit=1 detail=the manifest's hasher process ended without digests"
+    )
 
 
 # Run in a fresh interpreter: prints which of the late imports are loaded
 # after `import flowscan.cli` and when `cli._write_manifest` is called,
 # after the job, runs the command line on its arguments, then prints which
-# of the modules no command but bench and synth needs are loaded.
+# of the modules that this process never needs are loaded: OpenSSL, which
+# only the hasher child loads, and what only bench and synth need.
 _LATE_IMPORTS_SCRIPT = """
 import sys
 import flowscan.cli as cli
-late = ("_hashlib", "xml.etree.ElementTree")
-never = ("datetime", "statistics", "decimal", "fractions")
+late = ("xml.etree.ElementTree",)
+never = ("_hashlib", "datetime", "statistics", "decimal", "fractions")
 print([name for name in late if name in sys.modules])
 write_manifest = cli._write_manifest
 def checked(*args, **kwargs):
@@ -163,9 +276,8 @@ def _late_imports(*argv: str) -> list[str]:
 
 
 def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
-    """OpenSSL and the XML parser stay out of the detect job: the digest
-    code loads only after it, to write the manifest. datetime and
-    statistics never load."""
+    """OpenSSL, the XML parser, datetime and statistics never load in a
+    detect process: the manifest's digests are made in a forked child."""
     out = tmp_path / "stream.csv"
     at_import, at_manifest, summary, at_end = _late_imports(
         "detect", str(scan_trace), "-o", str(out), "--mode", "stream"
@@ -177,8 +289,8 @@ def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> N
 
 
 def test_evaluate_job_loads_no_digest_code(scan_trace, gt_path, tmp_path) -> None:
-    """evaluate --case 3 reads its ground truth as XML, but OpenSSL loads
-    only for the manifest, and datetime and statistics never load."""
+    """evaluate --case 3 reads its ground truth as XML, but OpenSSL,
+    datetime and statistics never load in its process."""
     out = tmp_path / "report.csv"
     at_import, at_manifest, summary, at_end = _late_imports(
         "evaluate", "--trace", f"{scan_trace},{gt_path}", "--case", "3", "-o", str(out)

@@ -4,8 +4,10 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flowscan.config import AppConfig, load_config
+from flowscan.config import AppConfig, format_port_set, load_config, parse_port_set
 from flowscan.core import ConfigError
 from flowscan.detector import DEFAULT_THRESHOLD
 from flowscan.engine import Mode
@@ -136,3 +138,19 @@ def test_rule_error_names_its_key(tmp_path) -> None:
 def test_validate_rejects_bad_thresholds(changes: dict, fragment: str) -> None:
     with pytest.raises(ConfigError, match=fragment):
         dataclasses.replace(AppConfig(), **changes)
+
+
+def test_format_port_set_collapses_runs() -> None:
+    assert format_port_set(frozenset()) == ""
+    assert format_port_set(frozenset({8, 1, 2, 3, 5, 7, 65535})) == "1-3,5,7-8,65535"
+
+
+@given(st.frozensets(st.integers(0, 40)) | st.frozensets(st.integers(0, 65535), max_size=50))
+def test_format_port_set_round_trips(ports: frozenset[int]) -> None:
+    """parse_port_set reads back what format_port_set writes, whose runs
+    are as long as they can be: each chunk starts past the last one's end
+    plus one."""
+    text = format_port_set(ports)
+    assert parse_port_set(text) == ports
+    ends = [[int(n) for n in chunk.split("-")] for chunk in text.split(",") if text]
+    assert all(low > before[-1] + 1 for before, (low, *_) in zip(ends, ends[1:]))

@@ -3,8 +3,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from ipaddress import ip_network
+from xml.sax.saxutils import quoteattr as saxutils_quoteattr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowscan.core import ConfigError, PROTO_TCP, SliceConfig
 from flowscan.detector import DetectorConfig, anomalous_ips, detect
@@ -23,6 +26,7 @@ from flowscan.synth import (
     TraceSpec,
     generate,
     load_spec,
+    quoteattr,
     render_ground_truth_xml,
     write_outputs,
 )
@@ -440,3 +444,10 @@ def test_portscan_port_wraparound() -> None:
     spec = SynthSpec(trace=TraceSpec(slices=1), scanners=(scanner,))
     flows, _ = generate(spec, seed=0)
     assert sorted(f.dst_port for f in flows) == [1, 2, 65534, 65535]
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="&<>\"'\n\r\t é", max_size=20) | st.text(max_size=20))
+def test_quoteattr_matches_saxutils(text: str) -> None:
+    """synth's own quoteattr writes what xml.sax.saxutils.quoteattr does."""
+    assert quoteattr(text) == saxutils_quoteattr(text)
