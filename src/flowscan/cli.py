@@ -5,9 +5,9 @@ Every command writes a JSON run manifest next to its main output
 digests, tool version, and wall-clock bounds. Text outputs reference
 the manifest in a leading comment where the format allows one; flow
 files cannot, their header line is fixed. The digests are made by a
-child forked before the job (`_hashed`): it hashes the inputs while the
-job runs and the outputs once they are written, so OpenSSL never loads
-in the process that runs the job.
+child forked before the job (`_hashed`), so OpenSSL never loads in the
+process that runs the job. An input that is not a regular file, such as
+a pipe, is recorded without a digest (null).
 
 Exit codes: 0 success, 1 I/O or input parse failure, 2 invalid
 configuration, 3 ground truth parse failure. Errors print one
@@ -17,24 +17,22 @@ machine-parseable line to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import logging
 import math
 import os
-import signal
 import sys
 import time
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
 from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips
-from .engine import MAX_LATE_RATIO, EngineConfig, Mode, RunStats, run_batch, run_streaming
+from .engine import MAX_LATE_RATIO, EngineConfig, Mode, RunStats, forked, run_batch, run_streaming
 from .evaluation import (
     EvalCase,
     EvalRow,
@@ -225,52 +223,15 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _digests(paths: Iterable[Path]) -> dict[str, str]:
-    return {str(p): _sha256(p) for p in paths}
-
-
-@contextlib.contextmanager
-def _hashed(inputs: Sequence[Path], outputs: Sequence[Path]) -> Iterator[Callable]:
-    """Yield a function to call once the outputs are written, which
-    returns the digest maps of the inputs and of the outputs. Where the
-    platform can fork, a child forked here, before the job, makes them:
-    it hashes the inputs that are regular files while the job runs, and
-    the rest (a pipe, which the job reads first) and the outputs when
-    told through a pipe. The child is ended and reaped however the
-    command exits."""
-    if not hasattr(os, "fork"):
-        yield lambda: (_digests(inputs), _digests(outputs))
-        return
-    (go_r, go_w), (done_r, done_w) = os.pipe(), os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:  # whatever goes wrong here, the parent sees no answer
-            os.close(go_w)  # so that the read below ends if the parent is gone
-            found = _digests(p for p in inputs if os.path.isfile(p))
-            if os.read(go_r, 1):
-                found.update(_digests(p for p in inputs if str(p) not in found))
-                with open(done_w, "w", encoding="utf-8") as fh:
-                    json.dump([found, _digests(outputs)], fh)
-        finally:
-            os._exit(0)
-    os.close(go_r)
-    os.close(done_w)
-    go, done = open(go_w, "wb", buffering=0), open(done_r, encoding="utf-8")
-
-    def finish() -> list[dict[str, str]]:
-        try:
-            go.write(b"1")
-            return json.loads(done.read())
-        except (BrokenPipeError, ValueError):
-            raise OSError("the manifest's hasher process ended without digests") from None
-
-    try:
-        yield finish
-    finally:
-        go.close()
-        done.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+def _hashed(inputs: Sequence[Path], outputs: Sequence[Path]) -> ContextManager[Callable]:
+    """A `forked` hasher. Its function, called once the outputs are written,
+    returns the digest maps of the inputs, hashed while the job runs, and of
+    the outputs. An input that is not a regular file (a pipe, which the job
+    consumes) maps to None and is never opened."""
+    return forked(
+        lambda: {str(p): _sha256(p) if os.path.isfile(p) else None for p in inputs},
+        lambda found: [found, {str(p): _sha256(p) for p in outputs}],
+    )
 
 
 def _iso(ts: float) -> str:
@@ -291,11 +252,15 @@ def _write_manifest(
     out_path: Path,
     command: str,
     snapshot: dict,
-    inputs: dict[str, str],
-    outputs: dict[str, str],
+    digests: Callable[[], list],
     started: float,
     extra: Optional[dict] = None,
 ) -> Path:
+    """Write the manifest of `out_path`; `digests` is `_hashed`'s function."""
+    try:
+        inputs, outputs = digests()
+    except ChildProcessError:
+        raise OSError("the manifest's hasher process ended without digests") from None
     doc = {
         "tool": "flowscan",
         "version": __version__,
@@ -380,7 +345,7 @@ def _framed(args: argparse.Namespace) -> int:
             write_body(fh)
         snapshot = _snapshot("config", cfg)
         extra = {**extra, "ingest": ingest}
-        _write_manifest(out_path, args.command, snapshot, *digests(), started, extra)
+        _write_manifest(out_path, args.command, snapshot, digests, started, extra)
     print(f"{summary} -> {out_path}")
     return EXIT_OK
 
@@ -576,7 +541,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with _hashed([spec_path], produced) as digests:
         name = manifest_path_for(out_base).name
         outputs = write_outputs(load_spec(spec_path), seed, out_base, manifest_name=name)
-        _write_manifest(out_base, "synth", {"seed": seed}, *digests(), started)
+        _write_manifest(out_base, "synth", {"seed": seed}, digests, started)
     print(f"{outputs.flow_count} flows -> {outputs.flow_path}")
     return EXIT_OK
 

@@ -6,14 +6,12 @@ slice at a time. An iterable of FlowRecords is read whole into a batch
 at the entry point first.
 
 Batch mode optionally fans the counting stage out across forked worker
-processes. The batch and its slice config reach the workers through a
-module global, so nothing is built before the fork; each worker counts
-one contiguous row range of the batch, computing that range's slice
-indices itself, and this process counts the first range. Only the range
-bounds and the per-range count tables are pickled. Counting is a per-key
-sum, which is associative and commutative, so the ranges merge slice by
-slice to the same tables and the final output is byte-identical for
-every worker count.
+processes, one `forked` child per extra row range. A child reads the
+batch through copy-on-write memory, counts its range at once, computing
+its slice indices itself, and sends its count tables back with marshal,
+while this process counts the first range. Counting is a per-key sum,
+which is associative and commutative, so the ranges merge slice by slice
+to the same tables and the output is byte-identical for every worker count.
 
 Streaming mode walks the batch in row order with a watermark set to
 the newest timestamp seen minus a fixed lag. A slice closes, and its
@@ -26,12 +24,16 @@ its flows; its close counts them into one slice's tables for `detect`.
 
 from __future__ import annotations
 
+import contextlib
+import marshal
 import math
+import os
+import signal
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator
 
 from .core import US_PER_SECOND, FlowBatch, FlowRecord, SliceConfig, as_batch, slice_at
 from .detector import DetectorConfig, RatioVerdict, SliceCounts, count_flows, detect
@@ -42,7 +44,7 @@ DEFAULT_WATERMARK_LAG_S = 5.0
 MAX_LATE_RATIO = 0.1
 
 
-class EngineError(RuntimeError):
+class EngineError(ChildProcessError):
     """A worker process failed; the message reports partial progress."""
 
 
@@ -72,49 +74,83 @@ class RunStats:
     late_dropped: int = 0
 
 
-# The batch and slice config visible to forked count workers; set only for
-# the pool's lifetime.
-_WORKER_INPUT: Optional[tuple[FlowBatch, SliceConfig]] = None
+@contextlib.contextmanager
+def forked(early: Callable, late: Callable = lambda x: x) -> Iterator[Callable]:
+    """Yield a function that returns `late(early())`, made by a child forked
+    here. The child calls `early()` at once and `late` on its result when the
+    function is called, and sends the answer back with marshal, so it must be
+    of builtin types. The function raises ChildProcessError with the text of
+    an exception either step raised, or when the child ended without an
+    answer. The child is killed and reaped however the block exits. Without
+    os.fork, both steps run in this process when the function is called."""
+    if not hasattr(os, "fork"):
+        yield lambda: late(early())
+        return
+    (go_r, go_w), (done_r, done_w) = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the child ends here, however its work ends
+            os.close(go_w)  # so that the read below ends if the parent is gone
+            try:
+                value = early()
+                reply = marshal.dumps((True, late(value))) if os.read(go_r, 1) else b""
+            except Exception as exc:
+                reply = marshal.dumps((False, str(exc)))
+            with open(done_w, "wb") as fh:
+                fh.write(reply)
+        finally:
+            os._exit(0)
+    os.close(go_r)
+    os.close(done_w)
+    with open(go_w, "wb", buffering=0) as go, open(done_r, "rb") as done:
+        def answer():
+            # A child whose `early` failed may have sent its text and exited.
+            with contextlib.suppress(BrokenPipeError):
+                go.write(b"1")
+            try:
+                ok, value = marshal.loads(done.read())
+            except (EOFError, ValueError):
+                raise ChildProcessError("the forked process ended without an answer") from None
+            if not ok:
+                raise ChildProcessError(value)
+            return value
 
-
-def _count_range(bounds: tuple[int, int]) -> dict[int, tuple[Counter, Counter]]:
-    assert _WORKER_INPUT is not None
-    return dict(count_flows(*_WORKER_INPUT, *bounds))
+        try:
+            yield answer
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _parallel_counts(batch: FlowBatch, slices: SliceConfig, workers: int) -> SliceCounts:
-    global _WORKER_INPUT
-    import multiprocessing
-
     step = -(-len(batch) // workers)
     # A pre-start flow raises here, before any fork, not in a worker.
     slice_at(batch.earliest_us, slices)
-    # Workers read the batch's arrays through copy-on-write memory.
-    _WORKER_INPUT = batch, slices
     ranges = [(low, min(low + step, len(batch))) for low in range(0, len(batch), step)]
-    ctx = multiprocessing.get_context("fork")
-    completed = 0
-    try:
-        with ctx.Pool(processes=len(ranges) - 1) as pool:
-            parts = pool.imap(_count_range, ranges[1:])
-            # This process counts the first range while the workers count
-            # the rest.
-            counts = _count_range(ranges[0])
+
+    def count_range(low: int, high: int) -> dict[int, tuple[dict, dict]]:
+        # marshal carries dicts, not Counters.
+        pairs = count_flows(batch, slices, low, high)
+        return {index: (dict(gen), dict(recv)) for index, (gen, recv) in pairs}
+
+    with contextlib.ExitStack() as workers_left:
+        parts = [
+            workers_left.enter_context(forked(lambda bounds=bounds: count_range(*bounds)))
+            for bounds in ranges[1:]
+        ]
+        # This process counts the first range while the workers count the rest.
+        counts = dict(count_flows(batch, slices, *ranges[0]))
+        for completed, part in enumerate(parts):
             try:
-                for part in parts:
-                    for index, tables in part.items():
-                        mine = counts.setdefault(index, tables)
-                        if mine is not tables:
-                            mine[0].update(tables[0])
-                            mine[1].update(tables[1])
-                    completed += 1
-            except Exception as exc:
+                tables = part()
+            except ChildProcessError as exc:
                 raise EngineError(
-                    f"count worker failed after {completed} of {len(ranges) - 1} "
-                    f"partitions: {exc}"
+                    f"count worker failed after {completed} of {len(parts)} partitions: {exc}"
                 ) from exc
-    finally:
-        _WORKER_INPUT = None
+            for index, (gen, recv) in tables.items():
+                mine = counts.setdefault(index, (Counter(), Counter()))
+                mine[0].update(gen)
+                mine[1].update(recv)
     # Popped as taken, so that a cut frees each slice's tables after it.
     return ((index, counts.pop(index)) for index in list(counts))
 
@@ -132,12 +168,8 @@ def count_slices(
     Output is identical for every worker count.
     """
     batch = as_batch(flows)
-    if engine.workers > 1 and len(batch) > 1:
-        # Imported here: only the fork path needs it, and it is slow to import.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _parallel_counts(batch, slices, engine.workers)
+    if engine.workers > 1 and len(batch) > 1 and hasattr(os, "fork"):
+        return _parallel_counts(batch, slices, engine.workers)
     return count_flows(batch, slices)
 
 

@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import ipaddress
+import os
 import random
 from typing import Optional
 
+import pytest
+
 from flowscan.core import FlowRecord, IpAddress
+
+
+def assert_no_child() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def ip(text: str) -> IpAddress:

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import random
+import signal
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowscan.cli
+import flowscan.engine
 from flowscan.cli import (
     BENCH_HEADER,
     BENCH_SUMMARY_HEADER,
@@ -34,7 +36,7 @@ from flowscan.cli import (
 from flowscan.config import AppConfig
 from flowscan.ingest import write_flow_file
 
-from helpers import mk_flow
+from helpers import assert_no_child, mk_flow
 
 S = 1_000_000
 
@@ -158,10 +160,11 @@ def test_manifest_digests_without_fork(scan_trace, tmp_path, monkeypatch) -> Non
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_pipe_input_is_hashed_after_the_job_reads_it(scan_trace, tmp_path) -> None:
+def test_pipe_input_is_recorded_without_a_digest(scan_trace, tmp_path) -> None:
     """An input that is a pipe, as a shell's `<(...)` gives, is left to
     the job: the hasher child reads none of its rows, even when they
-    arrive while the job runs."""
+    arrive while the job runs, and the manifest records it without a
+    digest, not as the digest of an empty file."""
     out = tmp_path / "piped.csv"
     # The file in 20 pieces, 20 ms apart.
     writer = (
@@ -175,19 +178,45 @@ def test_pipe_input_is_hashed_after_the_job_reads_it(scan_trace, tmp_path) -> No
         assert main(["detect", path, "-o", str(out), "--trace-start-us", "0"]) == EXIT_OK
     manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
     assert manifest["ingest"][path]["rows_read"] == 122
-    assert set(manifest["inputs"]) == {path}
+    assert manifest["inputs"] == {path: None}
 
 
-def _assert_no_child() -> None:
-    """This process has no child left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_fifo_input_ends_and_is_recorded_without_a_digest(scan_trace, tmp_path) -> None:
+    """detect on a named pipe exits once it has written its outputs: the
+    hasher never opens the pipe again, which would block with no writer
+    left. Its verdicts are those of the same rows read from a file."""
+    fifo = tmp_path / "flows.fifo"
+    os.mkfifo(fifo)
+    out, expected = tmp_path / "fifo.csv", tmp_path / "file.csv"
+    assert main(["detect", str(scan_trace), "-o", str(expected)]) == EXIT_OK
+    copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(scan_trace), str(fifo)])
+
+    def timed_out(*args):
+        pytest.fail("detect on a named pipe did not end")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        assert main(["detect", str(fifo), "-o", str(out)]) == EXIT_OK
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        writer.kill()
+        writer.wait()
+    assert_no_child()
+    body = lambda path: path.read_text(encoding="utf-8").splitlines()[1:]
+    assert body(out) == body(expected)
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(fifo): None}
 
 
 def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capfd) -> None:
-    """main ends and reaps the hasher child on every way out: success, an
-    error of each kind raised after the fork, a child that dies without
-    answering, and ^C. Each error is one stderr line, the child's none."""
+    """main ends and reaps the hasher child and the count workers on every
+    way out: success, an error of each kind raised after the fork, a
+    hasher that dies without answering, a count worker that fails, and ^C.
+    Each error is one stderr line, the children's none."""
     bad_flows = tmp_path / "bad.flows.csv"
     bad_flows.write_text("not,a,flow,header\n", encoding="utf-8")
     empty_flows = tmp_path / "empty.flows.csv"
@@ -209,7 +238,7 @@ def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capf
          ["evaluate", "--trace", f"{scan_trace},{bad_gt}", "--strict"]),
     ):
         assert main([*argv, "-o", out]) == code, argv
-        _assert_no_child()
+        assert_no_child()
         err = capfd.readouterr().err.splitlines()
         if kind is None:
             assert err == []
@@ -222,7 +251,7 @@ def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capf
     monkeypatch.setattr(flowscan.cli, "_detect", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["detect", str(scan_trace), "-o", out])
-    _assert_no_child()
+    assert_no_child()
     monkeypatch.undo()
 
     def broken(path):
@@ -231,10 +260,26 @@ def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capf
     # The forked child inherits the patch, so it dies without answering.
     monkeypatch.setattr(flowscan.cli, "_sha256", broken)
     assert main(["detect", str(scan_trace), "-o", out]) == EXIT_IO
-    _assert_no_child()
+    assert_no_child()
     (line,) = capfd.readouterr().err.splitlines()
     assert line == (
         "flowscan: error kind=io exit=1 detail=the manifest's hasher process ended without digests"
+    )
+    monkeypatch.undo()
+    parent, count_flows = os.getpid(), flowscan.engine.count_flows
+
+    def broken_in_workers(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("worker crashed")
+        return count_flows(*args)
+
+    monkeypatch.setattr(flowscan.engine, "count_flows", broken_in_workers)
+    assert main(["detect", str(scan_trace), "-o", out, "--workers", "2"]) == EXIT_IO
+    assert_no_child()
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line == (
+        "flowscan: error kind=io exit=1 detail=count worker failed after 0 of 1 partitions: "
+        "worker crashed"
     )
 
 
@@ -242,12 +287,13 @@ def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capf
 # after `import flowscan.cli` and when `cli._write_manifest` is called,
 # after the job, runs the command line on its arguments, then prints which
 # of the modules that this process never needs are loaded: OpenSSL, which
-# only the hasher child loads, and what only bench and synth need.
+# only the hasher child loads, multiprocessing, which the forked count
+# workers do without, and what only bench and synth need.
 _LATE_IMPORTS_SCRIPT = """
 import sys
 import flowscan.cli as cli
 late = ("xml.etree.ElementTree",)
-never = ("_hashlib", "datetime", "statistics", "decimal", "fractions")
+never = ("_hashlib", "datetime", "statistics", "decimal", "fractions", "multiprocessing")
 print([name for name in late if name in sys.modules])
 write_manifest = cli._write_manifest
 def checked(*args, **kwargs):
@@ -276,16 +322,18 @@ def _late_imports(*argv: str) -> list[str]:
 
 
 def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
-    """OpenSSL, the XML parser, datetime and statistics never load in a
-    detect process: the manifest's digests are made in a forked child."""
-    out = tmp_path / "stream.csv"
-    at_import, at_manifest, summary, at_end = _late_imports(
-        "detect", str(scan_trace), "-o", str(out), "--mode", "stream"
-    )
-    assert at_import == at_manifest == at_end == "[]"
-    assert summary.startswith("1 verdicts from 122 flows")
-    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
-    assert manifest["inputs"] == {str(scan_trace): _sha256(scan_trace)}
+    """OpenSSL, the XML parser, datetime, statistics and multiprocessing
+    never load in a detect process, in stream mode or with count workers:
+    the manifest's digests are made in a forked child."""
+    for flags in (["--mode", "stream"], ["--workers", "2"]):
+        out = tmp_path / f"{flags[-1]}.csv"
+        at_import, at_manifest, summary, at_end = _late_imports(
+            "detect", str(scan_trace), "-o", str(out), *flags
+        )
+        assert at_import == at_manifest == at_end == "[]", flags
+        assert summary.startswith("1 verdicts from 122 flows")
+        manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {str(scan_trace): _sha256(scan_trace)}
 
 
 def test_evaluate_job_loads_no_digest_code(scan_trace, gt_path, tmp_path) -> None:

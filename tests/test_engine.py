@@ -26,12 +26,13 @@ from flowscan.engine import (
     EngineError,
     RunStats,
     count_slices,
+    forked,
     run_batch,
     run_streaming,
 )
 from flowscan.rules import RuleConfig, classify_all
 
-from helpers import ip, mk_flow, random_flows
+from helpers import assert_no_child, ip, mk_flow, random_flows
 
 S = 1_000_000
 CFG = DetectorConfig(slices=SliceConfig(trace_start_us=0, slice_seconds=30.0), threshold=50)
@@ -218,12 +219,10 @@ def test_pre_start_flow_in_first_range_raises_unwrapped() -> None:
 
 
 def test_count_slices_pre_start_flow_raises_without_forking(monkeypatch) -> None:
-    import multiprocessing
-
     def no_fork(*args):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("a process was forked")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     # The pre-start flow sits in the second range, a worker's, then in the
     # first, this process's.
     for firsts in ((5, 6, -3), (-3, 5, 6)):
@@ -234,15 +233,13 @@ def test_count_slices_pre_start_flow_raises_without_forking(monkeypatch) -> None
 
 @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
 def test_pre_start_flow_raises_before_any_fork_or_emission(monkeypatch, at: int) -> None:
-    import multiprocessing
-
     def no_fork(*args):
-        raise AssertionError("a worker pool was started")
+        raise AssertionError("a process was forked")
 
     def no_emit(index: int, verdicts: list) -> None:
         raise AssertionError(f"slice {index} was emitted")
 
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     # With no lag, each flow after the first closes the slice before it.
     flows = [mk_flow(first=k * 40 * S) for k in range(4)]
     flows.insert(at, mk_flow(src="10.0.0.9", first=-3))
@@ -268,9 +265,51 @@ def test_pre_start_flow_raises_before_any_fork_or_emission(monkeypatch, at: int)
 def test_fallback_without_fork_matches(rng, monkeypatch) -> None:
     flows = random_flows(rng, 400, scanners=1)
     baseline, _ = run_batch(flows, CFG, EngineConfig(workers=4))
-    monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     fallback, _ = run_batch(flows, CFG, EngineConfig(workers=4))
     assert fallback == baseline
+
+
+def test_forked_round_trip() -> None:
+    """The child makes `late(early())`, and it arrives through marshal."""
+    with forked(lambda: {"ids": [1, 2], "pid": os.getpid()}, lambda found: (found, 3.5)) as answer:
+        found, late = answer()
+    assert found["ids"] == [1, 2] and found["pid"] != os.getpid() and late == 3.5
+    assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_forked_early_error_arrives_after_the_child_exited() -> None:
+    """A child whose `early` raised sends its text and exits before it is
+    asked; asking then writes to a pipe nobody reads, and the text still
+    arrives."""
+
+    def broken():
+        raise OSError("early failed")
+
+    with forked(broken) as answer:
+        # Waits for the child to exit, and leaves it for forked to reap.
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        with pytest.raises(ChildProcessError, match="^early failed$"):
+            answer()
+    assert_no_child()
+
+
+def test_forked_child_without_an_answer() -> None:
+    with forked(lambda: os._exit(0)) as answer:
+        with pytest.raises(ChildProcessError, match="ended without an answer"):
+            answer()
+    assert_no_child()
+
+
+def test_forked_without_fork_runs_both_steps_when_asked(monkeypatch) -> None:
+    monkeypatch.delattr(os, "fork")
+    steps = []
+    early = lambda: steps.append(("early", os.getpid())) or 1
+    with forked(early, lambda value: steps.append(("late", os.getpid())) or value + 1) as answer:
+        assert steps == []
+        assert answer() == 2
+    assert steps == [("early", os.getpid()), ("late", os.getpid())]
 
 
 def _collect(flows, engine: EngineConfig) -> tuple[list[tuple[int, list]], RunStats]:
