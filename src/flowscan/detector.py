@@ -1,4 +1,4 @@
-"""Ratio detector: per-slice generated/received flow counts and flagging.
+"""Ratio detector: per-slice generated/received flow counts, batch or stream, and flagging.
 
 An IP that generates far more flows than it receives inside one time
 slice (or the reverse) gets flagged. The ratio is signed so one
@@ -22,8 +22,8 @@ from .core import (
 
 DEFAULT_THRESHOLD = 100.0
 
-# (slice index, (generated, received)) pairs of flow counts keyed by IP id,
-# each taken once, so that only one slice's tables need be alive at a time.
+# (slice index, (generated, received)) pairs of flow counts keyed by IP id, in
+# ascending slice order, each taken once: one slice's tables need be alive at a time.
 CountTable = Counter[int]
 SliceCounts = Iterable[tuple[int, tuple[CountTable, CountTable]]]
 
@@ -53,29 +53,58 @@ class DetectorConfig:
 
 
 def count_flows(
-    batch: FlowBatch, slices: SliceConfig, low: int = 0, high: Optional[int] = None
+    batch: FlowBatch, slices: SliceConfig, low: int = 0, high: Optional[int] = None,
+    lag_us: Optional[int] = None,
 ) -> SliceCounts:
     """Flows generated per source id and received per destination id in
-    each slice among the batch's rows low..high, for batch mode and its
-    workers, one slice's pair at a time: each slice's two tables are
-    counted only when its pair is taken. Raises ValueError, when called,
-    if any flow of the batch starts before the trace start."""
+    each slice among the batch's rows low..high, one slice's pair at a time
+    in ascending slice order: the one counting kernel, batch or stream. A
+    slice's pair is counted once the watermark, the newest start seen minus
+    `lag_us`, passes its end, and a row of a closed slice is dropped; with
+    no lag, after the last row. Raises ValueError, when called, if a flow
+    of the batch starts before the trace start."""
     slice_at(batch.earliest_us, slices)
-    start = slices.trace_start_us
-    duration = slices.duration_us
-    # Views of the row range, alive only while iterated: a slice of an array
-    # would copy it, and a view kept alive would stop the batch from growing.
-    rows = slice(low, high)
-    index = [
-        (first - start) // duration for first in memoryview(batch.first_seen_us)[rows]
-    ]
-    # Each slice's source and destination ids, counted once it holds them all.
-    buckets = defaultdict(lambda: (array("I"), array("I")))
-    for i, src, dst in zip(index, memoryview(batch.src)[rows], memoryview(batch.dst)[rows]):
-        srcs, dsts = buckets[i]
-        srcs.append(src)
-        dsts.append(dst)
-    return ((i, tuple(map(Counter, buckets.pop(i)))) for i in list(buckets))
+
+    def closed_slices() -> SliceCounts:
+        start = slices.trace_start_us
+        duration = slices.duration_us
+        # Views of the row range, alive only while iterated: a slice of an array
+        # would copy it, and a view kept alive would stop the batch from growing.
+        view = lambda column: memoryview(column)[low:high]
+        # Each open slice's source and destination ids, counted once it closes.
+        buckets = defaultdict(lambda: (array("I"), array("I")))
+        if lag_us is None:
+            # No row is late or moves a watermark, so none is tested: the tests
+            # cost a tenth of a batch count, which costs C6 its workers=2 margin.
+            index = [(ts - start) // duration for ts in view(batch.first_seen_us)]
+            for i, src, dst in zip(index, view(batch.src), view(batch.dst)):
+                srcs, dsts = buckets[i]
+                srcs.append(src)
+                dsts.append(dst)
+            del index  # freed before any slice's tables are counted
+        else:
+            # A row before open_from is late; one at or past next_close moves the watermark.
+            open_from = start
+            next_close = start + duration + lag_us
+            for ts, src, dst in zip(view(batch.first_seen_us), view(batch.src), view(batch.dst)):
+                if ts >= next_close:
+                    first_open = (ts - lag_us - start) // duration
+                    for index in sorted(k for k in buckets if k < first_open):
+                        # The popped ids stay alive until the pair's taker is back.
+                        srcs, dsts = buckets.pop(index)
+                        yield index, (Counter(srcs), Counter(dsts))
+                    open_from = start + first_open * duration
+                    next_close = open_from + duration + lag_us
+                if ts < open_from:
+                    continue
+                srcs, dsts = buckets[(ts - start) // duration]
+                srcs.append(src)
+                dsts.append(dst)
+        for index in sorted(buckets):
+            srcs, dsts = buckets.pop(index)
+            yield index, (Counter(srcs), Counter(dsts))
+
+    return closed_slices()
 
 
 def ratio_of(generated: int, received: int) -> float:
@@ -122,6 +151,8 @@ def detect(
                     verdicts.append(RatioVerdict(
                         SliceKey(ips[key], index), Direction.RECEIVER, gen, recv, ratio
                     ))
+        # Let the next pair be counted with no tables of this one alive.
+        del generated, received
     verdicts.sort(key=lambda v: v.key.sort_key())
     return verdicts
 

@@ -1,25 +1,22 @@
 """Batch and streaming execution around the ratio detector.
 
-Both modes count a FlowBatch into one shape: (slice index, (generated,
-received)) pairs of tables keyed by IP id, which `detect` takes one
-slice at a time. An iterable of FlowRecords is read whole into a batch
-at the entry point first.
+Both modes count a FlowBatch with one kernel, `count_flows`, into (slice
+index, (generated, received)) pairs of tables keyed by IP id, which
+`detect` takes one slice at a time. An iterable of FlowRecords is read
+whole into a batch at the entry point first.
 
 Batch mode optionally fans the counting stage out across forked worker
 processes, one `forked` child per extra row range. A child reads the
-batch through copy-on-write memory, counts its range at once, computing
-its slice indices itself, and sends its count tables back with marshal,
-while this process counts the first range. Counting is a per-key sum,
-which is associative and commutative, so the ranges merge slice by slice
-to the same tables and the output is byte-identical for every worker count.
+batch through copy-on-write memory, counts its range at once and sends
+its tables back with marshal, while this process counts the first range.
+Counting is a per-key sum, which is associative and commutative, so the
+ranges merge slice by slice to the same tables and the output is
+byte-identical for every worker count.
 
-Streaming mode walks the batch in row order with a watermark set to
-the newest timestamp seen minus a fixed lag. A slice closes, and its
-verdicts are emitted exactly once, when the watermark reaches the
-slice's end; flows for already-closed slices are dropped and counted,
-and the CLI fails a run that drops more than MAX_LATE_RATIO of its
-flows. An open slice buffers the source ids and the destination ids of
-its flows; its close counts them into one slice's tables for `detect`.
+Streaming mode gives the kernel a watermark lag: it closes each slice
+as the watermark passes the slice's end and drops the flows of closed
+slices, and run_streaming, with no loop of its own, cuts and emits each
+slice as it closes. The CLI fails a run that drops over MAX_LATE_RATIO.
 """
 
 from __future__ import annotations
@@ -29,13 +26,12 @@ import marshal
 import math
 import os
 import signal
-from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
 
-from .core import US_PER_SECOND, FlowBatch, FlowRecord, SliceConfig, as_batch, slice_at
+from .core import US_PER_SECOND, FlowBatch, FlowRecord, SliceConfig, as_batch
 from .detector import DetectorConfig, RatioVerdict, SliceCounts, count_flows, detect
 
 DEFAULT_WATERMARK_LAG_S = 5.0
@@ -124,9 +120,9 @@ def forked(early: Callable, late: Callable = lambda x: x) -> Iterator[Callable]:
 
 def _parallel_counts(batch: FlowBatch, slices: SliceConfig, workers: int) -> SliceCounts:
     step = -(-len(batch) // workers)
-    # A pre-start flow raises here, before any fork, not in a worker.
-    slice_at(batch.earliest_us, slices)
     ranges = [(low, min(low + step, len(batch))) for low in range(0, len(batch), step)]
+    # Called before any fork, so a pre-start flow raises here, not in a worker.
+    mine = count_flows(batch, slices, *ranges[0])
 
     def count_range(low: int, high: int) -> dict[int, tuple[dict, dict]]:
         # marshal carries dicts, not Counters.
@@ -139,7 +135,7 @@ def _parallel_counts(batch: FlowBatch, slices: SliceConfig, workers: int) -> Sli
             for bounds in ranges[1:]
         ]
         # This process counts the first range while the workers count the rest.
-        counts = dict(count_flows(batch, slices, *ranges[0]))
+        counts = dict(mine)
         for completed, part in enumerate(parts):
             try:
                 tables = part()
@@ -148,11 +144,11 @@ def _parallel_counts(batch: FlowBatch, slices: SliceConfig, workers: int) -> Sli
                     f"count worker failed after {completed} of {len(parts)} partitions: {exc}"
                 ) from exc
             for index, (gen, recv) in tables.items():
-                mine = counts.setdefault(index, (Counter(), Counter()))
-                mine[0].update(gen)
-                mine[1].update(recv)
+                merged = counts.setdefault(index, (Counter(), Counter()))
+                merged[0].update(gen)
+                merged[1].update(recv)
     # Popped as taken, so that a cut frees each slice's tables after it.
-    return ((index, counts.pop(index)) for index in list(counts))
+    return ((index, counts.pop(index)) for index in sorted(counts))
 
 
 def count_slices(
@@ -201,52 +197,24 @@ def run_streaming(
     engine: EngineConfig,
     emit: EmitFn,
 ) -> RunStats:
-    """Consume a flow stream, emitting each slice's verdicts as the
-    watermark passes its end.
+    """Emit each slice's verdicts as the stream's watermark passes its end.
 
-    The stream is a FlowBatch read in row order. An iterable of
-    FlowRecords is read whole into a batch before the first emission, and
-    a flow that starts before the trace start raises ValueError before it.
-    `emit(slice_index, verdicts)` fires once per slice that saw any
-    flows, in ascending slice order for everything still open at end of
-    stream; its exceptions propagate. Flows whose slice already closed
-    are dropped and counted in `late_dropped`. With an in-order stream
-    (or disorder within the watermark lag) the union of emissions equals
-    the batch result.
+    count_flows reads the stream, a FlowBatch, under the lag of
+    `engine.watermark_lag_seconds`; this loop only cuts each slice it closes
+    and calls `emit(slice_index, verdicts)`, in ascending order; emit's
+    exceptions propagate. A record iterable is read whole, and a pre-start
+    flow raises ValueError, before the first emission. Late flows count in
+    `late_dropped`; with none, the emissions add up to the batch result.
     """
     batch = as_batch(flows)
-    slice_at(batch.earliest_us, cfg.slices)
-    start = cfg.slices.trace_start_us
-    duration = cfg.slices.duration_us
     lag_us = round(engine.watermark_lag_seconds * US_PER_SECOND)
-    # slice index -> the source ids, and the destination ids, of its flows
-    open_ids = defaultdict(lambda: (array("I"), array("I")))
-    # A flow that starts before the first open slice is late; one that
-    # starts at next_close moves the watermark past that slice's end.
-    open_from = start
-    next_close = open_from + duration + lag_us
-    dropped = emitted = 0
-
-    def close_slice(index: int) -> int:
-        srcs, dsts = open_ids.pop(index)
-        verdicts = detect(batch, cfg, counts=[(index, (Counter(srcs), Counter(dsts)))])
+    kept = emitted = 0
+    for index, tables in count_flows(batch, cfg.slices, lag_us=lag_us):
+        # Each kept flow adds one to its slice's generated table.
+        kept += tables[0].total()
+        verdicts = detect(batch, cfg, counts=[(index, tables)])
+        # Let the next slice be counted with no tables of this one alive.
+        del tables
         emit(index, verdicts)
-        return len(verdicts)
-
-    for ts, src, dst in zip(batch.first_seen_us, batch.src, batch.dst):
-        if ts >= next_close:
-            first_open = (ts - lag_us - start) // duration
-            for ready in sorted(k for k in open_ids if k < first_open):
-                emitted += close_slice(ready)
-            open_from = start + first_open * duration
-            next_close = open_from + duration + lag_us
-        if ts < open_from:
-            dropped += 1
-            continue
-        srcs, dsts = open_ids[(ts - start) // duration]
-        srcs.append(src)
-        dsts.append(dst)
-
-    for ready in sorted(open_ids):
-        emitted += close_slice(ready)
-    return _run_stats(batch, emitted, dropped)
+        emitted += len(verdicts)
+    return _run_stats(batch, emitted, len(batch) - kept)

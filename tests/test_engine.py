@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowscan.detector
 import flowscan.engine
 from flowscan.core import (
     INT64_MAX,
@@ -146,6 +147,88 @@ def test_only_one_slice_of_tables_is_alive_at_a_time() -> None:
             previous = [weakref.ref(table) for table in tables]
             taken.append(index)
         assert sorted(taken) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda batch: run_batch(batch, CFG),
+        lambda batch: run_streaming(
+            batch, CFG, EngineConfig(watermark_lag_seconds=0.0), lambda index, verdicts: None
+        ),
+    ],
+    ids=["batch", "stream"],
+)
+def test_count_builds_no_tables_while_an_earlier_slice_is_alive(monkeypatch, run) -> None:
+    # Sixty flows in each of four slices, in time order, so that with no lag
+    # the stream closes each slice at the first flow of the next.
+    made: list[weakref.ref] = []
+
+    class Table(Counter):
+        def __init__(self, *args, **kwargs) -> None:
+            if len(made) % 2 == 0:  # the generated table, the first of its pair
+                assert all(ref() is None for ref in made), f"slice {len(made) // 2}"
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(flowscan.detector, "Counter", Table)
+    monkeypatch.setattr(flowscan.engine, "Counter", Table)
+    run(as_batch([
+        mk_flow(src="10.0.0.9", dst=f"10.0.1.{i + 1}", first=index * 30 * S + i)
+        for index in range(4)
+        for i in range(60)
+    ]))
+    assert len(made) == 8
+
+
+# (source, destination, first_seen_us, arrival delay) over ten 2 s slices:
+# in arrival order, flows are out of start order by up to 20 s.
+_arrivals = st.lists(
+    st.tuples(
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.integers(0, 20 * S),
+        st.integers(0, 20 * S),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrivals, st.one_of(st.none(), st.integers(0, 22 * S)), st.integers(0, 4 * S))
+def test_count_flows_closes_slices_behind_the_watermark(raw, lag_us, extra_lag_us) -> None:
+    slices = SliceConfig(trace_start_us=0, slice_seconds=2.0)
+    duration = slices.duration_us
+    batch = as_batch([
+        FlowRecord(src, dst, 40000, 80, 6, first, first)
+        for src, dst, first, _ in sorted(raw, key=lambda r: r[2] + r[3])
+    ])
+    # Brute force: a flow is late once the newest start seen, its own
+    # included, minus the lag reaches the end of its slice.
+    expected: dict[int, tuple[Counter, Counter]] = {}
+    newest = -math.inf
+    dropped = 0
+    for row, first in enumerate(batch.first_seen_us):
+        newest = max(newest, first)
+        index = first // duration
+        if lag_us is not None and newest - lag_us >= (index + 1) * duration:
+            dropped += 1
+            continue
+        generated, received = expected.setdefault(index, (Counter(), Counter()))
+        generated[batch.src[row]] += 1
+        received[batch.dst[row]] += 1
+    pairs = list(count_flows(batch, slices, lag_us=lag_us))
+    indices = [index for index, _ in pairs]
+    assert indices == sorted(set(indices))
+    assert dict(pairs) == expected
+    assert sum(generated.total() for _, (generated, _) in pairs) + dropped == len(batch)
+    # A lag at least the trace's span closes nothing before the end: batch
+    # equals stream.
+    firsts = batch.first_seen_us
+    span = max(firsts) - min(firsts) if firsts else 0
+    assert dict(count_flows(batch, slices, lag_us=span + extra_lag_us)) == dict(
+        count_flows(batch, slices)
+    )
 
 
 def test_batch_more_workers_than_partitions(rng: random.Random) -> None:
