@@ -30,7 +30,7 @@ from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
-from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
+from .core import ConfigError, FlowBatch, IpAddress, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips
 from .engine import MAX_LATE_RATIO, EngineConfig, Mode, RunStats, forked, run_batch, run_streaming
 from .evaluation import (
@@ -49,7 +49,7 @@ from .ingest import (
     read_flow_file,
     read_ground_truth,
 )
-from .rules import classify_all
+from .rules import Classification, classify_all
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -306,9 +306,11 @@ def _read_trace(
     return flows, SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
 
 
-def _skipped_note(ingest: dict) -> str:
+def _dropped_note(ingest: dict, late: int = 0) -> str:
+    """The summary's note of malformed rows skipped and late flows dropped."""
     skipped = sum(counts["rows_skipped"] for counts in ingest.values())
-    return f", {skipped} malformed rows skipped" if skipped else ""
+    dropped = ((skipped, "malformed rows skipped"), (late, "late flows dropped"))
+    return "".join(f", {n} {what}" for n, what in dropped if n)
 
 
 def _refuse_overwrite(
@@ -352,8 +354,10 @@ def _framed(args: argparse.Namespace) -> int:
 
 def _detect(
     flow_path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = True
-) -> tuple[list[RatioVerdict], list[str], RunStats]:
-    """The detect job on one flow file, read to labels: verdicts, labels, stats."""
+) -> tuple[FlowBatch, list[RatioVerdict], dict[IpAddress, Classification], RunStats]:
+    """The detect job of detect, evaluate and bench on one flow file, in
+    `cfg.mode`: its flows, its verdicts at `cfg.threshold`, the rule
+    classification of every flagged IP, and the run stats."""
     flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
@@ -366,40 +370,31 @@ def _detect(
             raise FlowFileError(
                 f"{flow_path}: {stats.late_dropped} of {stats.records_in} flows "
                 f"arrived after their slice closed (limit {MAX_LATE_RATIO:.0%}); "
-                "sort the file by time or use --mode batch"
+                "sort the file by time or run in batch mode"
             )
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
-
-    sender_ips = {v.key.ip for v in verdicts if v.direction is Direction.SENDER}
-    classifications = classify_all(sender_ips, flows, cfg.rules, slices)
-    # The rule labels of each verdict's IP; only senders carry labels.
-    labels = [
-        ";".join(sorted(l.value for l in cls.labels))
-        if v.direction is Direction.SENDER and (cls := classifications.get(v.key.ip))
-        else ""
-        for v in verdicts
-    ]
-    return verdicts, labels, stats
+    classifications = classify_all({v.key.ip for v in verdicts}, flows, cfg.rules, slices)
+    return flows, verdicts, classifications, stats
 
 
 def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
-    flow_path = Path(args.flows)
-    verdicts, labels, stats = _detect(flow_path, cfg, ingest)
+    _, verdicts, classifications, stats = _detect(Path(args.flows), cfg, ingest)
 
     def write(fh: TextIO) -> None:
         fh.write(VERDICT_HEADER + "\n")
-        for v, label_text in zip(verdicts, labels):
+        for v in verdicts:
+            # The rules judge outbound flows, so only senders carry labels.
+            sender = v.direction is Direction.SENDER
+            labels = classifications[v.key.ip].labels if sender else ()
             fh.write(
                 f"{v.key.slice_index},{format_ip(v.key.ip)},{v.direction.value},"
-                f"{v.generated},{v.received},{v.ratio!r},{label_text}\n"
+                f"{v.generated},{v.received},{v.ratio!r},"
+                f"{';'.join(sorted(l.value for l in labels))}\n"
             )
 
-    late = f", {stats.late_dropped} late flows dropped" if stats.late_dropped else ""
-    summary = (
-        f"{len(verdicts)} verdicts from {stats.records_in} flows"
-        f"{_skipped_note(ingest)}{late}"
-    )
+    note = _dropped_note(ingest, stats.late_dropped)
+    summary = f"{len(verdicts)} verdicts from {stats.records_in} flows{note}"
     return write, {"stats": _snapshot("stats", stats)}, summary
 
 
@@ -422,6 +417,9 @@ _SOURCES = (
 
 
 def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
+    """Score the detect job, run once per trace at the lowest threshold: a key
+    flags at t iff |ratio| > t, since |ratio| never exceeds the count on its
+    own side, so one job holds the verdicts and labels of every threshold."""
     cases = [c.value for c in EvalCase]
     case = EvalCase(_int_flag("--case", args.case, cases.__contains__, "1, 2 or 3"))
     traces = [_parse_trace_arg(raw) for raw in args.trace]
@@ -429,35 +427,23 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     for i, trace_id in enumerate(trace_ids):
         if trace_id in trace_ids[:i]:
             raise ConfigError(f"--trace: trace id {trace_id!r} is given more than once")
-    engine_cfg = EngineConfig(workers=cfg.workers)
+    lowest = dataclasses.replace(cfg, threshold=min(cfg.thresholds))
 
     rows: list[EvalRow] = []
+    late = 0
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        flows, slices = _read_trace(flow_path, cfg, ingest)
+        job = _detect(flow_path, lowest, ingest, empty_ok=False)
+        flows, verdicts, classifications, stats = job
+        late += stats.late_dropped
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
         source_gts = [
             (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))
             for name, wanted in (_SOURCES if notice_path else _SOURCES[:1])
         ]
-        # A key flags at t iff |ratio| > t, since |ratio| never exceeds the
-        # count on its own side: one detect at the lowest threshold holds
-        # the verdicts of every other.
-        lowest = DetectorConfig(slices=slices, threshold=min(cfg.thresholds))
-        verdicts, _ = run_batch(flows, lowest, engine_cfg)
-        detected_at = []
         for threshold in cfg.thresholds:
             pairs = anomalous_ips(v for v in verdicts if abs(v.ratio) > threshold)
-            detected_at.append(pairs if args.directional else {ip for ip, _ in pairs})
-        # The rules depend on neither threshold nor source: classify every
-        # IP that case 3 could reintegrate at any threshold, once.
-        classifications = {}
-        if case is EvalCase.FILTERED_PLUS_RULES:
-            candidates = set().union(*detected_at)
-            if args.directional:
-                candidates = {ip for ip, d in candidates if d is Direction.SENDER}
-            classifications = classify_all(candidates, flows, cfg.rules, slices)
-        for threshold, detected in zip(cfg.thresholds, detected_at):
+            detected = pairs if args.directional else {ip for ip, _ in pairs}
             for source_name, sub_gt in source_gts:
                 result = evaluate_case(
                     case,
@@ -471,7 +457,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
                 )
                 rows.append(EvalRow(trace_id, case, threshold, source_name, result))
 
-    summary = f"{len(rows)} report rows{_skipped_note(ingest)}"
+    summary = f"{len(rows)} report rows{_dropped_note(ingest, late)}"
     return lambda fh: write_report(fh, rows), {}, summary
 
 
@@ -523,7 +509,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
             ratios = [run[4] for run in runs if run[0] == workers]
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
 
-    summary = f"{len(runs)} timed runs over workers {sweep}{_skipped_note(ingest)}"
+    summary = f"{len(runs)} timed runs over workers {sweep}{_dropped_note(ingest)}"
     return write, {"bench": {"workers": sweep, "reps": reps}}, summary
 
 

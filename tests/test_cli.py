@@ -34,9 +34,11 @@ from flowscan.cli import (
     manifest_path_for,
 )
 from flowscan.config import AppConfig
+from flowscan.core import SliceConfig
 from flowscan.ingest import write_flow_file
+from flowscan.rules import RuleConfig, ScanLabel, classify
 
-from helpers import assert_no_child, mk_flow
+from helpers import assert_no_child, ip, mk_flow
 
 S = 1_000_000
 
@@ -436,8 +438,73 @@ def test_detect_stream_too_many_late_flows_exits_1(
     assert err.startswith("flowscan: error kind=io exit=1 detail=")
     assert err.count("\n") == 1
     assert f"{dropped} of 122 flows arrived after their slice closed" in err
+    assert "--mode" not in err  # evaluate has no such flag
     assert not out.exists()
     assert not manifest_path_for(out).exists()
+
+
+def test_evaluate_follows_engine_mode(scan_trace, gt_path, tmp_path, monkeypatch, capsys) -> None:
+    """evaluate runs the detect job in the mode its config names: in stream
+    mode it counts late flows and enforces the late-flow limit as detect does."""
+    config = tmp_path / "stream.ini"
+    config.write_text("[engine]\nmode = stream\n", encoding="utf-8")
+    streamed = []
+    run_streaming = flowscan.cli.run_streaming
+
+    def counted(*args):
+        streamed.append(1)
+        return run_streaming(*args)
+
+    monkeypatch.setattr(flowscan.cli, "run_streaming", counted)
+    tail = lambda p: p.read_text(encoding="utf-8").splitlines()[1:]
+
+    batch, stream = tmp_path / "batch.csv", tmp_path / "stream.csv"
+    assert main(_eval_args(scan_trace, gt_path, batch, "--case", "3")) == EXIT_OK
+    assert streamed == []
+    args = _eval_args(scan_trace, gt_path, stream, "--case", "3", "--config", str(config))
+    assert main(args) == EXIT_OK
+    assert streamed == [1]
+    assert tail(stream) == tail(batch)
+    assert "late" not in capsys.readouterr().out
+
+    # 12 of 122 flows late is under the 10% limit.
+    out = tmp_path / "late.csv"
+    late_trace = _late_trace(scan_trace, tmp_path, 12)
+    assert main(_eval_args(late_trace, gt_path, out, "--config", str(config))) == EXIT_OK
+    assert "3 report rows, 12 late flows dropped ->" in capsys.readouterr().out
+
+    out = tmp_path / "shuffled.csv"
+    shuffled = _late_trace(scan_trace, tmp_path, None)
+    assert main(_eval_args(shuffled, gt_path, out, "--config", str(config))) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("flowscan: error kind=io exit=1 detail=")
+    assert err.count("\n") == 1
+    assert "86 of 122 flows arrived after their slice closed" in err
+    assert not out.exists()
+    assert not manifest_path_for(out).exists()
+
+
+def test_detect_labels_only_sender_rows(tmp_path) -> None:
+    """An IP flagged only as a receiver gets no labels on its verdict rows,
+    even when its own outbound flows trip a rule."""
+    victim = "10.9.9.9"
+    # Slice 0: 120 hosts each send the victim one flow, a receiver verdict.
+    flows = [mk_flow(src=f"10.1.0.{i + 1}", dst=victim, first=i * 7) for i in range(120)]
+    # Slice 1: the victim probes one host on 15 ports, too few flows to flag.
+    flows += [
+        mk_flow(src=victim, dst="10.8.8.8", dport=port, first=40 * S + port)
+        for port in range(1, 16)
+    ]
+    trace = tmp_path / "victim.flows.csv"
+    write_flow_file(trace, flows)
+    slices = SliceConfig(trace_start_us=0, slice_seconds=30)
+    assert classify(ip(victim), flows, RuleConfig(), slices).labels == {ScanLabel.PORTSCAN}
+
+    out = tmp_path / "v.csv"
+    assert main(["detect", str(trace), "-o", str(out), "--trace-start-us", "0"]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines()[2:] == [
+        f"0,{victim},receiver,0,120,-120.0,"
+    ]
 
 
 @pytest.mark.parametrize(

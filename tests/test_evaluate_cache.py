@@ -1,10 +1,10 @@
 """Evaluation does not change when shared work is cached.
 
-`flowscan evaluate` detects once per trace, at its lowest threshold, keeps
-for each threshold the verdicts whose |ratio| is above it, and classifies
-the case 3 candidates of all thresholds once. Its report must equal one
-built the uncached way: a full `run_batch` per threshold, and the
-candidates classified again for every report row.
+`flowscan evaluate` runs the detect job once per trace, at its lowest
+threshold, which classifies every IP flagged at it once; it then keeps for
+each threshold the verdicts whose |ratio| is above it. Its report must
+equal one built the uncached way: a full `run_batch` per threshold, and
+the case 3 candidates classified again for every report row.
 """
 
 from __future__ import annotations
