@@ -280,7 +280,7 @@ def _write_manifest(
 
 
 def _read_trace(
-    path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = False
+    path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool
 ) -> tuple[FlowBatch, SliceConfig]:
     """All flows of one file and the slices they are cut into. The file's
     row counts go to `ingest` under its path, for the manifest."""
@@ -306,11 +306,11 @@ def _read_trace(
     return flows, SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
 
 
-def _dropped_note(ingest: dict, late: int = 0) -> str:
+def _dropped_note(ingest: dict) -> str:
     """The summary's note of malformed rows skipped and late flows dropped."""
-    skipped = sum(counts["rows_skipped"] for counts in ingest.values())
-    dropped = ((skipped, "malformed rows skipped"), (late, "late flows dropped"))
-    return "".join(f", {n} {what}" for n, what in dropped if n)
+    notes = (("rows_skipped", "malformed rows skipped"), ("late_dropped", "late flows dropped"))
+    totals = ((sum(counts[key] for counts in ingest.values()), what) for key, what in notes)
+    return "".join(f", {n} {what}" for n, what in totals if n)
 
 
 def _refuse_overwrite(
@@ -331,7 +331,8 @@ Outcome = tuple[Callable[[TextIO], None], dict, str]
 def _framed(args: argparse.Namespace) -> int:
     """Run the body of detect, evaluate or bench, unless -o names one of
     its inputs, then write what it made: the output file under its
-    `# manifest=` line, the manifest, and the summary line."""
+    `# manifest=` line, the manifest, and the summary line, which names
+    the rows and flows the jobs dropped, as their `ingest` records hold."""
     cfg = _resolve_config(args)
     started = time.time()
     out_path = Path(args.out)
@@ -348,7 +349,7 @@ def _framed(args: argparse.Namespace) -> int:
         snapshot = _snapshot("config", cfg)
         extra = {**extra, "ingest": ingest}
         _write_manifest(out_path, args.command, snapshot, digests, started, extra)
-    print(f"{summary} -> {out_path}")
+    print(f"{summary}{_dropped_note(ingest)} -> {out_path}")
     return EXIT_OK
 
 
@@ -357,7 +358,8 @@ def _detect(
 ) -> tuple[FlowBatch, list[RatioVerdict], dict[IpAddress, Classification], RunStats]:
     """The detect job of detect, evaluate and bench on one flow file, in
     `cfg.mode`: its flows, its verdicts at `cfg.threshold`, the rule
-    classification of every flagged IP, and the run stats."""
+    classification of every flagged IP, and the run stats. The file's
+    `ingest` record also gets the run's `late_dropped` (0 in batch mode)."""
     flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
@@ -374,6 +376,7 @@ def _detect(
             )
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
+    ingest[str(flow_path)]["late_dropped"] = stats.late_dropped
     classifications = classify_all({v.key.ip for v in verdicts}, flows, cfg.rules, slices)
     return flows, verdicts, classifications, stats
 
@@ -393,8 +396,7 @@ def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcom
                 f"{';'.join(sorted(l.value for l in labels))}\n"
             )
 
-    note = _dropped_note(ingest, stats.late_dropped)
-    summary = f"{len(verdicts)} verdicts from {stats.records_in} flows{note}"
+    summary = f"{len(verdicts)} verdicts from {stats.records_in} flows"
     return write, {"stats": _snapshot("stats", stats)}, summary
 
 
@@ -430,11 +432,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     lowest = dataclasses.replace(cfg, threshold=min(cfg.thresholds))
 
     rows: list[EvalRow] = []
-    late = 0
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        job = _detect(flow_path, lowest, ingest, empty_ok=False)
-        flows, verdicts, classifications, stats = job
-        late += stats.late_dropped
+        flows, verdicts, classifications, _ = _detect(flow_path, lowest, ingest, empty_ok=False)
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
         source_gts = [
@@ -457,8 +456,7 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
                 )
                 rows.append(EvalRow(trace_id, case, threshold, source_name, result))
 
-    summary = f"{len(rows)} report rows{_dropped_note(ingest, late)}"
-    return lambda fh: write_report(fh, rows), {}, summary
+    return lambda fh: write_report(fh, rows), {}, f"{len(rows)} report rows"
 
 
 def _parse_worker_sweep(raw: str) -> list[int]:
@@ -509,7 +507,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
             ratios = [run[4] for run in runs if run[0] == workers]
             fh.write(",".join(map(repr, (workers, *_quartiles(ratios)))) + "\n")
 
-    summary = f"{len(runs)} timed runs over workers {sweep}{_dropped_note(ingest)}"
+    summary = f"{len(runs)} timed runs over workers {sweep}"
     return write, {"bench": {"workers": sweep, "reps": reps}}, summary
 
 

@@ -114,7 +114,12 @@ def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
         assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
         assert manifest["outputs"] == {str(out): sha256(out)}
         assert manifest["ingest"] == {
-            str(scan_trace): {"rows_read": 122, "rows_skipped": 0, "first_skipped_lines": []}
+            str(scan_trace): {
+                "rows_read": 122,
+                "rows_skipped": 0,
+                "first_skipped_lines": [],
+                "late_dropped": 0,
+            }
         }
         if command == "detect":
             assert manifest["stats"]["records_in"] == 122
@@ -414,14 +419,30 @@ def test_detect_stream_reports_late_drops(scan_trace, tmp_path, capsys) -> None:
     late_trace = _late_trace(scan_trace, tmp_path, 12)
     out = tmp_path / "stream.csv"
     assert main(["detect", str(late_trace), "-o", str(out), "--mode", "stream"]) == EXIT_OK
-    late = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["stats"][
-        "late_dropped"
-    ]
-    assert late == 12
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["stats"]["late_dropped"] == 12
+    assert manifest["ingest"][str(late_trace)]["late_dropped"] == 12
     assert "122 flows, 12 late flows dropped ->" in capsys.readouterr().out
 
-    assert main(["detect", str(late_trace), "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+    batch = tmp_path / "b.csv"
+    assert main(["detect", str(late_trace), "-o", str(batch)]) == EXIT_OK
     assert "late" not in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(batch).read_text(encoding="utf-8"))
+    assert manifest["ingest"][str(late_trace)]["late_dropped"] == 0
+
+
+def test_bench_stream_reports_late_drops(scan_trace, tmp_path, capsys) -> None:
+    """bench names the late flows of its stream runs as detect does, and
+    records them in its manifest's ingest record."""
+    config = tmp_path / "stream.ini"
+    config.write_text("[engine]\nmode = stream\n", encoding="utf-8")
+    late_trace = _late_trace(scan_trace, tmp_path, 12)
+    out = tmp_path / "bench.csv"
+    bench = ["bench", str(late_trace), "-o", str(out), "--workers", "1", "--reps", "1"]
+    assert main([*bench, "--config", str(config)]) == EXIT_OK
+    assert "workers [1], 12 late flows dropped ->" in capsys.readouterr().out
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    assert manifest["ingest"][str(late_trace)]["late_dropped"] == 12
 
 
 @pytest.mark.parametrize(
@@ -468,10 +489,14 @@ def test_evaluate_follows_engine_mode(scan_trace, gt_path, tmp_path, monkeypatch
     assert "late" not in capsys.readouterr().out
 
     # 12 of 122 flows late is under the 10% limit.
-    out = tmp_path / "late.csv"
     late_trace = _late_trace(scan_trace, tmp_path, 12)
-    assert main(_eval_args(late_trace, gt_path, out, "--config", str(config))) == EXIT_OK
-    assert "3 report rows, 12 late flows dropped ->" in capsys.readouterr().out
+    for out, flags, late in (("late.csv", ["--config", str(config)], 12), ("late.batch.csv", [], 0)):
+        out = tmp_path / out
+        assert main(_eval_args(late_trace, gt_path, out, *flags)) == EXIT_OK
+        note = ", 12 late flows dropped" if late else ""
+        assert f"3 report rows{note} ->" in capsys.readouterr().out
+        manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+        assert manifest["ingest"][str(late_trace)]["late_dropped"] == late
 
     out = tmp_path / "shuffled.csv"
     shuffled = _late_trace(scan_trace, tmp_path, None)
@@ -789,6 +814,7 @@ def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
                 "rows_read": 122,
                 "rows_skipped": 3,
                 "first_skipped_lines": [4, 51, 101],
+                "late_dropped": 0,
             }
         }
 
@@ -801,6 +827,7 @@ def test_detect_reports_skipped_rows(scan_trace, tmp_path, capsys) -> None:
                 "rows_read": 122,
                 "rows_skipped": 0,
                 "first_skipped_lines": [],
+                "late_dropped": 0,
             }
         }
 
@@ -825,8 +852,14 @@ def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) ->
             "rows_read": 122,
             "rows_skipped": 3,
             "first_skipped_lines": [4, 51, 101],
+            "late_dropped": 0,
         },
-        str(scan_trace): {"rows_read": 122, "rows_skipped": 0, "first_skipped_lines": []},
+        str(scan_trace): {
+            "rows_read": 122,
+            "rows_skipped": 0,
+            "first_skipped_lines": [],
+            "late_dropped": 0,
+        },
     }
 
 
