@@ -30,7 +30,7 @@ from typing import Callable, ContextManager, Optional, Sequence, TextIO
 
 from . import __version__
 from .config import AppConfig, format_port_set, load_config
-from .core import ConfigError, FlowBatch, IpAddress, SliceConfig, as_batch, format_ip
+from .core import ConfigError, FlowBatch, SliceConfig, as_batch, format_ip
 from .detector import DetectorConfig, Direction, RatioVerdict, anomalous_ips
 from .engine import MAX_LATE_RATIO, EngineConfig, Mode, RunStats, forked, run_batch, run_streaming
 from .evaluation import (
@@ -49,7 +49,7 @@ from .ingest import (
     read_flow_file,
     read_ground_truth,
 )
-from .rules import Classification, classify_all
+from .rules import classify_all
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -355,11 +355,11 @@ def _framed(args: argparse.Namespace) -> int:
 
 def _detect(
     flow_path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = True
-) -> tuple[FlowBatch, list[RatioVerdict], dict[IpAddress, Classification], RunStats]:
+) -> tuple[FlowBatch, list[RatioVerdict], Callable[[set], dict], RunStats]:
     """The detect job of detect, evaluate and bench on one flow file, in
-    `cfg.mode`: its flows, its verdicts at `cfg.threshold`, the rule
-    classification of every flagged IP, and the run stats. The file's
-    `ingest` record also gets the run's `late_dropped` (0 in batch mode)."""
+    `cfg.mode`: its flows, its verdicts at `cfg.threshold`, a function that
+    runs classify_all on a set of IPs over its flows, and the run stats. The
+    file's `ingest` record also gets the run's `late_dropped` (0 in batch mode)."""
     flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
@@ -377,17 +377,17 @@ def _detect(
     else:
         verdicts, stats = run_batch(flows, detector_cfg, engine_cfg)
     ingest[str(flow_path)]["late_dropped"] = stats.late_dropped
-    classifications = classify_all({v.key.ip for v in verdicts}, flows, cfg.rules, slices)
-    return flows, verdicts, classifications, stats
+    return flows, verdicts, lambda ips: classify_all(ips, flows, cfg.rules, slices), stats
 
 
 def cmd_detect(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
-    _, verdicts, classifications, stats = _detect(Path(args.flows), cfg, ingest)
+    _, verdicts, classify, stats = _detect(Path(args.flows), cfg, ingest)
+    # The rules judge outbound flows, so only senders carry labels.
+    classifications = classify({v.key.ip for v in verdicts if v.direction is Direction.SENDER})
 
     def write(fh: TextIO) -> None:
         fh.write(VERDICT_HEADER + "\n")
         for v in verdicts:
-            # The rules judge outbound flows, so only senders carry labels.
             sender = v.direction is Direction.SENDER
             labels = classifications[v.key.ip].labels if sender else ()
             fh.write(
@@ -421,7 +421,8 @@ _SOURCES = (
 def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome:
     """Score the detect job, run once per trace at the lowest threshold: a key
     flags at t iff |ratio| > t, since |ratio| never exceeds the count on its
-    own side, so one job holds the verdicts and labels of every threshold."""
+    own side, so one job holds the verdicts of every threshold. Only case 3
+    reads labels: it classifies each trace's flagged IPs once."""
     cases = [c.value for c in EvalCase]
     case = EvalCase(_int_flag("--case", args.case, cases.__contains__, "1, 2 or 3"))
     traces = [_parse_trace_arg(raw) for raw in args.trace]
@@ -430,10 +431,12 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
         if trace_id in trace_ids[:i]:
             raise ConfigError(f"--trace: trace id {trace_id!r} is given more than once")
     lowest = dataclasses.replace(cfg, threshold=min(cfg.thresholds))
+    reads_labels = case is EvalCase.FILTERED_PLUS_RULES
 
     rows: list[EvalRow] = []
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        flows, verdicts, classifications, _ = _detect(flow_path, lowest, ingest, empty_ok=False)
+        flows, verdicts, classify, _ = _detect(flow_path, lowest, ingest, empty_ok=False)
+        classifications = classify({v.key.ip for v in verdicts}) if reads_labels else {}
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         universe = trace_universe(flows)
         source_gts = [
@@ -488,7 +491,8 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
         run_cfg = dataclasses.replace(cfg, workers=workers)
         for rep in range(1, reps + 1):
             started = time.perf_counter()
-            *_, stats = _detect(flow_path, run_cfg, ingest, empty_ok=False)
+            _, verdicts, classify, stats = _detect(flow_path, run_cfg, ingest, empty_ok=False)
+            classify({v.key.ip for v in verdicts if v.direction is Direction.SENDER})
             wall = time.perf_counter() - started
             if not (duration := stats.trace_duration_s):
                 raise FlowFileError(

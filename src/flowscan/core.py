@@ -8,7 +8,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain
 from operator import gt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 IpAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -226,15 +226,15 @@ class FlowBatch:
             raise ValueError("a lean FlowBatch holds only first_seen_us, src, dst and dst_port")
         return self._all
 
-    def extend(self, columns: Iterable[Sequence], ids: dict, new: Mapping) -> bool:
+    def extend(self, columns: Iterable[Sequence], ids: dict, address: Callable) -> None:
         """Append rows given as nine columns in the order of columns(),
         whose src and dst hold names of addresses. `ids` maps a name to its
         id in this batch; each name it lacks is added, with the address
-        `new` gives it, in first-appearance order, a row's source before its
-        destination. Returns False and changes nothing, `ids` included, if a
-        value does not fit its column or a row is not a valid flow. Raises
-        KeyError and changes nothing for a name in neither `ids` nor `new`,
-        and ValueError for columns of different lengths."""
+        `address(name)` gives, in first-appearance order, a row's source
+        before its destination. Raises ValueError if the columns differ in
+        length, a value does not fit its column or a row is not a valid
+        flow, and passes on what `address` raises; either way nothing
+        changes, `ids` included."""
         columns = tuple(columns)
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"columns of different lengths: {[*map(len, columns)]}")
@@ -243,13 +243,13 @@ class FlowBatch:
         # column types then bound ports, protocol and 64-bit values. A lean
         # batch bounds the values of the columns it does not store here.
         if min(packets, default=1) < 1 or min(sizes, default=0) < 0 or any(map(gt, first, last)):
-            return False
+            raise ValueError("a row is not a valid flow")
         if self.lean and not (
             max(chain(last, packets, sizes), default=0) <= INT64_MAX
             and 0 <= min(chain(src_port, protocol), default=0)
             and max(src_port, default=0) <= 65535 and max(protocol, default=0) <= 255
         ):
-            return False
+            raise ValueError("a value does not fit its column")
         earliest, latest = min(first, default=math.inf), max(last, default=-math.inf)
         try:
             # An array built from a list or tuple is sized once.
@@ -259,20 +259,22 @@ class FlowBatch:
                     array, "qHBqq", (last, src_port, protocol, packets, sizes)
                 )
         except OverflowError:
-            return False
-        if new:
-            # Every address is looked up before the first is interned.
-            fresh = {n: new[n] for n in chain.from_iterable(zip(srcs, dsts)) if n not in ids}
-            for name, address in fresh.items():
-                ids[name] = self.intern(address)
-        src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
+            raise ValueError("a value does not fit its column") from None
+        try:
+            src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
+        except KeyError:
+            # Every new name is resolved before the first is interned, so
+            # an exception from `address` changes nothing.
+            fresh = {n: address(n) for n in chain.from_iterable(zip(srcs, dsts)) if n not in ids}
+            for name, ip in fresh.items():
+                ids[name] = self.intern(ip)
+            src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
         added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes
         for column, values in zip(self._all, added):
             if column is not None:
                 column.extend(values)
         self.earliest_us = min(self.earliest_us, earliest)
         self.latest_us = max(self.latest_us, latest)
-        return True
 
     def __len__(self) -> int:
         return len(self.src)

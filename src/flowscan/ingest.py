@@ -139,7 +139,7 @@ class FlowFileReader:
                 continue
             rows.append((first, last, src, dst, sport, dport, protocol, packets, size))
         if rows:
-            batch.extend(zip(*rows), ids, parsed)
+            batch.extend(zip(*rows), ids, parsed.__getitem__)
         return len(lines)
 
 
@@ -160,9 +160,9 @@ def _blocks(fh: TextIO) -> Iterator[str]:
 def _append_columns(
     batch: FlowBatch, block: str, ids: dict[str, int], protocols: dict[str, int]
 ) -> int:
-    """Append the block's lines to the batch a column at a time if every
-    one of them is a valid row, with the checks of FlowFileReader._append_rows,
-    and return how many there are; otherwise change nothing and return 0."""
+    """Append the block's lines to the batch in one extend, which parses the
+    new address names, if every line is a valid row by the checks of
+    FlowFileReader._append_rows, and return how many; else change nothing, return 0."""
     # One split: the last field of each line keeps its line end, which
     # int() ignores, and one empty field follows.
     lines = block.count("\n")
@@ -180,15 +180,10 @@ def _append_columns(
             protocols[name] = parse_protocol(name)
         protocol = list(map(protocols.__getitem__, protocol_texts))
         columns = first, last, srcs, dsts, src_port, dst_port, protocol, packets, sizes
-        try:
-            # Past the first blocks nearly every address name is known.
-            added = batch.extend(columns, ids, {})
-        except KeyError:
-            parsed = {name: parse_ip(name) for name in {*srcs, *dsts}.difference(ids)}
-            added = batch.extend(columns, ids, parsed)
+        batch.extend(columns, ids, parse_ip)
     except ValueError:
         return 0
-    return lines if added else 0
+    return lines
 
 
 def read_flow_file(path: str | Path, strict: bool = False) -> FlowFileReader:

@@ -370,7 +370,7 @@ def test_merged_halves_equal_one_read(
         whole, errors = _read_lenient(_write_lines(tmp, lines))
         head, head_errors = _read_lenient(_write_lines(tmp, lines[:cut]))
         tail, tail_errors = _read_lenient(_write_lines(tmp, lines[cut:]))
-    assert head.extend(tail.columns(), {}, dict(enumerate(tail.ips)))
+    head.extend(tail.columns(), {}, tail.ips.__getitem__)
     assert head.ips == whole.ips
     assert head.columns() == whole.columns()
     assert head_errors + tail_errors == errors
@@ -410,9 +410,10 @@ def test_bounds_follow_every_way_rows_enter(calls: list, bad_row: tuple) -> None
             for first, span in spans:
                 batch.append(mk_flow(first=first, last=first + span))
         elif how == "extend":
-            assert batch.extend(tuple(zip(*rows)) or ((),) * 9, ids, new)
+            batch.extend(tuple(zip(*rows)) or ((),) * 9, ids, new.__getitem__)
         else:
-            assert not batch.extend(tuple(zip(*rows, bad_row)), ids, new)
+            with pytest.raises(ValueError):
+                batch.extend(tuple(zip(*rows, bad_row)), ids, new.__getitem__)
             assert (batch.earliest_us, batch.latest_us) == before
         assert _bounds_hold(batch)
 

@@ -532,6 +532,41 @@ def test_detect_labels_only_sender_rows(tmp_path) -> None:
     ]
 
 
+def test_rules_run_only_where_labels_are_read(tmp_path, gt_path, monkeypatch) -> None:
+    """detect and each bench rep classify the flagged senders once; evaluate
+    classifies each trace's flagged IPs once in case 3 and never in cases 1
+    and 2, which read no labels."""
+    scanner, victim = "198.51.100.9", "10.9.9.9"
+    # Slice 0: the scanner sends 120 hosts one flow each, and 120 other
+    # hosts each send the victim one flow: a sender and a receiver verdict.
+    flows = [mk_flow(src=scanner, dst=f"10.0.0.{i + 1}", first=i * 7) for i in range(120)]
+    flows += [mk_flow(src=f"10.1.0.{i + 1}", dst=victim, first=i * 7 + 1) for i in range(120)]
+    flows.sort(key=lambda f: f.first_seen_us)
+    traces = [tmp_path / f"{name}.flows.csv" for name in ("a", "b")]
+    for trace in traces:
+        write_flow_file(trace, flows)
+    calls: list[set] = []
+    classify_all = flowscan.cli.classify_all
+
+    def counted(ips, *args):
+        calls.append(set(ips))
+        return classify_all(ips, *args)
+
+    monkeypatch.setattr(flowscan.cli, "classify_all", counted)
+    out = str(tmp_path / "out.csv")
+    assert main(["detect", str(traces[0]), "-o", out, "--threshold", "50"]) == EXIT_OK
+    assert calls == [{ip(scanner)}]
+    calls.clear()
+    bench = ["bench", str(traces[0]), "-o", out, "--workers", "1", "--reps", "2"]
+    assert main([*bench, "--threshold", "50"]) == EXIT_OK
+    assert calls == [{ip(scanner)}] * 2
+    evaluate = ["evaluate", *(f"--trace={t},{gt_path}" for t in traces), "-o", out]
+    for case, expected in (("1", []), ("2", []), ("3", [{ip(scanner), ip(victim)}] * 2)):
+        calls.clear()
+        assert main([*evaluate, "--case", case, "--thresholds", "50,100"]) == EXIT_OK
+        assert calls == expected, case
+
+
 @pytest.mark.parametrize(
     "extra",
     [(), ("--workers", "2"), ("--mode", "stream")],

@@ -149,7 +149,7 @@ def test_extend_interns_new_names_in_first_appearance_order() -> None:
     new = {"b": ip("2001:db8::1"), "c": ip("10.0.0.3"), "unused": ip("192.0.2.1")}
     # a row's source gets its id before its destination
     columns = _columns((5, 6, "c", "b", 1, 2, 17, 1, 0), (7, 7, "b", "a", 3, 4, 6, 2, 60))
-    assert batch.extend(columns, ids, new)
+    assert batch.extend(columns, ids, new.__getitem__) is None
     assert batch.ips == [ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3"), ip("2001:db8::1")]
     assert ids == {"a": 1, "c": 2, "b": 3}
     assert list(batch)[1:] == [
@@ -171,24 +171,28 @@ def test_extend_rejects_invalid_columns_and_changes_nothing(at: int, value: int)
     batch = FlowBatch()
     batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
     before = [list(batch.ips), *map(list, batch.columns())]
+    bounds = batch.earliest_us, batch.latest_us
     good = [3, 4, "new", "old", 1, 2, 6, 1, 60]
     bad = list(good)
     bad[at] = value
     ids = {"old": 0}
     new = {"new": ip("2001:db8::9")}
-    assert not batch.extend(_columns(good, bad), ids, new)
+    with pytest.raises(ValueError):
+        batch.extend(_columns(good, bad), ids, new.__getitem__)
     assert [list(batch.ips), *map(list, batch.columns())] == before
+    assert (batch.earliest_us, batch.latest_us) == bounds
     assert ids == {"old": 0}
     assert batch.id_of(ip("2001:db8::9")) is None
     # the same rows without the bad one are accepted
-    assert batch.extend(_columns(good), ids, new)
+    batch.extend(_columns(good), ids, new.__getitem__)
     assert batch.id_of(ip("2001:db8::9")) == 2
 
 
 @pytest.mark.parametrize("new", [{}, {"new": ip("2001:db8::9")}], ids=["no-new", "new"])
 def test_extend_with_a_name_it_cannot_map_raises_and_changes_nothing(new: dict) -> None:
-    """A name in neither `ids` nor `new` raises KeyError before anything
-    changes, so a caller may try `new={}` first and parse names only then."""
+    """A name that neither `ids` nor the address function maps raises the
+    function's own exception, and every new name is resolved before the
+    first is interned, so nothing changes."""
     batch = FlowBatch()
     batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
     before = [list(batch.ips), *map(list, batch.columns())]
@@ -198,7 +202,7 @@ def test_extend_with_a_name_it_cannot_map_raises_and_changes_nothing(new: dict) 
     # interned first if the lookup were not done ahead.
     rows = (0, 9, "new", "old", 1, 2, 6, 1, 60), (0, 9, "old", "unknown", 1, 2, 6, 1, 60)
     with pytest.raises(KeyError, match="unknown" if new else "new"):
-        batch.extend(_columns(*rows), ids, new)
+        batch.extend(_columns(*rows), ids, new.__getitem__)
     assert [list(batch.ips), *map(list, batch.columns())] == before
     assert (batch.earliest_us, batch.latest_us) == bounds
     assert ids == {"old": 0}
@@ -210,7 +214,7 @@ def test_extend_with_columns_of_different_lengths_raises_and_changes_nothing(
     short: int,
 ) -> None:
     """Nine columns where one holds a value fewer than the others raise
-    ValueError before anything changes, names of `new` included."""
+    ValueError before anything changes, new names included."""
     batch = FlowBatch()
     batch.append(mk_flow(src="10.0.0.1", dst="10.0.0.2", first=1, last=2))
     before = [list(batch.ips), *map(list, batch.columns())]
@@ -220,7 +224,7 @@ def test_extend_with_columns_of_different_lengths_raises_and_changes_nothing(
     columns = _columns((3, 4, "old", "new", 1, 2, 6, 1, 60), (5, 6, "new", "old", 1, 2, 6, 1, 60))
     columns[short] = columns[short][:1]
     with pytest.raises(ValueError, match="different lengths"):
-        batch.extend(columns, ids, new)
+        batch.extend(columns, ids, new.__getitem__)
     assert [list(batch.ips), *map(list, batch.columns())] == before
     assert (batch.earliest_us, batch.latest_us) == bounds
     assert ids == {"old": 0}
@@ -235,7 +239,7 @@ def _lean_and_full() -> tuple[FlowBatch, FlowBatch]:
     batches = FlowBatch(lean=True), FlowBatch()
     for batch in batches:
         new = {"a": ip("10.0.0.2"), "b": ip("2001:db8::1"), "c": ip("10.0.0.3")}
-        assert batch.extend(_columns(*_LEAN_ROWS), {}, new)
+        batch.extend(_columns(*_LEAN_ROWS), {}, new.__getitem__)
     return batches
 
 
@@ -262,7 +266,7 @@ def test_lean_batch_raises_where_it_would_need_a_column_it_lacks() -> None:
     with pytest.raises(ValueError, match="lean"):
         lean.columns()
     with pytest.raises(ValueError, match="lean"):
-        full.extend(lean.columns(), {}, dict(enumerate(lean.ips)))
+        full.extend(lean.columns(), {}, lean.ips.__getitem__)
     with pytest.raises(ValueError, match="lean"):
         lean.append(mk_flow(src="192.0.2.1"))
     assert lean.id_of(ip("192.0.2.1")) is None
@@ -284,10 +288,12 @@ def test_lean_extend_checks_the_columns_it_drops(at: int, value: int) -> None:
     good = [5, 6, "new", "c", 1, 2, 6, 1, 60]
     bad = list(good)
     bad[at] = value
+    new = {"new": ip("2001:db8::9")}
     for batch in (lean, full):
         ids = {"c": 0}
-        assert not batch.extend(_columns(good, bad), ids, {"new": ip("2001:db8::9")})
+        with pytest.raises(ValueError):
+            batch.extend(_columns(good, bad), ids, new.__getitem__)
         assert len(batch) == 2 and len(batch.ips) == 3 and ids == {"c": 0}
         assert (batch.earliest_us, batch.latest_us) == (5, 9)
-        assert batch.extend(_columns(good), ids, {"new": ip("2001:db8::9")})
+        batch.extend(_columns(good), ids, new.__getitem__)
         assert len(batch) == 3 and batch.id_of(ip("2001:db8::9")) == 3

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowscan.core import FlowRecord, as_batch
+from flowscan import ingest
+from flowscan.core import FlowBatch, FlowRecord, as_batch
 from flowscan.ingest import (
     FLOW_HEADER,
     Category,
@@ -96,6 +98,33 @@ def test_error_ratio_guard_in_lenient_mode(tmp_path: Path) -> None:
     path = _write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(FlowFileError, match="malformed"):
         list(read_flow_file(path))
+
+
+def test_reader_extends_each_block_once_when_every_block_names_a_new_address(
+    tmp_path: Path,
+) -> None:
+    """A block whose names the batch lacks still takes one extend call: the
+    call parses the new names itself, and the block is not appended twice."""
+    lines = [f"{i},{i},10.0.0.{i},10.0.1.{i},4000,80,TCP,1,60\n" for i in range(10, 30)]
+    path = _write(tmp_path, FLOW_HEADER + "\n" + "".join(lines))
+    blocks = []
+    ingest_blocks = ingest._blocks
+
+    def counted(fh):
+        for block in ingest_blocks(fh):
+            blocks.append(block)
+            yield block
+
+    # Every line has the same length, so each block is one line.
+    with mock.patch.object(ingest, "CHUNK_BYTES", len(lines[0])), mock.patch.object(
+        ingest, "_blocks", counted
+    ), mock.patch.object(
+        FlowBatch, "extend", autospec=True, side_effect=FlowBatch.extend
+    ) as extend:
+        batch = read_flow_file(path).read(lean=True)
+    assert blocks == lines
+    assert extend.call_count == len(blocks)
+    assert len(batch) == len(lines) and len(batch.ips) == 2 * len(lines)
 
 
 def test_round_trip_is_bit_identical(tmp_path: Path) -> None:
