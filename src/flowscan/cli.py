@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -65,7 +64,6 @@ BENCH_SUMMARY_HEADER = "workers,min,q1,median,q3,max"
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.getLogger("flowscan").addHandler(_WARNING_LINES)  # no-op if already added
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -80,17 +78,6 @@ def _fail(code: int, kind: str, exc: BaseException) -> int:
     detail = " ".join(str(exc).split())
     sys.stderr.write(f"flowscan: error kind={kind} exit={code} detail={detail}\n")
     return code
-
-
-class _WarningLines(logging.Handler):
-    """Each warning of the flowscan loggers as one stderr line, like `_fail`."""
-
-    def emit(self, record: logging.LogRecord) -> None:
-        detail = " ".join(record.getMessage().split())
-        sys.stderr.write(f"flowscan: warning detail={detail}\n")
-
-
-_WARNING_LINES = _WarningLines(logging.WARNING)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,9 +294,14 @@ def _read_trace(
 
 
 def _dropped_note(ingest: dict) -> str:
-    """The summary's note of malformed rows skipped and late flows dropped."""
-    notes = (("rows_skipped", "malformed rows skipped"), ("late_dropped", "late flows dropped"))
-    totals = ((sum(counts[key] for counts in ingest.values()), what) for key, what in notes)
+    """The summary's note of what the inputs dropped, as their `ingest` records hold."""
+    notes = (
+        ("rows_skipped", "malformed rows skipped"), ("late_dropped", "late flows dropped"),
+        ("entries_skipped", "ground truth entries skipped"),
+        ("addresses_ignored", "ground truth addresses ignored"),
+        ("ports_ignored", "ground truth ports ignored"),
+    )
+    totals = ((sum(r.get(key, 0) for r in ingest.values()), what) for key, what in notes)
     return "".join(f", {n} {what}" for n, what in totals if n)
 
 
@@ -422,7 +414,8 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     """Score the detect job, run once per trace at the lowest threshold: a key
     flags at t iff |ratio| > t, since |ratio| never exceeds the count on its
     own side, so one job holds the verdicts of every threshold. Only case 3
-    reads labels: it classifies each trace's flagged IPs once."""
+    reads labels: it classifies each trace's flagged IPs once, or only its
+    flagged senders in directional mode, which scores senders' labels alone."""
     cases = [c.value for c in EvalCase]
     case = EvalCase(_int_flag("--case", args.case, cases.__contains__, "1, 2 or 3"))
     traces = [_parse_trace_arg(raw) for raw in args.trace]
@@ -432,12 +425,17 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
             raise ConfigError(f"--trace: trace id {trace_id!r} is given more than once")
     lowest = dataclasses.replace(cfg, threshold=min(cfg.thresholds))
     reads_labels = case is EvalCase.FILTERED_PLUS_RULES
+    label_sides = {Direction.SENDER} if args.directional else set(Direction)
 
     rows: list[EvalRow] = []
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
         flows, verdicts, classify, _ = _detect(flow_path, lowest, ingest, empty_ok=False)
-        classifications = classify({v.key.ip for v in verdicts}) if reads_labels else {}
+        flagged = {v.key.ip for v in verdicts if v.direction in label_sides}
+        classifications = classify(flagged) if reads_labels else {}
         gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
+        ingest.update(gt.counts)
+        for message in gt.warnings:
+            sys.stderr.write(f"flowscan: warning detail={' '.join(message.split())}\n")
         universe = trace_universe(flows)
         source_gts = [
             (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))

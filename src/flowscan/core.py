@@ -230,11 +230,11 @@ class FlowBatch:
         """Append rows given as nine columns in the order of columns(),
         whose src and dst hold names of addresses. `ids` maps a name to its
         id in this batch; each name it lacks is added, with the address
-        `address(name)` gives, in first-appearance order, a row's source
-        before its destination. Raises ValueError if the columns differ in
-        length, a value does not fit its column or a row is not a valid
-        flow, and passes on what `address` raises; either way nothing
-        changes, `ids` included."""
+        `address(name)` gives, once per name, in first-appearance order, a
+        row's source before its destination. Raises ValueError if the
+        columns differ in length, a value does not fit its column or a row
+        is not a valid flow, and passes on what `address` raises; either
+        way nothing changes, `ids` included."""
         columns = tuple(columns)
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"columns of different lengths: {[*map(len, columns)]}")
@@ -263,10 +263,10 @@ class FlowBatch:
         try:
             src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
         except KeyError:
-            # Every new name is resolved before the first is interned, so
-            # an exception from `address` changes nothing.
-            fresh = {n: address(n) for n in chain.from_iterable(zip(srcs, dsts)) if n not in ids}
-            for name, ip in fresh.items():
+            # Every new name is resolved, once, before the first is interned,
+            # so an exception from `address` changes nothing.
+            new = [n for n in dict.fromkeys(chain.from_iterable(zip(srcs, dsts))) if n not in ids]
+            for name, ip in list(zip(new, map(address, new))):
                 ids[name] = self.intern(ip)
             src, dst = (array("I", [*map(ids.__getitem__, names)]) for names in (srcs, dsts))
         added = first, last, src, dst, src_port, dst_port, protocol, packets, sizes

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .core import (
     FlowBatch,
@@ -19,11 +18,6 @@ from .core import (
     parse_ip,
     parse_protocol,
 )
-
-if TYPE_CHECKING:
-    import xml.etree.ElementTree as ET
-
-logger = logging.getLogger(__name__)
 
 FLOW_HEADER = "first_seen_us,last_seen_us,src_ip,dst_ip,src_port,dst_port,proto,packets,bytes"
 
@@ -240,6 +234,9 @@ class GroundTruthEntry:
 @dataclass
 class GroundTruthSet:
     entries: list[GroundTruthEntry] = field(default_factory=list)
+    # What each file read kept and skipped, under its path, and each skip's message
+    counts: dict[str, dict[str, int]] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
 
 
 _CATEGORIES = {c.value: c for c in Category}
@@ -251,15 +248,16 @@ def _local_name(tag: str) -> str:
 
 def parse_ground_truth(
     path: str | Path, source_file: SourceFile, strict: bool = False
-) -> list[GroundTruthEntry]:
+) -> GroundTruthSet:
     """Parse one admd-style XML file into ground truth entries.
 
     Any element whose `type` attribute names a known category is an
     anomaly entry; its descendants are searched for src_ip/dst_ip (and
-    port) attributes. Unknown attributes are ignored. An element tagged
-    `anomaly` with an unrecognized category, an unparseable address and
-    a port outside 0-65535 are each skipped with a warning naming the
-    file, or abort the parse in strict mode.
+    port) attributes. Unknown attributes are ignored. An `anomaly` element
+    of unknown category or without an address, an unparseable address and
+    a port outside 0-65535 each abort the parse in strict mode; else each
+    is skipped, counted in `counts[str(path)]` beside `entries_kept`, and
+    its message, naming the file, is added to `warnings`.
     """
     import xml.etree.ElementTree as ET  # here, so that detect does not load it
 
@@ -267,7 +265,26 @@ def parse_ground_truth(
         root = ET.parse(path).getroot()
     except ET.ParseError as exc:
         raise GroundTruthError(f"{path}: not parseable as XML: {exc}") from exc
-    entries: list[GroundTruthEntry] = []
+    gt = GroundTruthSet()
+    counts = dict.fromkeys(("entries_skipped", "addresses_ignored", "ports_ignored"), 0)
+
+    def skip(count: str, error: str, warning: str) -> None:
+        if strict:
+            raise GroundTruthError(f"{path}: {error}") from None
+        counts[count] += 1
+        gt.warnings.append(f"{path}: {warning}")
+
+    def collect(elem: ET.Element, attr: str, parse: Callable, count: str, bad: str) -> frozenset:
+        found = set()
+        for text in filter(None, (node.get(attr) for node in elem.iter())):
+            try:
+                found.add(parse(text))
+            except ValueError:
+                skip(count, bad.format(text), "ignoring " + bad.format(text))
+        return frozenset(found)
+
+    address = parse_ip, "addresses_ignored", "unparseable address {!r}"
+    port = _parse_port, "ports_ignored", "port {!r} not in 0-65535"
     for elem in root.iter():
         type_attr = elem.get("type")
         if type_attr is None:
@@ -275,49 +292,25 @@ def parse_ground_truth(
         category = _CATEGORIES.get(type_attr.lower())
         if category is None:
             if _local_name(elem.tag).lower() == "anomaly":
-                if strict:
-                    raise GroundTruthError(
-                        f"{path}: unknown anomaly category {type_attr!r}"
-                    )
-                logger.warning("%s: skipping anomaly with category %r", path, type_attr)
+                skip("entries_skipped", f"unknown anomaly category {type_attr!r}",
+                     f"skipping anomaly with category {type_attr!r}")
             continue
-        entry = _read_entry(elem, category, source_file, path, strict)
+        entry = GroundTruthEntry(
+            category=category,
+            taxonomy_label=elem.get("value", ""),
+            src_ips=collect(elem, "src_ip", *address),
+            dst_ips=collect(elem, "dst_ip", *address),
+            source_file=source_file,
+            src_ports=collect(elem, "src_port", *port),
+            dst_ports=collect(elem, "dst_port", *port),
+        )
         if not entry.ip_set():
-            if strict:
-                raise GroundTruthError(f"{path}: anomaly entry without any IP address")
-            logger.warning("%s: skipping anomaly entry without any IP address", path)
+            error = "anomaly entry without any IP address"
+            skip("entries_skipped", error, f"skipping {error}")
             continue
-        entries.append(entry)
-    return entries
-
-
-def _read_entry(
-    elem: ET.Element,
-    category: Category,
-    source_file: SourceFile,
-    path: str | Path,
-    strict: bool,
-) -> GroundTruthEntry:
-    def collect(attr: str, parse: Callable[[str], object], bad: str) -> frozenset:
-        found = set()
-        for text in filter(None, (node.get(attr) for node in elem.iter())):
-            try:
-                found.add(parse(text))
-            except ValueError:
-                if strict:
-                    raise GroundTruthError(f"{path}: {bad.format(text)}") from None
-                logger.warning("%s: ignoring %s", path, bad.format(text))
-        return frozenset(found)
-
-    return GroundTruthEntry(
-        category=category,
-        taxonomy_label=elem.get("value", ""),
-        src_ips=collect("src_ip", parse_ip, "unparseable address {!r}"),
-        dst_ips=collect("dst_ip", parse_ip, "unparseable address {!r}"),
-        source_file=source_file,
-        src_ports=collect("src_port", _parse_port, "port {!r} not in 0-65535"),
-        dst_ports=collect("dst_port", _parse_port, "port {!r} not in 0-65535"),
-    )
+        gt.entries.append(entry)
+    gt.counts[str(path)] = {"entries_kept": len(gt.entries), **counts}
+    return gt
 
 
 def _parse_port(text: str) -> int:
@@ -332,7 +325,10 @@ def read_ground_truth(
     notice_path: Optional[str | Path] = None,
     strict: bool = False,
 ) -> GroundTruthSet:
-    entries = parse_ground_truth(anomalous_path, SourceFile.ANOMALOUS, strict=strict)
+    gt = parse_ground_truth(anomalous_path, SourceFile.ANOMALOUS, strict=strict)
     if notice_path is not None:
-        entries += parse_ground_truth(notice_path, SourceFile.NOTICE, strict=strict)
-    return GroundTruthSet(entries)
+        notice = parse_ground_truth(notice_path, SourceFile.NOTICE, strict=strict)
+        gt.entries += notice.entries
+        gt.counts.update(notice.counts)
+        gt.warnings += notice.warnings
+    return gt

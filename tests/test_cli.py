@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import random
 import signal
@@ -113,13 +112,16 @@ def test_detect_manifest_digests(scan_trace, gt_path, tmp_path) -> None:
         assert manifest["config"]["threshold"] == 100.0
         assert manifest["inputs"] == {str(p): sha256(p) for p in inputs}
         assert manifest["outputs"] == {str(out): sha256(out)}
+        # evaluate also records what its ground truth file kept and skipped
+        gt_ingest = {"entries_kept": 1, "entries_skipped": 0, "addresses_ignored": 0, "ports_ignored": 0}
         assert manifest["ingest"] == {
             str(scan_trace): {
                 "rows_read": 122,
                 "rows_skipped": 0,
                 "first_skipped_lines": [],
                 "late_dropped": 0,
-            }
+            },
+            **({str(gt_path): gt_ingest} if command == "evaluate" else {}),
         }
         if command == "detect":
             assert manifest["stats"]["records_in"] == 122
@@ -295,12 +297,13 @@ def test_no_child_outlives_main(scan_trace, gt_path, tmp_path, monkeypatch, capf
 # after the job, runs the command line on its arguments, then prints which
 # of the modules that this process never needs are loaded: OpenSSL, which
 # only the hasher child loads, multiprocessing, which the forked count
-# workers do without, and what only bench and synth need.
+# workers do without, what only bench and synth need, and logging, since
+# warnings are written as lines.
 _LATE_IMPORTS_SCRIPT = """
 import sys
 import flowscan.cli as cli
 late = ("xml.etree.ElementTree",)
-never = ("_hashlib", "datetime", "statistics", "decimal", "fractions", "multiprocessing")
+never = ("_hashlib", "datetime", "statistics", "decimal", "fractions", "multiprocessing", "logging")
 print([name for name in late if name in sys.modules])
 write_manifest = cli._write_manifest
 def checked(*args, **kwargs):
@@ -329,9 +332,9 @@ def _late_imports(*argv: str) -> list[str]:
 
 
 def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> None:
-    """OpenSSL, the XML parser, datetime, statistics and multiprocessing
-    never load in a detect process, in stream mode or with count workers:
-    the manifest's digests are made in a forked child."""
+    """OpenSSL, the XML parser, datetime, statistics, multiprocessing and
+    logging never load in a detect process, in stream mode or with count
+    workers: the manifest's digests are made in a forked child."""
     for flags in (["--mode", "stream"], ["--workers", "2"]):
         out = tmp_path / f"{flags[-1]}.csv"
         at_import, at_manifest, summary, at_end = _late_imports(
@@ -345,7 +348,7 @@ def test_detect_job_loads_neither_digest_nor_xml_code(scan_trace, tmp_path) -> N
 
 def test_evaluate_job_loads_no_digest_code(scan_trace, gt_path, tmp_path) -> None:
     """evaluate --case 3 reads its ground truth as XML, but OpenSSL,
-    datetime and statistics never load in its process."""
+    datetime, statistics and logging never load in its process."""
     out = tmp_path / "report.csv"
     at_import, at_manifest, summary, at_end = _late_imports(
         "evaluate", "--trace", f"{scan_trace},{gt_path}", "--case", "3", "-o", str(out)
@@ -534,8 +537,9 @@ def test_detect_labels_only_sender_rows(tmp_path) -> None:
 
 def test_rules_run_only_where_labels_are_read(tmp_path, gt_path, monkeypatch) -> None:
     """detect and each bench rep classify the flagged senders once; evaluate
-    classifies each trace's flagged IPs once in case 3 and never in cases 1
-    and 2, which read no labels."""
+    classifies each trace's flagged IPs once in case 3 (only its flagged
+    senders with --directional) and never in cases 1 and 2, which read no
+    labels."""
     scanner, victim = "198.51.100.9", "10.9.9.9"
     # Slice 0: the scanner sends 120 hosts one flow each, and 120 other
     # hosts each send the victim one flow: a sender and a receiver verdict.
@@ -565,6 +569,11 @@ def test_rules_run_only_where_labels_are_read(tmp_path, gt_path, monkeypatch) ->
         calls.clear()
         assert main([*evaluate, "--case", case, "--thresholds", "50,100"]) == EXIT_OK
         assert calls == expected, case
+    # Directional case 3 scores only sender-side labels, so it classifies
+    # only the flagged senders.
+    calls.clear()
+    assert main([*evaluate, "--case", "3", "--directional", "--thresholds", "50"]) == EXIT_OK
+    assert calls == [{ip(scanner)}] * 2
 
 
 @pytest.mark.parametrize(
@@ -895,6 +904,13 @@ def test_evaluate_reports_skipped_rows(scan_trace, gt_path, tmp_path, capsys) ->
             "first_skipped_lines": [],
             "late_dropped": 0,
         },
+        # named by both traces, recorded once
+        str(gt_path): {
+            "entries_kept": 1,
+            "entries_skipped": 0,
+            "addresses_ignored": 0,
+            "ports_ignored": 0,
+        },
     }
 
 
@@ -1034,7 +1050,7 @@ def test_evaluate_empty_trace_field_exits_2(
     "attr, value", [("src_ip", "10.0.0.300"), ("dst_port", "99999"), ("src_port", "x")]
 )
 def test_ground_truth_bad_value_obeys_strict(
-    scan_trace, gt_path, tmp_path, capsys, caplog, attr, value
+    scan_trace, gt_path, tmp_path, capsys, attr, value
 ) -> None:
     bad = tmp_path / "bad.anomalous.xml"
     bad.write_text(
@@ -1047,11 +1063,15 @@ def test_ground_truth_bad_value_obeys_strict(
     assert f"detail={bad}: " in err and repr(value) in err
     assert not out.exists()
 
-    # lenient: one warning naming the file, and the report of the clean file
+    # lenient: one warning naming the file, the value counted in the
+    # manifest, and the report of the clean file
     assert main(_eval_args(scan_trace, bad, out)) == EXIT_OK
-    warnings = [r.getMessage() for r in caplog.records]
-    assert len(warnings) == 1
-    assert warnings[0].startswith(f"{bad}: ignoring ") and repr(value) in warnings[0]
+    (warning,) = capsys.readouterr().err.splitlines()
+    assert warning.startswith(f"flowscan: warning detail={bad}: ignoring ")
+    assert repr(value) in warning
+    manifest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))
+    count = "addresses_ignored" if attr.endswith("_ip") else "ports_ignored"
+    assert manifest["ingest"][str(bad)][count] == 1
     clean = tmp_path / "clean.csv"
     assert main(_eval_args(scan_trace, gt_path, clean)) == EXIT_OK
     # the first line names each report's own manifest
@@ -1059,9 +1079,7 @@ def test_ground_truth_bad_value_obeys_strict(
     assert reports[0] == reports[1]
 
 
-def test_lenient_ground_truth_warning_is_one_prefixed_line(
-    scan_trace, tmp_path, capfd, caplog
-) -> None:
+def test_lenient_ground_truth_warning_is_one_prefixed_line(scan_trace, tmp_path, capfd) -> None:
     bad = tmp_path / "bad.anomalous.xml"
     bad.write_text(
         GT_XML.replace("</anomaly>", '  <filter src_ip="10.0.0.999"/>\n  </anomaly>'),
@@ -1073,10 +1091,59 @@ def test_lenient_ground_truth_warning_is_one_prefixed_line(
     for run in range(3):
         assert main(_eval_args(scan_trace, bad, tmp_path / f"r{run}.csv")) == EXIT_OK
         assert capfd.readouterr().err == want
-    # A record below warning level is no warning line, whatever the logger's level.
-    caplog.set_level(logging.DEBUG, logger="flowscan")
-    logging.getLogger("flowscan.ingest").info("not a warning")
-    assert capfd.readouterr().err == ""
+
+
+# One entry of each kind of skip: the scanner's entry keeps its address
+# but ignores a bad address and a bad port, an entry of unknown category
+# and an entry without any address are skipped.
+SKIPS_XML = """<?xml version="1.0" encoding="UTF-8"?>
+<data>
+  <anomaly type="anomalous" value="ntscSYN">
+    <filter src_ip="198.51.100.9"/>
+    <filter dst_ip="10.0.0.300" dst_port="70000"/>
+  </anomaly>
+  <anomaly type="weird" value="x"><filter src_ip="10.0.0.5"/></anomaly>
+  <anomaly type="notice" value="empty"/>
+</data>
+"""
+
+
+def test_ground_truth_skips_are_counted_in_the_manifest_and_summary(
+    scan_trace, tmp_path, capsys
+) -> None:
+    """Each skipped ground truth entry and ignored value is a warning line,
+    in document order, and a count under the file's path in the manifest's
+    `ingest`, named in the summary. A file named by two traces is recorded
+    once, though each trace reads it and warns."""
+    bad = tmp_path / "skips.anomalous.xml"
+    bad.write_text(SKIPS_XML, encoding="utf-8")
+    other = tmp_path / "other.flows.csv"
+    other.write_bytes(scan_trace.read_bytes())
+    out = tmp_path / "r.csv"
+    argv = _eval_args(scan_trace, bad, out, "--case", "3", "--trace", f"{other},{bad}")
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    warnings = [
+        f"flowscan: warning detail={bad}: ignoring unparseable address '10.0.0.300'",
+        f"flowscan: warning detail={bad}: ignoring port '70000' not in 0-65535",
+        f"flowscan: warning detail={bad}: skipping anomaly with category 'weird'",
+        f"flowscan: warning detail={bad}: skipping anomaly entry without any IP address",
+    ]
+    assert captured.err.splitlines() == warnings * 2
+    assert captured.out.endswith(
+        " report rows, 2 ground truth entries skipped, 1 ground truth addresses ignored,"
+        f" 1 ground truth ports ignored -> {out}\n"
+    )
+    ingest = json.loads(manifest_path_for(out).read_text(encoding="utf-8"))["ingest"]
+    assert ingest[str(bad)] == {
+        "entries_kept": 1, "entries_skipped": 2, "addresses_ignored": 1, "ports_ignored": 1
+    }
+    assert set(ingest) == {str(scan_trace), str(other), str(bad)}
+    assert ingest[str(scan_trace)]["rows_skipped"] == 0
+
+    assert main([*argv, "--strict"]) == EXIT_GROUND_TRUTH
+    err = _one_error(capsys, "ground-truth", EXIT_GROUND_TRUTH)
+    assert err.endswith(f"detail={bad}: unparseable address '10.0.0.300'\n")
 
 
 def test_bench_table_shape(scan_trace, tmp_path) -> None:

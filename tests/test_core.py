@@ -162,6 +162,23 @@ def test_extend_interns_new_names_in_first_appearance_order() -> None:
     ]
 
 
+def test_extend_resolves_each_new_name_once() -> None:
+    """A new name in several rows of a block is given to `address` once."""
+    batch = FlowBatch(lean=True)
+    names = {"a": ip("10.0.0.1"), "b": ip("10.0.0.2")}
+    resolved = []
+
+    def address(name: str):
+        resolved.append(name)
+        return names[name]
+
+    rows = [(t, t, "a", "b", 1, 2, 6, 1, 0) for t in range(3)] + [(3, 3, "b", "a", 1, 2, 6, 1, 0)]
+    batch.extend(_columns(*rows), {}, address)
+    assert resolved == ["a", "b"]
+    assert batch.ips == [ip("10.0.0.1"), ip("10.0.0.2")]
+    assert list(batch.src) == [0, 0, 0, 1]
+
+
 @pytest.mark.parametrize(
     "at, value",
     [(7, 0), (8, -1), (0, 9), (4, 70000), (1, 2**63)],

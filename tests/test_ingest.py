@@ -211,12 +211,12 @@ NOTICE_XML = """\
 
 def test_zero_anomalies_parse_to_empty_set(tmp_path: Path) -> None:
     path = _write(tmp_path, '<?xml version="1.0"?><data></data>', "empty.xml")
-    assert parse_ground_truth(path, SourceFile.ANOMALOUS) == []
+    assert parse_ground_truth(path, SourceFile.ANOMALOUS).entries == []
 
 
 def test_single_anomaly_entry(tmp_path: Path) -> None:
     path = _write(tmp_path, ANOMALOUS_XML, "anomalous.xml")
-    entries = parse_ground_truth(path, SourceFile.ANOMALOUS)
+    entries = parse_ground_truth(path, SourceFile.ANOMALOUS).entries
     assert len(entries) == 2
     first = entries[0]
     assert first.category is Category.ANOMALOUS
@@ -228,7 +228,7 @@ def test_single_anomaly_entry(tmp_path: Path) -> None:
 
 def test_multi_ip_entry_ip_set(tmp_path: Path) -> None:
     path = _write(tmp_path, ANOMALOUS_XML, "anomalous.xml")
-    entries = parse_ground_truth(path, SourceFile.ANOMALOUS)
+    entries = parse_ground_truth(path, SourceFile.ANOMALOUS).entries
     entry = entries[1]
     assert entry.ip_set() == {
         ip("192.0.2.8"),
@@ -264,7 +264,7 @@ def test_unknown_category_lenient_vs_strict(tmp_path: Path) -> None:
     </data>
     """
     path = _write(tmp_path, xml, "odd.xml")
-    entries = parse_ground_truth(path, SourceFile.NOTICE)
+    entries = parse_ground_truth(path, SourceFile.NOTICE).entries
     assert len(entries) == 1
     assert entries[0].taxonomy_label == "ok"
     with pytest.raises(GroundTruthError, match="weird"):
@@ -274,7 +274,7 @@ def test_unknown_category_lenient_vs_strict(tmp_path: Path) -> None:
 def test_entry_without_ips_dropped(tmp_path: Path) -> None:
     xml = '<?xml version="1.0"?><data><anomaly type="notice" value="x"/></data>'
     path = _write(tmp_path, xml, "noip.xml")
-    assert parse_ground_truth(path, SourceFile.NOTICE) == []
+    assert parse_ground_truth(path, SourceFile.NOTICE).entries == []
     with pytest.raises(GroundTruthError, match="without any IP"):
         parse_ground_truth(path, SourceFile.NOTICE, strict=True)
 
