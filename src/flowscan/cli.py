@@ -266,11 +266,10 @@ def _write_manifest(
     return path
 
 
-def _read_trace(
-    path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool
-) -> tuple[FlowBatch, SliceConfig]:
-    """All flows of one file and the slices they are cut into. The file's
-    row counts go to `ingest` under its path, for the manifest."""
+def _read_trace(path: Path, cfg: AppConfig, ingest: dict) -> tuple[FlowBatch, SliceConfig]:
+    """All flows of one file and the slices they are cut into, from the
+    config's start, else the earliest flow (0 for a file without flows).
+    The file's row counts go to `ingest` under its path, for the manifest."""
     reader = read_flow_file(path, strict=cfg.strict)
     # read_flow_file may be wrapped to hand back the rows alone. The job
     # reads four columns, so only they are stored.
@@ -280,16 +279,9 @@ def _read_trace(
         "rows_skipped": getattr(reader, "errors", 0),
         "first_skipped_lines": getattr(reader, "skipped_lines", []),
     }
-    if not (len(flows) or empty_ok):
-        raise FlowFileError(f"{path}: no accepted flow rows")
     start = cfg.trace_start_us
     if start is None:
         start = flows.earliest_us if len(flows) else 0
-    elif flows.earliest_us < start:
-        raise ConfigError(
-            f"detector.trace_start_us {start} is after the earliest flow "
-            f"first_seen_us {flows.earliest_us}"
-        )
     return flows, SliceConfig(trace_start_us=start, slice_seconds=cfg.slice_seconds)
 
 
@@ -346,13 +338,13 @@ def _framed(args: argparse.Namespace) -> int:
 
 
 def _detect(
-    flow_path: Path, cfg: AppConfig, ingest: dict, empty_ok: bool = True
+    flow_path: Path, cfg: AppConfig, ingest: dict
 ) -> tuple[FlowBatch, list[RatioVerdict], Callable[[set], dict], RunStats]:
     """The detect job of detect, evaluate and bench on one flow file, in
     `cfg.mode`: its flows, its verdicts at `cfg.threshold`, a function that
     runs classify_all on a set of IPs over its flows, and the run stats. The
     file's `ingest` record also gets the run's `late_dropped` (0 in batch mode)."""
-    flows, slices = _read_trace(flow_path, cfg, ingest, empty_ok)
+    flows, slices = _read_trace(flow_path, cfg, ingest)
     detector_cfg = DetectorConfig(slices=slices, threshold=cfg.threshold)
     engine_cfg = EngineConfig(
         workers=cfg.workers, watermark_lag_seconds=cfg.watermark_lag_seconds
@@ -428,14 +420,22 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     label_sides = {Direction.SENDER} if args.directional else set(Direction)
 
     rows: list[EvalRow] = []
+    # (anomalous, notice) path pair -> its ground truth, read once
+    gts: dict[tuple, GroundTruthSet] = {}
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
-        flows, verdicts, classify, _ = _detect(flow_path, lowest, ingest, empty_ok=False)
+        flows, verdicts, classify, _ = _detect(flow_path, lowest, ingest)
+        if not flows:
+            raise FlowFileError(f"{flow_path}: no accepted flow rows")
         flagged = {v.key.ip for v in verdicts if v.direction in label_sides}
         classifications = classify(flagged) if reads_labels else {}
-        gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
-        ingest.update(gt.counts)
-        for message in gt.warnings:
-            sys.stderr.write(f"flowscan: warning detail={' '.join(message.split())}\n")
+        if (pair := (anomalous_path, notice_path)) not in gts:
+            gts[pair] = read_ground_truth(*pair, strict=cfg.strict)
+        gt = gts[pair]
+        # A file's warnings are printed when its path first enters `ingest`.
+        for path in [path for path in gt.counts if path not in ingest]:
+            ingest[path] = gt.counts[path]
+            for message in gt.warnings[path]:
+                sys.stderr.write(f"flowscan: warning detail={' '.join(message.split())}\n")
         universe = trace_universe(flows)
         source_gts = [
             (name, GroundTruthSet([e for e in gt.entries if e.source_file in wanted]))
@@ -489,7 +489,7 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
         run_cfg = dataclasses.replace(cfg, workers=workers)
         for rep in range(1, reps + 1):
             started = time.perf_counter()
-            _, verdicts, classify, stats = _detect(flow_path, run_cfg, ingest, empty_ok=False)
+            _, verdicts, classify, stats = _detect(flow_path, run_cfg, ingest)
             classify({v.key.ip for v in verdicts if v.direction is Direction.SENDER})
             wall = time.perf_counter() - started
             if not (duration := stats.trace_duration_s):
@@ -515,14 +515,13 @@ def cmd_bench(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outcome
 
 def cmd_synth(args: argparse.Namespace) -> int:
     # Imported here: synth's imports are slow, and no other command needs it.
-    from .synth import load_spec, write_outputs
+    from .synth import load_spec, output_paths, write_outputs
 
     seed = _int_flag("--seed", args.seed)
     started = time.time()
     spec_path = Path(args.spec)
     out_base = Path(args.out)
-    suffixes = (".flows.csv", ".anomalous.xml", ".notice.xml")  # write_outputs' files
-    produced = [out_base.with_name(out_base.name + s) for s in suffixes]
+    produced = output_paths(out_base)
     _refuse_overwrite(args, produced, [spec_path])
     with _hashed([spec_path], produced) as digests:
         name = manifest_path_for(out_base).name

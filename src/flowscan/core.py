@@ -154,10 +154,10 @@ class SliceConfig:
 
 def slice_at(first_seen_us: int, cfg: SliceConfig) -> int:
     """Index of the slice holding a flow's first packet, given its
-    timestamp. Raises ValueError for one before the trace start."""
+    timestamp. Raises ConfigError for one before the trace start."""
     offset = first_seen_us - cfg.trace_start_us
     if offset < 0:
-        raise ValueError(
+        raise ConfigError(
             f"flow first_seen {first_seen_us} precedes trace start {cfg.trace_start_us}"
         )
     return offset // cfg.duration_us

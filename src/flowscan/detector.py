@@ -61,7 +61,7 @@ def count_flows(
     in ascending slice order: the one counting kernel, batch or stream. A
     slice's pair is counted once the watermark, the newest start seen minus
     `lag_us`, passes its end, and a row of a closed slice is dropped; with
-    no lag, after the last row. Raises ValueError, when called, if a flow
+    no lag, after the last row. Raises ConfigError, when called, if a flow
     of the batch starts before the trace start."""
     slice_at(batch.earliest_us, slices)
 

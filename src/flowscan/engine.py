@@ -203,7 +203,7 @@ def run_streaming(
     `engine.watermark_lag_seconds`; this loop only cuts each slice it closes
     and calls `emit(slice_index, verdicts)`, in ascending order; emit's
     exceptions propagate. A record iterable is read whole, and a pre-start
-    flow raises ValueError, before the first emission. Late flows count in
+    flow raises ConfigError, before the first emission. Late flows count in
     `late_dropped`; with none, the emissions add up to the batch result.
     """
     batch = as_batch(flows)

@@ -1,4 +1,4 @@
-"""Input handling: flow files and ground truth XML."""
+"""Input handling: reading and writing flow files and ground truth XML."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from .core import (
     check_flow_fields,
     format_ip,
     format_protocol,
+    ip_sort_key,
     parse_ip,
     parse_protocol,
 )
@@ -203,6 +204,44 @@ def write_flow_file(path: str | Path, flows: Iterable[FlowRecord] | FlowBatch) -
     return len(batch)
 
 
+# What xml.sax.saxutils.quoteattr escapes; its import loads urllib.request
+# and email, which ingest does not need.
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
+)
+
+
+def quoteattr(text: str) -> str:
+    """`xml.sax.saxutils.quoteattr(text)`: the escaped text in single
+    quotes if it holds `"` but not `'`, else in double quotes with each
+    `"` as `&quot;` (in single quotes the replace finds nothing)."""
+    text = text.translate(_ATTR_ESCAPES)
+    quote = "'" if '"' in text and "'" not in text else '"'
+    return quote + text.replace(quote, "&quot;") + quote
+
+
+def write_ground_truth(
+    path: str | Path, gt: GroundTruthSet, source_file: SourceFile,
+    manifest_name: Optional[str] = None,
+) -> None:
+    """Write the entries of `gt` from `source_file`, in entry order, as the
+    admd-style XML that parse_ground_truth reads, under a comment naming
+    the manifest when one is given."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+        if manifest_name:
+            fh.write(f"<!-- manifest={manifest_name} -->\n")
+        fh.write("<data>\n")
+        for entry in (e for e in gt.entries if e.source_file is source_file):
+            fh.write(f"  <anomaly type={quoteattr(entry.category.value)} "
+                     f"value={quoteattr(entry.taxonomy_label)}>\n")
+            for side, ips in (("src_ip", entry.src_ips), ("dst_ip", entry.dst_ips)):
+                for ip in sorted(ips, key=ip_sort_key):
+                    fh.write(f"    <filter {side}={quoteattr(str(ip))}/>\n")
+            fh.write("  </anomaly>\n")
+        fh.write("</data>\n")
+
+
 class Category(Enum):
     ANOMALOUS = "anomalous"
     SUSPICIOUS = "suspicious"
@@ -234,9 +273,9 @@ class GroundTruthEntry:
 @dataclass
 class GroundTruthSet:
     entries: list[GroundTruthEntry] = field(default_factory=list)
-    # What each file read kept and skipped, under its path, and each skip's message
+    # What each file read kept and skipped, and each skip's message, under its path
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
+    warnings: dict[str, list[str]] = field(default_factory=dict)
 
 
 _CATEGORIES = {c.value: c for c in Category}
@@ -257,7 +296,7 @@ def parse_ground_truth(
     of unknown category or without an address, an unparseable address and
     a port outside 0-65535 each abort the parse in strict mode; else each
     is skipped, counted in `counts[str(path)]` beside `entries_kept`, and
-    its message, naming the file, is added to `warnings`.
+    its message, naming the file, is added to `warnings[str(path)]`.
     """
     import xml.etree.ElementTree as ET  # here, so that detect does not load it
 
@@ -267,12 +306,13 @@ def parse_ground_truth(
         raise GroundTruthError(f"{path}: not parseable as XML: {exc}") from exc
     gt = GroundTruthSet()
     counts = dict.fromkeys(("entries_skipped", "addresses_ignored", "ports_ignored"), 0)
+    warnings = gt.warnings[str(path)] = []
 
     def skip(count: str, error: str, warning: str) -> None:
         if strict:
             raise GroundTruthError(f"{path}: {error}") from None
         counts[count] += 1
-        gt.warnings.append(f"{path}: {warning}")
+        warnings.append(f"{path}: {warning}")
 
     def collect(elem: ET.Element, attr: str, parse: Callable, count: str, bad: str) -> frozenset:
         found = set()
@@ -330,5 +370,5 @@ def read_ground_truth(
         notice = parse_ground_truth(notice_path, SourceFile.NOTICE, strict=strict)
         gt.entries += notice.entries
         gt.counts.update(notice.counts)
-        gt.warnings += notice.warnings
+        gt.warnings.update(notice.warnings)
     return gt

@@ -125,7 +125,7 @@ def classify_all(
     slices: SliceConfig,
 ) -> dict[IpAddress, Classification]:
     """Classify several IPs in one pass over the flows' source column.
-    Raises ValueError if any flow starts before the trace start."""
+    Raises ConfigError if any flow starts before the trace start."""
     batch = as_batch(flows)
     slice_at(batch.earliest_us, slices)  # passes the inf of an empty batch
     ids = {ip: batch.id_of(ip) for ip in ips}

@@ -32,6 +32,7 @@ from .ingest import (
     GroundTruthSet,
     SourceFile,
     write_flow_file,
+    write_ground_truth,
 )
 
 KIND_NETSCAN = "netscan"
@@ -295,47 +296,6 @@ def _ground_truth(spec: SynthSpec) -> GroundTruthSet:
     return GroundTruthSet(entries)
 
 
-# What xml.sax.saxutils.quoteattr escapes; its import loads urllib.request
-# and email, which synth does not need.
-_ATTR_ESCAPES = str.maketrans(
-    {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"}
-)
-
-
-def quoteattr(text: str) -> str:
-    """`xml.sax.saxutils.quoteattr(text)`: the escaped text in single
-    quotes if it holds `"` but not `'`, else in double quotes with each
-    `"` as `&quot;` (in single quotes the replace finds nothing)."""
-    text = text.translate(_ATTR_ESCAPES)
-    quote = "'" if '"' in text and "'" not in text else '"'
-    return quote + text.replace(quote, "&quot;") + quote
-
-
-def render_ground_truth_xml(
-    gt: GroundTruthSet,
-    source_file: SourceFile,
-    manifest_name: Optional[str] = None,
-) -> str:
-    """The entries destined for one XML file, in entry order."""
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    if manifest_name:
-        lines.append(f"<!-- manifest={manifest_name} -->")
-    lines.append("<data>")
-    for entry in gt.entries:
-        if entry.source_file is not source_file:
-            continue
-        lines.append(
-            f"  <anomaly type={quoteattr(entry.category.value)} "
-            f"value={quoteattr(entry.taxonomy_label)}>"
-        )
-        for side, ips in (("src_ip", entry.src_ips), ("dst_ip", entry.dst_ips)):
-            for ip in sorted(ips, key=ip_sort_key):
-                lines.append(f"    <filter {side}={quoteattr(str(ip))}/>")
-        lines.append("  </anomaly>")
-    lines.append("</data>")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class SynthOutputs:
     flow_path: Path
@@ -344,31 +304,26 @@ class SynthOutputs:
     flow_count: int
 
 
+def output_paths(out_base: str | Path) -> list[Path]:
+    """The flow file and the anomalous and notice XML files of `out_base`."""
+    base = Path(out_base)
+    return [base.with_name(base.name + s) for s in (".flows.csv", ".anomalous.xml", ".notice.xml")]
+
+
 def write_outputs(
     spec: SynthSpec,
     seed: int,
     out_base: str | Path,
     manifest_name: Optional[str] = None,
 ) -> SynthOutputs:
-    """Write `<base>.flows.csv`, `<base>.anomalous.xml`, `<base>.notice.xml`.
-
-    The XML files carry the manifest reference as a comment when given;
-    the flow file cannot, its header line is fixed by contract.
-    """
-    base = Path(out_base)
+    """Write the trace and its ground truth to the files of output_paths.
+    The XML files name the manifest in a comment when one is given; the
+    flow file's fixed header leaves no room for one."""
     flows, gt = generate(spec, seed)
-    flow_path = base.with_name(base.name + ".flows.csv")
-    anomalous_path = base.with_name(base.name + ".anomalous.xml")
-    notice_path = base.with_name(base.name + ".notice.xml")
+    flow_path, anomalous_path, notice_path = output_paths(out_base)
     count = write_flow_file(flow_path, flows)
-    anomalous_path.write_text(
-        render_ground_truth_xml(gt, SourceFile.ANOMALOUS, manifest_name),
-        encoding="utf-8",
-    )
-    notice_path.write_text(
-        render_ground_truth_xml(gt, SourceFile.NOTICE, manifest_name),
-        encoding="utf-8",
-    )
+    write_ground_truth(anomalous_path, gt, SourceFile.ANOMALOUS, manifest_name)
+    write_ground_truth(notice_path, gt, SourceFile.NOTICE, manifest_name)
     return SynthOutputs(
         flow_path=flow_path,
         anomalous_path=anomalous_path,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import flowscan.cli
 import flowscan.engine
+import flowscan.ingest
 from flowscan.cli import (
     BENCH_HEADER,
     BENCH_SUMMARY_HEADER,
@@ -588,9 +589,9 @@ def test_detect_pre_start_flow_exits_2(scan_trace, tmp_path, capsys, extra) -> N
     )
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("flowscan: error kind=config exit=2 detail=")
-    assert "detector.trace_start_us 5" in err
-    assert "earliest flow first_seen_us 0" in err
+    assert err == (
+        "flowscan: error kind=config exit=2 detail=flow first_seen 0 precedes trace start 5\n"
+    )
     assert not out.exists()
 
 
@@ -919,9 +920,9 @@ def test_evaluate_pre_start_flow_exits_2(scan_trace, gt_path, tmp_path, capsys) 
     args = _eval_args(scan_trace, gt_path, out, "--trace-start-us", "5")
     assert main(args) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "kind=config exit=2" in err
-    assert "detector.trace_start_us 5" in err
-    assert "earliest flow first_seen_us 0" in err
+    assert err == (
+        "flowscan: error kind=config exit=2 detail=flow first_seen 0 precedes trace start 5\n"
+    )
     assert not out.exists()
 
 
@@ -930,11 +931,16 @@ def test_evaluate_without_flow_rows_exits_1(gt_path, tmp_path, capsys) -> None:
     write_flow_file(empty, [])
     out = tmp_path / "r.csv"
     bench = ["bench", str(empty), "-o", str(out), "--workers", "1", "--reps", "1"]
+    # evaluate has nothing to score; bench finds that the flows span no time
+    details = {
+        "evaluate": "no accepted flow rows",
+        "bench": "the flows span no time, so they have no time ratio",
+    }
     for args in (_eval_args(empty, gt_path, out), bench):
         assert main(args) == EXIT_IO
         err = capsys.readouterr().err
         assert err == (
-            f"flowscan: error kind=io exit=1 detail={empty}: no accepted flow rows\n"
+            f"flowscan: error kind=io exit=1 detail={empty}: {details[args[0]]}\n"
         )
         assert not out.exists()
     # detect has nothing to flag in it, which is no error
@@ -1113,8 +1119,8 @@ def test_ground_truth_skips_are_counted_in_the_manifest_and_summary(
 ) -> None:
     """Each skipped ground truth entry and ignored value is a warning line,
     in document order, and a count under the file's path in the manifest's
-    `ingest`, named in the summary. A file named by two traces is recorded
-    once, though each trace reads it and warns."""
+    `ingest`, named in the summary. A file named by two traces is warned
+    about and recorded once."""
     bad = tmp_path / "skips.anomalous.xml"
     bad.write_text(SKIPS_XML, encoding="utf-8")
     other = tmp_path / "other.flows.csv"
@@ -1129,7 +1135,7 @@ def test_ground_truth_skips_are_counted_in_the_manifest_and_summary(
         f"flowscan: warning detail={bad}: skipping anomaly with category 'weird'",
         f"flowscan: warning detail={bad}: skipping anomaly entry without any IP address",
     ]
-    assert captured.err.splitlines() == warnings * 2
+    assert captured.err.splitlines() == warnings
     assert captured.out.endswith(
         " report rows, 2 ground truth entries skipped, 1 ground truth addresses ignored,"
         f" 1 ground truth ports ignored -> {out}\n"
@@ -1144,6 +1150,43 @@ def test_ground_truth_skips_are_counted_in_the_manifest_and_summary(
     assert main([*argv, "--strict"]) == EXIT_GROUND_TRUTH
     err = _one_error(capsys, "ground-truth", EXIT_GROUND_TRUTH)
     assert err.endswith(f"detail={bad}: unparseable address '10.0.0.300'\n")
+
+
+def test_repeated_ground_truth_pair_is_parsed_and_warned_about_once(
+    scan_trace, tmp_path, monkeypatch, capsys
+) -> None:
+    bad = tmp_path / "bad.anomalous.xml"
+    bad.write_text(
+        GT_XML.replace("</anomaly>", '  <filter src_ip="10.0.0.999"/>\n  </anomaly>'),
+        encoding="utf-8",
+    )
+    notice = tmp_path / "scan.notice.xml"
+    notice.write_text(GT_XML.replace('"anomalous"', '"notice"'), encoding="utf-8")
+    other = tmp_path / "other.flows.csv"
+    other.write_bytes(scan_trace.read_bytes())
+    parsed = []
+    parse = flowscan.ingest.parse_ground_truth
+
+    def counted_parse(path, *args, **kwargs):
+        parsed.append(path)
+        return parse(path, *args, **kwargs)
+
+    monkeypatch.setattr(flowscan.ingest, "parse_ground_truth", counted_parse)
+    out = tmp_path / "r.csv"
+    traces = [f"{flows},{bad},{notice}" for flows in (scan_trace, other)]
+    argv = ["evaluate", "--trace", traces[0], "--trace", traces[1], "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    assert parsed == [bad, notice]
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"flowscan: warning detail={bad}: ignoring unparseable address '10.0.0.999'\n"
+    )
+    assert ", 1 ground truth addresses ignored ->" in captured.out
+    # both traces are scored against the pair
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert {row.split(",")[0] for row in lines[2 : lines.index("# aggregate")]} == {
+        "scan", "other"
+    }
 
 
 def test_bench_table_shape(scan_trace, tmp_path) -> None:

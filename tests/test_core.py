@@ -47,6 +47,13 @@ def test_flow_before_trace_start_rejected() -> None:
         slice_at(49 * S, cfg)
 
 
+def test_flow_before_trace_start_is_a_config_error() -> None:
+    # The trace start is configuration, so the CLI exits 2 on a flow before it.
+    cfg = SliceConfig(trace_start_us=5, slice_seconds=30.0)
+    with pytest.raises(ConfigError, match="^flow first_seen 4 precedes trace start 5$"):
+        slice_at(4, cfg)
+
+
 def test_slice_duration_must_be_positive() -> None:
     for seconds in (0, -1.5, 1e-9, math.nan, math.inf):
         with pytest.raises(ConfigError):

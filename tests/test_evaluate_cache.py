@@ -36,9 +36,9 @@ from flowscan.ingest import (
     read_flow_file,
     read_ground_truth,
     write_flow_file,
+    write_ground_truth,
 )
 from flowscan.rules import RuleConfig, classify_all
-from flowscan.synth import render_ground_truth_xml
 
 from helpers import random_flows
 
@@ -71,7 +71,7 @@ def _write_trace(rng: random.Random, base: Path) -> tuple[Path, Path, Path]:
     xml_paths = []
     for source in (SourceFile.ANOMALOUS, SourceFile.NOTICE):
         path = base.with_name(f"{base.name}.{source.value}.xml")
-        path.write_text(render_ground_truth_xml(gt, source), encoding="utf-8")
+        write_ground_truth(path, gt, source)
         xml_paths.append(path)
     return flow_path, xml_paths[0], xml_paths[1]
 

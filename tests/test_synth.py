@@ -15,8 +15,10 @@ from flowscan.ingest import (
     Category,
     FLOW_HEADER,
     SourceFile,
+    quoteattr,
     read_flow_file,
     read_ground_truth,
+    write_ground_truth,
 )
 from flowscan.synth import (
     BackgroundSpec,
@@ -26,8 +28,6 @@ from flowscan.synth import (
     TraceSpec,
     generate,
     load_spec,
-    quoteattr,
-    render_ground_truth_xml,
     write_outputs,
 )
 
@@ -371,10 +371,12 @@ def test_ground_truth_entries(spec: SynthSpec) -> None:
     assert decoy_entry.category is Category.NOTICE
 
 
-def test_xml_render_includes_manifest_comment() -> None:
+def test_xml_render_includes_manifest_comment(tmp_path) -> None:
     spec = SynthSpec(decoys=(DecoySpec(name="d", label="x", src_ip=ip("10.0.0.1")),))
     _, gt = generate(spec)
-    text = render_ground_truth_xml(gt, SourceFile.ANOMALOUS, manifest_name="m.json")
+    path = tmp_path / "a.xml"
+    write_ground_truth(path, gt, SourceFile.ANOMALOUS, manifest_name="m.json")
+    text = path.read_text(encoding="utf-8")
     assert "<!-- manifest=m.json -->" in text
     assert 'value="x"' in text
 
@@ -449,5 +451,5 @@ def test_portscan_port_wraparound() -> None:
 @settings(max_examples=500)
 @given(st.text(alphabet="&<>\"'\n\r\t é", max_size=20) | st.text(max_size=20))
 def test_quoteattr_matches_saxutils(text: str) -> None:
-    """synth's own quoteattr writes what xml.sax.saxutils.quoteattr does."""
+    """ingest's own quoteattr writes what xml.sax.saxutils.quoteattr does."""
     assert quoteattr(text) == saxutils_quoteattr(text)
