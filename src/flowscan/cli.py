@@ -420,17 +420,13 @@ def cmd_evaluate(args: argparse.Namespace, cfg: AppConfig, ingest: dict) -> Outc
     label_sides = {Direction.SENDER} if args.directional else set(Direction)
 
     rows: list[EvalRow] = []
-    # (anomalous, notice) path pair -> its ground truth, read once
-    gts: dict[tuple, GroundTruthSet] = {}
     for (flow_path, anomalous_path, notice_path), trace_id in zip(traces, trace_ids):
         flows, verdicts, classify, _ = _detect(flow_path, lowest, ingest)
         if not flows:
             raise FlowFileError(f"{flow_path}: no accepted flow rows")
         flagged = {v.key.ip for v in verdicts if v.direction in label_sides}
         classifications = classify(flagged) if reads_labels else {}
-        if (pair := (anomalous_path, notice_path)) not in gts:
-            gts[pair] = read_ground_truth(*pair, strict=cfg.strict)
-        gt = gts[pair]
+        gt = read_ground_truth(anomalous_path, notice_path, strict=cfg.strict)
         # A file's warnings are printed when its path first enters `ingest`.
         for path in [path for path in gt.counts if path not in ingest]:
             ingest[path] = gt.counts[path]

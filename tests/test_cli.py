@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import flowscan.cli
 import flowscan.engine
-import flowscan.ingest
 from flowscan.cli import (
     BENCH_HEADER,
     BENCH_SUMMARY_HEADER,
@@ -595,6 +594,17 @@ def test_detect_pre_start_flow_exits_2(scan_trace, tmp_path, capsys, extra) -> N
     assert not out.exists()
 
 
+def test_bench_pre_start_flow_exits_2(scan_trace, tmp_path, capsys) -> None:
+    out = tmp_path / "b.csv"
+    bench = ["bench", str(scan_trace), "-o", str(out), "--workers", "1,2", "--reps", "1"]
+    assert main([*bench, "--trace-start-us", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (
+        "flowscan: error kind=config exit=2 detail=flow first_seen 0 precedes trace start 5\n"
+    )
+    assert not out.exists()
+
+
 def test_detect_missing_input(tmp_path, capsys) -> None:
     out = tmp_path / "v.csv"
     code = main(["detect", str(tmp_path / "nope.csv"), "-o", str(out)])
@@ -1152,8 +1162,8 @@ def test_ground_truth_skips_are_counted_in_the_manifest_and_summary(
     assert err.endswith(f"detail={bad}: unparseable address '10.0.0.300'\n")
 
 
-def test_repeated_ground_truth_pair_is_parsed_and_warned_about_once(
-    scan_trace, tmp_path, monkeypatch, capsys
+def test_repeated_ground_truth_pair_is_warned_about_once(
+    scan_trace, tmp_path, capsys
 ) -> None:
     bad = tmp_path / "bad.anomalous.xml"
     bad.write_text(
@@ -1164,19 +1174,10 @@ def test_repeated_ground_truth_pair_is_parsed_and_warned_about_once(
     notice.write_text(GT_XML.replace('"anomalous"', '"notice"'), encoding="utf-8")
     other = tmp_path / "other.flows.csv"
     other.write_bytes(scan_trace.read_bytes())
-    parsed = []
-    parse = flowscan.ingest.parse_ground_truth
-
-    def counted_parse(path, *args, **kwargs):
-        parsed.append(path)
-        return parse(path, *args, **kwargs)
-
-    monkeypatch.setattr(flowscan.ingest, "parse_ground_truth", counted_parse)
     out = tmp_path / "r.csv"
     traces = [f"{flows},{bad},{notice}" for flows in (scan_trace, other)]
     argv = ["evaluate", "--trace", traces[0], "--trace", traces[1], "-o", str(out)]
     assert main(argv) == EXIT_OK
-    assert parsed == [bad, notice]
     captured = capsys.readouterr()
     assert captured.err == (
         f"flowscan: warning detail={bad}: ignoring unparseable address '10.0.0.999'\n"
